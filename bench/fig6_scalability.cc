@@ -11,7 +11,6 @@
 #include <map>
 
 #include "bench/common.hh"
-#include "workloads/engine_opts.hh"
 #include "workloads/runners.hh"
 
 using namespace m3;
@@ -21,23 +20,18 @@ int
 main(int argc, char **argv)
 {
     // --multikernel-only: skip straight to the multi-kernel table (the
-    // CI hook runs just that stage). --threads=N/--shards=K (or
-    // M3_THREADS/M3_SHARDS) engage the parallel engine on rows whose
-    // kernel count matches the requested shard count.
+    // CI hook runs just that stage).
     bool mkOnly = false;
     bool distfsOnly = false;
-    workloads::EngineArgs eng;
-    eng.loadEnv();
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--multikernel-only")
             mkOnly = true;
         else if (arg == "--distfs-only")
             distfsOnly = true;
-        else if (!eng.parse(arg)) {
+        else {
             std::fprintf(stderr, "usage: fig6_scalability "
-                                 "[--multikernel-only] [--distfs-only] "
-                                 "[--threads=N] [--shards=K]\n");
+                                 "[--multikernel-only] [--distfs-only]\n");
             return 2;
         }
     }
@@ -63,9 +57,7 @@ main(int argc, char **argv)
         bench::cell(b, 12);
         double base = 0;
         for (uint32_t n : counts) {
-            workloads::M3RunOpts opts;
-            eng.apply(opts);
-            ScalabilityResult r = runM3Scalability(b, n, opts);
+            ScalabilityResult r = runM3Scalability(b, n);
             if (r.rc != 0) {
                 std::printf(" run failed (%d)\n", r.rc);
                 allOk = false;
@@ -120,14 +112,11 @@ main(int argc, char **argv)
                   "(Sec. 7 extension)",
                   cols2, 14);
     bench::cell("norm. time", 14);
-    workloads::M3RunOpts one;
-    eng.apply(one);
-    ScalabilityResult base1 = runM3Scalability("find", 1, one);
+    ScalabilityResult base1 = runM3Scalability("find", 1);
     std::vector<double> shard;
     for (uint32_t s : services) {
         workloads::M3RunOpts opts;
         opts.fsInstances = s;
-        eng.apply(opts);
         ScalabilityResult r = runM3Scalability("find", 16, opts);
         if (r.rc != 0 || base1.rc != 0) {
             std::printf(" run failed\n");
@@ -227,7 +216,6 @@ main(int argc, char **argv)
             // four-stripe round fills all DTU transfer slots.
             opts.distfsUnitBlocks = 4;
             opts.ioChunk = 16384;
-            eng.apply(opts);
             ScalabilityResult r = runM3Scalability(b, 1, opts);
             if (r.rc != 0) {
                 std::printf(" run failed (%d)\n", r.rc);
@@ -272,7 +260,6 @@ main(int argc, char **argv)
             opts.distfsReplicas = 2;
             opts.distfsUnitBlocks = 4;
             opts.ioChunk = 16384;
-            eng.apply(opts);
             ScalabilityResult r = runM3Scalability(b, 1, opts);
             if (r.rc != 0) {
                 std::printf(" run failed (%d)\n", r.rc);
@@ -330,7 +317,6 @@ main(int argc, char **argv)
         opts.fsInstances = 4;
         opts.fsAppendBlocks = 8;
         opts.timeSetup = true;
-        eng.apply(opts);
         ScalabilityResult base = runM3Scalability("tar", 1, opts);
         ScalabilityResult r = runM3Scalability("tar", 16, opts);
         if (base.rc != 0 || r.rc != 0) {

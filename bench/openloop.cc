@@ -14,8 +14,6 @@
  *   --service-cycles N per-request compute at the server (2000)
  *   --seed N           arrival-process seed (1)
  *   --kernels K        kernel instances
- *   --shards=K         engine shards (requires K == --kernels)
- *   --threads=N        host threads (M3_SHARDS / M3_THREADS set defaults)
  *   --slo=FILE         enable request tracing, write the SLO report
  *                      ("-" = stdout)
  *   --trace=FILE       Chrome trace (request span tree included when
@@ -32,7 +30,6 @@
 #include "trace/metrics.hh"
 #include "trace/reqtrace.hh"
 #include "trace/trace.hh"
-#include "workloads/engine_opts.hh"
 #include "workloads/openloop.hh"
 
 using namespace m3;
@@ -48,8 +45,7 @@ usage()
                  "usage: openloop [--clients N] [--requests N] "
                  "[--mean-gap N]\n"
                  "  [--service-cycles N] [--seed N] [--kernels K]\n"
-                 "  [--shards=K] [--threads=N] [--slo=FILE] "
-                 "[--trace=FILE]\n"
+                 "  [--slo=FILE] [--trace=FILE]\n"
                  "  [--metrics=FILE] [--json]\n");
     std::exit(2);
 }
@@ -60,8 +56,6 @@ int
 main(int argc, char **argv)
 {
     OpenLoopOpts opts;
-    EngineArgs eng;
-    eng.loadEnv();
     std::string sloFile;
     std::string traceFile;
     std::string metricsFile;
@@ -87,8 +81,6 @@ main(int argc, char **argv)
             opts.seed = intArg();
         } else if (arg == "--kernels") {
             opts.numKernels = static_cast<uint32_t>(intArg());
-        } else if (eng.parse(arg)) {
-            // --threads= / --shards= handled by EngineArgs.
         } else if (arg.rfind("--slo=", 0) == 0) {
             sloFile = arg.substr(6);
         } else if (arg.rfind("--trace=", 0) == 0) {
@@ -101,9 +93,6 @@ main(int argc, char **argv)
             usage();
         }
     }
-    opts.threads = eng.threads;
-    opts.shards = eng.shards;
-
     if (!sloFile.empty())
         trace::ReqTrace::enable();
     if (!traceFile.empty())

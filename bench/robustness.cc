@@ -25,7 +25,6 @@
 #include "m3fs/fs_image.hh"
 #include "trace/metrics.hh"
 #include "trace/trace.hh"
-#include "workloads/engine_opts.hh"
 
 using namespace m3;
 
@@ -425,8 +424,6 @@ main(int argc, char **argv)
     std::string metricsFile;
     bool rollingRestart = false;
     bool stripeKill = false;
-    workloads::EngineArgs eng;
-    eng.loadEnv();
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg.rfind("--trace=", 0) == 0) {
@@ -437,23 +434,13 @@ main(int argc, char **argv)
             rollingRestart = true;
         } else if (arg == "--stripe-kill") {
             stripeKill = true;
-        } else if (eng.parse(arg)) {
-            // Accepted for harness uniformity, but every robustness
-            // scenario injects faults or migrates VPEs — both are
-            // incompatible with the sharded engine, so these runs always
-            // use the serial engine (S=1, where threads cannot bite).
         } else {
             std::fprintf(stderr, "usage: robustness [--trace=FILE] "
                                  "[--metrics=FILE] [--rolling-restart] "
-                                 "[--stripe-kill]\n"
-                                 "  [--threads=N] [--shards=K] (accepted; "
-                                 "fault/migration runs stay serial)\n");
+                                 "[--stripe-kill]\n");
             return 2;
         }
     }
-    if (eng.shards > 1)
-        std::fprintf(stderr, "robustness: note: --shards ignored — fault "
-                             "injection requires the serial engine\n");
     if (!traceFile.empty())
         trace::Tracer::enable();
     if (!metricsFile.empty())

@@ -10,13 +10,8 @@
  * never change from run to run (or from PR to PR unless the cost model
  * itself changes).
  *
- * The mk4.tN rows sweep the parallel engine: a 256-PE fig6-class
- * machine (tar x240, 4 kernel domains, 4 m3fs instances) sharded 4 ways,
- * driven by N = 1/2/4/8 host threads. All rows simulate the *same*
- * machine, so their events and sim_cycles must be bit-identical — the
- * harness enforces this on every run. The threads=8-vs-1 speedup gate in
- * --check arms itself only on hosts with at least 8 cores (a 1-core
- * recording host cannot measure parallel speedup).
+ * The mk4 row is the large machine: a 256-PE fig6-class setup (tar
+ * x240, 4 kernel domains, 4 m3fs instances).
  *
  * Usage:
  *   simperf                 human-readable table
@@ -26,8 +21,6 @@
  *                           events/sec regresses beyond its tolerance)
  *   simperf --quick         single repetition (CI smoke mode)
  *   simperf --reps N        repetitions per workload (default 3)
- *   simperf --threads=N     cap the thread sweep at N (default 8;
- *                           M3_THREADS env is the fallback)
  *   simperf --trace=FILE    record a Chrome trace of the runs
  *   simperf --metrics=FILE  dump the metric registry as JSON
  *
@@ -49,7 +42,6 @@
 
 #include "trace/metrics.hh"
 #include "trace/trace.hh"
-#include "workloads/engine_opts.hh"
 #include "workloads/micro.hh"
 #include "workloads/runners.hh"
 
@@ -123,7 +115,7 @@ fromRunResult(const RunResult &r)
 }
 
 std::vector<Measurement>
-runAll(int reps, uint32_t maxThreads)
+runAll(int reps)
 {
     std::vector<Measurement> out;
     out.push_back(measure("syscall", reps, [] {
@@ -144,39 +136,13 @@ runAll(int reps, uint32_t maxThreads)
         return Sample{r.rc, r.hostSeconds, r.events, r.avgInstance};
     }));
 
-    // Parallel-engine thread sweep: one 256-PE fig6-class machine
-    // (4 kernel domains, engine sharded along them), re-run with more
-    // host threads. Host seconds move; the simulated machine must not.
-    Measurement sweepBase;
-    for (uint32_t t : {1u, 2u, 4u, 8u}) {
-        if (t > maxThreads)
-            continue;
-        out.push_back(measure("mk4.t" + std::to_string(t), reps, [t] {
-            M3RunOpts opts;
-            opts.numKernels = 4;
-            opts.fsInstances = 4;
-            opts.shards = 4;
-            opts.threads = t;
-            ScalabilityResult r = runM3Scalability("tar", 240, opts);
-            return Sample{r.rc, r.hostSeconds, r.events, r.avgInstance};
-        }));
-        const Measurement &m = out.back();
-        if (sweepBase.name.empty()) {
-            sweepBase = m;
-        } else if (m.events != sweepBase.events ||
-                   m.simCycles != sweepBase.simCycles) {
-            std::fprintf(stderr,
-                         "simperf: parallel engine is not thread-count "
-                         "invariant: %s ran %llu events / %llu cycles, "
-                         "%s ran %llu / %llu\n",
-                         m.name.c_str(), (unsigned long long)m.events,
-                         (unsigned long long)m.simCycles,
-                         sweepBase.name.c_str(),
-                         (unsigned long long)sweepBase.events,
-                         (unsigned long long)sweepBase.simCycles);
-            std::exit(1);
-        }
-    }
+    out.push_back(measure("mk4", reps, [] {
+        M3RunOpts opts;
+        opts.numKernels = 4;
+        opts.fsInstances = 4;
+        ScalabilityResult r = runM3Scalability("tar", 240, opts);
+        return Sample{r.rc, r.hostSeconds, r.events, r.avgInstance};
+    }));
     return out;
 }
 
@@ -205,10 +171,7 @@ toJson(const std::vector<Measurement> &ms)
           " --check fails a workload whose events_per_sec drops more than"
           " regression_tolerance below this baseline. events and"
           " sim_cycles are simulated state and must match exactly on any"
-          " machine. The mk4.tN rows run the identical sharded machine"
-          " with N host threads: their events/sim_cycles must all match,"
-          " and on hosts with >= 8 cores --check requires mk4.t8 to reach"
-          " 4x the events_per_sec of mk4.t1.\",\n"
+          " machine. host_cores records the recording host.\",\n"
        << "  \"workloads\": [\n";
     for (size_t i = 0; i < ms.size(); ++i) {
         const Measurement &m = ms[i];
@@ -297,29 +260,6 @@ check(const std::vector<Measurement> &ms, const std::string &baselinePath)
             ++bad;
         }
     }
-    // Parallel-speedup gate, self-arming: a host that cannot physically
-    // run 8 workers in parallel cannot fail it. The simulated-state
-    // exact-match checks above apply to the sweep rows unconditionally.
-    const unsigned cores = std::thread::hardware_concurrency();
-    double t1 = 0, t8 = 0;
-    for (const Measurement &m : ms) {
-        if (m.name == "mk4.t1")
-            t1 = m.eventsPerSec;
-        else if (m.name == "mk4.t8")
-            t8 = m.eventsPerSec;
-    }
-    const bool haveSweep = t1 > 0 && t8 > 0;
-    if (cores >= 8 && haveSweep) {
-        double speedup = t1 > 0 ? t8 / t1 : 0;
-        bool ok = speedup >= 4.0;
-        std::printf("mk4 speedup t8/t1: %.2fx (%u host cores)%s\n",
-                    speedup, cores, ok ? "" : "  BELOW 4x");
-        if (!ok)
-            ++bad;
-    } else {
-        std::printf("mk4 speedup gate: skipped (%u host cores%s)\n",
-                    cores, haveSweep ? "" : ", sweep rows missing");
-    }
     if (bad) {
         std::fprintf(stderr,
                      "simperf: %d workload(s) regressed more than %.0f%% "
@@ -344,19 +284,10 @@ main(int argc, char **argv)
     std::string checkPath;
     std::string traceFile;
     std::string metricsFile;
-    // The sweep is part of the benchmark definition, so it defaults to
-    // its full 1..8 range; --threads/M3_THREADS only cap it (e.g. for a
-    // fast local loop).
-    EngineArgs eng;
-    eng.threads = 8;
-    eng.loadEnv();
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
-        if (eng.parse(arg)) {
-            // --threads= consumed (a --shards= override is ignored: the
-            // sweep rows fix their own shard count).
-        } else if (arg == "--json") {
+        if (arg == "--json") {
             json = true;
         } else if (arg == "--quick") {
             quick = true;
@@ -374,8 +305,7 @@ main(int argc, char **argv)
             std::fprintf(stderr,
                          "usage: simperf [--json] [--out FILE] "
                          "[--check FILE] [--quick] [--reps N] "
-                         "[--threads=N] [--trace=FILE] "
-                         "[--metrics=FILE]\n");
+                         "[--trace=FILE] [--metrics=FILE]\n");
             return 2;
         }
     }
@@ -389,7 +319,7 @@ main(int argc, char **argv)
     if (!metricsFile.empty())
         trace::Metrics::enable();
 
-    std::vector<Measurement> ms = runAll(reps, eng.threads);
+    std::vector<Measurement> ms = runAll(reps);
 
     if (!traceFile.empty() && !trace::Tracer::writeJson(traceFile)) {
         std::fprintf(stderr, "simperf: cannot write trace '%s'\n",

@@ -44,12 +44,12 @@ namespace
 {
 
 /**
- * One emit per line, serialized: the parallel engine's workers log
- * concurrently, and while each emit is a single fprintf of a fully
- * formatted line, POSIX only promises atomicity per stdio call on the
- * same stream — a process-wide mutex guarantees lines are never torn
- * regardless of libc, and it costs nothing when logging is quiet
- * (callers check Log::level before calling into these).
+ * One emit per line, serialized: the simulator itself is single-threaded,
+ * but a host program may log from several threads. Each emit is a single
+ * fprintf of a fully formatted line, yet POSIX only promises atomicity
+ * per stdio call on the same stream — a process-wide mutex guarantees
+ * lines are never torn regardless of libc, and it costs nothing when
+ * logging is quiet (callers check Log::level before calling into these).
  */
 std::mutex &
 emitLock()

@@ -1698,6 +1698,10 @@ Kernel::handleServiceReply(uint32_t slot)
         replyOnEpError(req.slot, xe);
         break;
       }
+      case PendingSrvReq::Kind::RemoteOpen:
+      case PendingSrvReq::Kind::RemoteObtain:
+        // Answered to the requesting kernel by the early return above.
+        break;
     }
 }
 

@@ -15,12 +15,9 @@ namespace
 {
 
 /**
- * Pending PE re-homes for VPEs restarting after a failover. The
- * fiber -> Env mapping itself lives on the Fiber (Fiber::setUserEnv):
- * a per-fiber slot needs no synchronization when fibers execute on
- * different engine shards, where a shared map would (writes to this map
- * only happen via migration/failover hooks, which the sharded engine
- * rejects at configuration time).
+ * Pending PE re-homes for VPEs restarting after a failover, written
+ * only by the migration/failover hooks. The fiber -> Env mapping itself
+ * lives on the Fiber (Fiber::setUserEnv), so it needs no map at all.
  */
 std::unordered_map<vpeid_t, peid_t> &
 pendingHomes()

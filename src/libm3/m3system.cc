@@ -11,9 +11,7 @@ namespace m3
 namespace
 {
 
-/** Clock adapter handed to the tracer: reads this machine's cycle (on a
- *  sharded engine, the cycle of whichever shard the calling thread is
- *  executing — the one the traced event belongs to). */
+/** Clock adapter handed to the tracer: reads this machine's cycle. */
 uint64_t
 simClock(const void *ctx)
 {
@@ -48,46 +46,6 @@ M3System::M3System(M3SystemCfg config) : cfg(std::move(config))
         // sessions out over the stripes only.
         cfg.fsInstances = cfg.distfsStripes + cfg.distfsSpares;
     }
-    if (cfg.shards > 1) {
-        // The shard cut is the kernel-domain boundary: with S ==
-        // numKernels, PE p's shard (p mod S) is exactly domainOfPe(p),
-        // so every kernel <-> owned-PE interaction stays shard-local and
-        // only NoC packets ever cross the cut.
-        if (cfg.shards != cfg.numKernels)
-            fatal("shards (%u) must equal numKernels (%u): the engine "
-                  "shards along kernel-domain boundaries",
-                  cfg.shards, cfg.numKernels);
-        // Features whose bookkeeping reaches across domains from
-        // arbitrary execution contexts are not (yet) shard-safe.
-        if (cfg.multiplexSlice)
-            fatal("shards > 1 does not support VPE time multiplexing");
-        if (cfg.migration || cfg.failover)
-            fatal("shards > 1 does not support migration or failover");
-        if (!cfg.drains.empty())
-            fatal("shards > 1 does not support PE drains");
-        if (cfg.faults.active())
-            fatal("shards > 1 does not support fault injection");
-        if (cfg.watchdogPeriod)
-            fatal("shards > 1 does not support the kernel watchdog");
-        // Conservative lookahead: the cheapest packet that can cross a
-        // shard cut travels two hops (adjacent nodes are always on
-        // different shards) and serializes at least a bare header.
-        const HwCosts &hw = cfg.costs.hw;
-        Cycles lookahead =
-            2 * hw.nocHopLatency +
-            (hw.msgHeaderSize + hw.nocBytesPerCycle - 1) /
-                hw.nocBytesPerCycle;
-        sim.configureShards(cfg.shards, lookahead);
-        if (trace::Tracer::on) {
-            trace::Tracer::setParallel(true);
-            tracerParallel = true;
-        }
-        if (trace::ReqTrace::on) {
-            trace::ReqTrace::setParallel(true);
-            reqTraceParallel = true;
-        }
-    }
-    sim.setThreads(cfg.threads);
 
     PlatformSpec spec;
     spec.costs = cfg.costs;
@@ -299,10 +257,6 @@ M3System::~M3System()
     if (trace::Metrics::on)
         exportMetrics();
     trace::Tracer::clearClock(&sim);
-    if (tracerParallel)
-        trace::Tracer::setParallel(false);
-    if (reqTraceParallel)
-        trace::ReqTrace::setParallel(false);
 }
 
 void
@@ -310,7 +264,7 @@ M3System::exportMetrics()
 {
     using trace::Metrics;
 
-    const SimStats ss = sim.foldedStats();
+    const SimStats &ss = sim.queue().stats();
     Metrics::counter("sim.events_scheduled").add(ss.eventsScheduled);
     Metrics::counter("sim.events_executed").add(ss.eventsExecuted);
     Metrics::gauge("sim.peak_pending").setMax(ss.peakPending);
@@ -553,7 +507,7 @@ bool
 M3System::simulate(Cycles limit)
 {
     eventsRun += sim.simulate(limit);
-    if (!rootDone && sim.queuesEmpty()) {
+    if (!rootDone && sim.queue().empty()) {
         auto blocked = sim.blockedFibers();
         std::string names;
         for (const auto &n : blocked)

@@ -125,22 +125,6 @@ struct M3SystemCfg
     /** PE drains to arm at boot: evacuate .first at cycle .second. */
     std::vector<std::pair<peid_t, Cycles>> drains;
 
-    /**
-     * Engine shards: split the host discrete-event engine into this many
-     * conservatively synchronized partitions, cut along the kernel-domain
-     * boundary (PE p lives on shard p mod S, which equals domainOfPe(p)
-     * when S == numKernels — the only supported value > 1). 1 (the
-     * default) is the serial engine, bit-identical to before. The
-     * *simulated* outcome depends only on this value; `threads` is pure
-     * host parallelism and never changes a single simulated byte.
-     */
-    uint32_t shards = 1;
-    /**
-     * Host worker threads driving a sharded engine (capped at shards;
-     * ignored when shards == 1). See DESIGN.md §12.
-     */
-    uint32_t threads = 1;
-
     /** Service name of instance @p k. */
     static std::string
     fsName(uint32_t k)
@@ -252,8 +236,6 @@ class M3System
     kernel::Kernel &kernelOf(peid_t p) { return *kerns.at(domainOfPe(p)); }
 
     bool rootInstalled = false;
-    bool tracerParallel = false; //!< this machine switched the tracer
-    bool reqTraceParallel = false; //!< ditto for the request tracer
     bool rootDone = false;
     int rootExit = -1;
     uint64_t eventsRun = 0;

@@ -4,7 +4,6 @@
 
 #include "base/logging.hh"
 #include "sim/fault_plan.hh"
-#include "sim/shards.hh"
 #include "trace/metrics.hh"
 #include "trace/trace.hh"
 
@@ -36,25 +35,9 @@ Noc::idleLatency(nocid_t src, nocid_t dst, uint32_t payloadBytes) const
     return hops(src, dst) * hw.nocHopLatency + serialisation(payloadBytes);
 }
 
-void
-Noc::attachShards(ShardSet *set)
-{
-    if (!set || set->count() <= 1)
-        return;
-    if (faults)
-        panic("fault injection is not supported on a sharded NoC");
-    shardSet = set;
-    shardStates.clear();
-    for (uint32_t s = 0; s < set->count(); ++s) {
-        auto ss = std::make_unique<ShardState>();
-        ss->links.resize(links.size());
-        shardStates.push_back(std::move(ss));
-    }
-}
-
 Cycles
-Noc::walk(std::vector<Link> &tbl, nocid_t src, nocid_t dst, Cycles ser,
-          Cycles head, Cycles &stalls)
+Noc::walk(nocid_t src, nocid_t dst, Cycles ser, Cycles head,
+          Cycles &stalls)
 {
     // Virtual cut-through: the head moves one hop per nocHopLatency; each
     // traversed link is then occupied for the serialisation time. If a
@@ -64,7 +47,7 @@ Noc::walk(std::vector<Link> &tbl, nocid_t src, nocid_t dst, Cycles ser,
     uint32_t x = src % cols, y = src / cols;
     const uint32_t dx = dst % cols, dy = dst / cols;
     auto traverse = [&](Direction d) {
-        Link &l = tbl[(y * cols + x) * DIR_COUNT + d];
+        Link &l = link(y * cols + x, d);
         Cycles start = std::max(head, l.nextFree);
         stalls += start - head;
         l.nextFree = start + ser;
@@ -95,38 +78,6 @@ Noc::walk(std::vector<Link> &tbl, nocid_t src, nocid_t dst, Cycles ser,
     return head + hw.nocHopLatency;
 }
 
-void
-Noc::deliverCross(nocid_t src, nocid_t dst, uint32_t payloadBytes,
-                  Cycles sendCycle, uint64_t flowId, DeliverFn deliver)
-{
-    ShardState &ds = *shardStates[dst % shardSet->count()];
-    const Cycles ser = serialisation(payloadBytes);
-
-    // The contention walk happens here, on the destination shard's
-    // replica, in the destination's deterministic drain order. The head
-    // starts at the cycle the source injected the packet, so an idle
-    // route reproduces idleLatency() exactly and arrival can never
-    // precede the transfer's activation cycle.
-    Cycles stalls = 0;
-    Cycles head = walk(ds.links, src, dst, ser, sendCycle, stalls);
-    Cycles arrival = head + ser;
-
-    ds.stats.contentionStalls += stalls;
-    if (M3_METRICS_ON) {
-        static trace::Histogram &qd =
-            trace::Metrics::histogram("noc.queue_delay");
-        qd.observe(stalls);
-    }
-    if (M3_TRACE_ON) {
-        trace::Tracer::complete(trace::nocTrack(dst), arrival, 1, "noc:recv");
-        trace::Tracer::flowEnd(trace::nocTrack(dst), arrival, flowId, "noc");
-    }
-
-    ds.stats.packetsDelivered++;
-    EventQueue *aq = EventQueue::active();
-    (aq ? *aq : eq).scheduleAbs(arrival, std::move(deliver));
-}
-
 Cycles
 Noc::send(nocid_t src, nocid_t dst, uint32_t payloadBytes, DeliverFn deliver)
 {
@@ -135,65 +86,8 @@ Noc::send(nocid_t src, nocid_t dst, uint32_t payloadBytes, DeliverFn deliver)
               nodeCount());
     const Cycles ser = serialisation(payloadBytes);
 
-    if (shardSet) {
-        const uint32_t S = shardSet->count();
-        const uint32_t srcShard = src % S, dstShard = dst % S;
-        EventQueue *aq = EventQueue::active();
-        const Cycles nowC = aq ? aq->curCycle() : eq.curCycle();
-
-        // Source-side bookkeeping runs here, on the shard that owns the
-        // sender (packets/payload counters, the source-track trace
-        // events and the flow id) — all single-writer by construction.
-        ShardState &ss = *shardStates[srcShard];
-        ss.stats.packets++;
-        ss.stats.payloadBytes += payloadBytes;
-        uint64_t flowId = 0;
-        if (M3_TRACE_ON) {
-            flowId = (static_cast<uint64_t>(srcShard + 1) << 48) |
-                     ss.nextFlow++;
-            trace::Tracer::complete(trace::nocTrack(src), nowC, ser,
-                                    "noc:pkt");
-            trace::Tracer::flowBegin(trace::nocTrack(src), nowC, flowId,
-                                     "noc");
-        }
-
-        if (srcShard == dstShard) {
-            Cycles stalls = 0;
-            Cycles head = walk(ss.links, src, dst, ser, nowC, stalls);
-            Cycles arrival = head + ser;
-            ss.stats.contentionStalls += stalls;
-            if (M3_METRICS_ON) {
-                static trace::Histogram &qd =
-                    trace::Metrics::histogram("noc.queue_delay");
-                qd.observe(stalls);
-            }
-            if (M3_TRACE_ON) {
-                trace::Tracer::complete(trace::nocTrack(dst), arrival, 1,
-                                        "noc:recv");
-                trace::Tracer::flowEnd(trace::nocTrack(dst), arrival,
-                                       flowId, "noc");
-            }
-            ss.stats.packetsDelivered++;
-            (aq ? *aq : eq).scheduleAbs(arrival, std::move(deliver));
-            return arrival;
-        }
-
-        // Cluster cut: hand the packet to the destination shard as a
-        // timestamped transfer. It cannot arrive earlier than the idle
-        // route allows, so the idle latency is a safe activation — this
-        // lower bound across all cuts is exactly the engine's lookahead.
-        const Cycles activation = nowC + idleLatency(src, dst, payloadBytes);
-        shardSet->post(srcShard, dstShard, activation,
-                       [this, src, dst, payloadBytes, nowC, flowId,
-                        deliver = std::move(deliver)]() mutable {
-                           deliverCross(src, dst, payloadBytes, nowC,
-                                        flowId, std::move(deliver));
-                       });
-        return activation;
-    }
-
     Cycles stalls = 0;
-    Cycles head = walk(links, src, dst, ser, eq.curCycle(), stalls);
+    Cycles head = walk(src, dst, ser, eq.curCycle(), stalls);
     Cycles arrival = head + ser;
 
     nocStats.packets++;
@@ -268,12 +162,7 @@ Noc::exportMetrics(Cycles totalCycles) const
     static const char *dirName[DIR_COUNT] = {"E", "W", "N", "S"};
     for (uint32_t r = 0; r < nodeCount(); ++r) {
         for (uint32_t d = 0; d < DIR_COUNT; ++d) {
-            Cycles busy = links[r * DIR_COUNT + d].busy;
-            // A sharded mesh accumulates occupancy in the per-shard
-            // replicas; a physical link's busy time is the sum over the
-            // shards whose terminating traffic crossed it.
-            for (const auto &ss : shardStates)
-                busy += ss->links[r * DIR_COUNT + d].busy;
+            const Cycles busy = links[r * DIR_COUNT + d].busy;
             if (!busy)
                 continue;
             std::string base =

@@ -19,7 +19,6 @@
 #define M3_NOC_NOC_HH
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "base/cost_model.hh"
@@ -30,7 +29,6 @@ namespace m3
 {
 
 class FaultPlan;
-class ShardSet;
 
 /** Identifier of a node (attachment point) on the NoC. */
 using nocid_t = uint32_t;
@@ -95,55 +93,16 @@ class Noc
     /** Number of router hops between two nodes (Manhattan distance + 1). */
     uint32_t hops(nocid_t src, nocid_t dst) const;
 
-    /**
-     * Attach the mesh to a sharded engine: node n belongs to shard
-     * n mod S, each shard gets its own link-table replica and stats,
-     * and sends whose endpoints live on different shards become
-     * timestamped inter-thread transfers (ShardSet::post) that complete
-     * their contention walk on the destination shard's replica. Must be
-     * called before any packet is injected.
-     */
-    void attachShards(ShardSet *set);
+    /** Aggregate statistics. */
+    const NocStats &stats() const { return nocStats; }
 
-    /** Aggregate statistics (folded over shard replicas when sharded). */
-    const NocStats &
-    stats() const
-    {
-        if (!shardSet)
-            return nocStats;
-        foldCache = nocStats;
-        for (const auto &ss : shardStates) {
-            foldCache.packets += ss->stats.packets;
-            foldCache.payloadBytes += ss->stats.payloadBytes;
-            foldCache.contentionStalls += ss->stats.contentionStalls;
-            foldCache.packetsDropped += ss->stats.packetsDropped;
-            foldCache.packetsDelayed += ss->stats.packetsDelayed;
-            foldCache.packetsDelivered += ss->stats.packetsDelivered;
-        }
-        return foldCache;
-    }
-
-    void
-    resetStats()
-    {
-        nocStats = NocStats{};
-        for (auto &ss : shardStates)
-            ss->stats = NocStats{};
-    }
+    void resetStats() { nocStats = NocStats{}; }
 
     /**
      * Attach a fault plan; every injected packet consults it. Null (the
-     * default) keeps the fault-free fast path. Incompatible with a
-     * sharded mesh (fault decisions are ordered by global packet
-     * sequence, which sharding does not define).
+     * default) keeps the fault-free fast path.
      */
-    void
-    setFaultPlan(FaultPlan *plan)
-    {
-        if (plan && shardSet)
-            panic("fault injection is not supported on a sharded NoC");
-        faults = plan;
-    }
+    void setFaultPlan(FaultPlan *plan) { faults = plan; }
 
     /**
      * Fold per-link occupancy into the metric registry: a busy-cycle
@@ -182,32 +141,12 @@ class Noc
     }
 
     /**
-     * Per-shard mesh replica. Contention is tracked per shard: a shard's
-     * replica sees exactly the packets that *terminate* on that shard
-     * (in its deterministic execution order), so no link word is ever
-     * written by two host threads. The replica a packet walks is chosen
-     * by its destination shard; traffic terminating on different shards
-     * does not contend — the price of parallelism, bounded by the
-     * cluster-cut and documented in DESIGN.md §12.
-     */
-    struct ShardState
-    {
-        std::vector<Link> links;
-        NocStats stats;
-        uint64_t nextFlow = 1; //!< per-shard trace flow-id counter
-    };
-
-    /**
-     * Walk the XY route over @p tbl, reserving links from @p head on and
+     * Walk the XY route, reserving links from @p head on and
      * accumulating @p stalls; returns the head cycle after the final
      * ejection hop (arrival = return value + @p ser).
      */
-    Cycles walk(std::vector<Link> &tbl, nocid_t src, nocid_t dst,
-                Cycles ser, Cycles head, Cycles &stalls);
-
-    /** Finish a cross-shard packet on the destination shard. */
-    void deliverCross(nocid_t src, nocid_t dst, uint32_t payloadBytes,
-                      Cycles sendCycle, uint64_t flowId, DeliverFn deliver);
+    Cycles walk(nocid_t src, nocid_t dst, Cycles ser, Cycles head,
+                Cycles &stalls);
 
     /** Serialisation time of a packet with @p payloadBytes of payload. */
     Cycles
@@ -223,10 +162,7 @@ class Noc
     uint32_t rows;
     std::vector<Link> links;
     NocStats nocStats;
-    mutable NocStats foldCache; //!< stats() result when sharded
     FaultPlan *faults = nullptr;
-    ShardSet *shardSet = nullptr;
-    std::vector<std::unique_ptr<ShardState>> shardStates;
 };
 
 } // namespace m3

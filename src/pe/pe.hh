@@ -38,9 +38,8 @@ class Pe
     Pe(Simulator &sim, const PeDesc &desc, Noc &noc, peid_t id,
        uint32_t nocId, const HwCosts &hw)
         : sim(sim), peDesc(desc), peId(id),
-          homeEq(sim.queueForNode(nocId)),
           spmMem(std::make_unique<Spm>(desc.spmDataSize)),
-          dtuUnit(std::make_unique<Dtu>(homeEq, noc, *spmMem, nocId, hw,
+          dtuUnit(std::make_unique<Dtu>(sim.queue(), noc, *spmMem, nocId, hw,
                                         desc.epCount))
     {
         dtuUnit->setStartHook([this] { startProgram(); });
@@ -73,11 +72,8 @@ class Pe
             panic("PE%u started without an installed program", peId);
         Program body = std::move(pendingBody);
         pendingBody = nullptr;
-        // The program fiber is homed on this PE's engine shard, so its
-        // wakeups and compute events run where the PE's DTU lives.
-        fiber = &sim.runOn(homeEq,
-                           "pe" + std::to_string(peId) + ":" + pendingName,
-                           std::move(body));
+        fiber = &sim.run("pe" + std::to_string(peId) + ":" + pendingName,
+                         std::move(body));
         if (M3_TRACE_ON) {
             // Software spans and category counters of this program land
             // on the PE's track, labelled with the program name.
@@ -125,8 +121,8 @@ class Pe
         std::string name = std::move(it->second.first);
         Program body = std::move(it->second.second);
         pendingPrograms.erase(it);
-        fiber = &sim.runOn(homeEq, "pe" + std::to_string(peId) + ":" + name,
-                           std::move(body));
+        fiber = &sim.run("pe" + std::to_string(peId) + ":" + name,
+                         std::move(body));
         if (M3_TRACE_ON) {
             fiber->accounting().traceTrack = peId;
             trace::Tracer::trackName(peId, "pe" + std::to_string(peId) +
@@ -354,7 +350,6 @@ class Pe
     Simulator &sim;
     PeDesc peDesc;
     peid_t peId;
-    EventQueue &homeEq; //!< the engine shard that owns this PE's events
     std::unique_ptr<Spm> spmMem;
     std::unique_ptr<Dtu> dtuUnit;
 

@@ -64,10 +64,6 @@ class Platform
         for (uint32_t m = 0; m < modules; ++m)
             dramMems.push_back(std::make_unique<Dram>(
                 spec.dramBytes, spec.costs.hw.dramLatency));
-        // On a sharded engine the mesh must know the shard map before
-        // any PE (and thus any DTU) can inject packets.
-        if (sim.shardCount() > 1)
-            mesh->attachShards(sim.shards());
         for (peid_t i = 0; i < spec.pes.size(); ++i) {
             peList.push_back(std::make_unique<Pe>(sim, spec.pes[i], *mesh,
                                                   i, i, spec.costs.hw));

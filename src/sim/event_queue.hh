@@ -45,34 +45,16 @@ struct SimStats
 /**
  * A time-ordered queue of callbacks. The queue owns the simulated clock:
  * curCycle() advances exactly when an event at a later cycle is executed.
- *
- * Under the sharded engine (ShardSet) several queues coexist, one per
- * shard, and the queue a component captured at construction time may not
- * be the queue whose events it is currently running under. The
- * thread-local "active" queue fixes that up: while a shard executes,
- * schedule()/scheduleAbs() on *any* queue reroute to the active one, so
- * a DTU delivery closure running on the destination shard schedules its
- * follow-up work there — with zero call-site changes. Single-queue runs
- * never set an active queue and take the exact seed path.
  */
 class EventQueue
 {
   public:
     using Callback = SmallFn;
 
-    /** Sentinel cycle meaning "no pending event". */
-    static constexpr Cycles NEVER = ~Cycles(0);
-
     EventQueue() = default;
 
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
-
-    /** The queue whose events the calling thread is executing, if any. */
-    static EventQueue *active() { return tlsActive; }
-
-    /** Mark @p q as the calling thread's executing queue (nullptr to clear). */
-    static void setActive(EventQueue *q) { tlsActive = q; }
 
     /** The current simulated cycle. */
     Cycles curCycle() const { return now; }
@@ -81,18 +63,13 @@ class EventQueue
     void
     schedule(Cycles delay, Callback cb)
     {
-        EventQueue *q = tlsActive ? tlsActive : this;
-        q->scheduleAbs(q->now + delay, std::move(cb));
+        scheduleAbs(now + delay, std::move(cb));
     }
 
     /** Schedule @p cb at absolute cycle @p when (must not be in the past). */
     void
     scheduleAbs(Cycles when, Callback cb)
     {
-        if (tlsActive && tlsActive != this) {
-            tlsActive->scheduleAbs(when, std::move(cb));
-            return;
-        }
         if (when < now)
             panic("event scheduled in the past (%llu < %llu)",
                   static_cast<unsigned long long>(when),
@@ -115,25 +92,6 @@ class EventQueue
 
     /** Number of pending events. */
     size_t pending() const { return heap.size(); }
-
-    /** Cycle of the earliest pending event, or NEVER if empty. */
-    Cycles
-    nextCycle() const
-    {
-        return heap.empty() ? NEVER : heap.front().when;
-    }
-
-    /**
-     * Raise the clock to @p when without executing anything (never lowers
-     * it). The sharded engine uses this to align a shard's clock with an
-     * incoming cross-shard transfer before running it.
-     */
-    void
-    advanceTo(Cycles when)
-    {
-        if (when > now)
-            now = when;
-    }
 
     /**
      * Execute the earliest pending event, advancing the clock to its cycle.
@@ -265,9 +223,6 @@ class EventQueue
         simStats.eventsExecuted++;
         cb();
     }
-
-    /** The queue currently executing on this thread (see class comment). */
-    inline static thread_local EventQueue *tlsActive = nullptr;
 
     Cycles now = 0;
     uint64_t nextSeq = 0;

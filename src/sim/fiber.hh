@@ -153,7 +153,7 @@ class Fiber
     /**
      * Opaque per-fiber slot for the environment object bound to this
      * fiber (libm3's Env). Lives here instead of in a global map so the
-     * lookup is race-free when fibers run on different engine shards;
+     * lookup is a pointer read and the binding dies with the fiber;
      * sim/ stays below libm3, hence the type erasure.
      */
     void setUserEnv(void *env) { userEnv = env; }

@@ -2,25 +2,17 @@
  * @file
  * Top-level simulation driver: owns the event queue, tracks fibers for
  * diagnostics, and detects the end of the simulation (or a deadlock).
- *
- * The driver can optionally be sharded (configureShards): the single
- * queue becomes shard 0 of a ShardSet and simulate() drives the
- * barrier-window loop across host threads instead of the serial loop.
- * The simulated outcome depends only on the shard count, never on the
- * host thread count; unsharded simulators take the exact seed path.
  */
 
 #ifndef M3_SIM_SIMULATOR_HH
 #define M3_SIM_SIMULATOR_HH
 
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "sim/event_queue.hh"
 #include "sim/fiber.hh"
-#include "sim/shards.hh"
 
 namespace m3
 {
@@ -39,71 +31,16 @@ class Simulator
 
     EventQueue &queue() { return eq; }
 
-    /**
-     * The current simulated cycle. Inside a sharded run this is the
-     * executing shard's clock; outside it is the maximum over shards
-     * (shard clocks never differ by more than the lookahead window).
-     */
-    Cycles
-    curCycle() const
-    {
-        if (EventQueue *active = EventQueue::active())
-            return active->curCycle();
-        return shardSet ? shardSet->maxCycle() : eq.curCycle();
-    }
-
-    /**
-     * Split the engine into @p count shards with @p lookahead cycles of
-     * conservative slack. Must be called before any component captures a
-     * shard queue (i.e. before the Platform is built). Shard 0 aliases
-     * the legacy queue; count 1 keeps the serial engine untouched.
-     */
-    void
-    configureShards(uint32_t count, Cycles lookahead)
-    {
-        if (shardSet)
-            panic("configureShards called twice");
-        if (count > 1)
-            shardSet = std::make_unique<ShardSet>(eq, count, lookahead);
-    }
-
-    /** Number of engine shards (1 when unsharded). */
-    uint32_t shardCount() const { return shardSet ? shardSet->count() : 1; }
-
-    /** The shard set, or nullptr when unsharded. */
-    ShardSet *shards() { return shardSet.get(); }
-
-    /** The queue that owns simulated node @p node (shard = node mod S). */
-    EventQueue &
-    queueForNode(uint32_t node)
-    {
-        if (!shardSet)
-            return eq;
-        return shardSet->queue(node % shardSet->count());
-    }
-
-    /** Host worker threads used by sharded simulate() calls (min 1). */
-    void setThreads(uint32_t n) { nThreads = n ? n : 1; }
-    uint32_t threads() const { return nThreads; }
+    /** The current simulated cycle. */
+    Cycles curCycle() const { return eq.curCycle(); }
 
     /** Create (but do not start) a fiber owned by this simulator. */
     Fiber &
     spawn(std::string name, Fiber::Func fn)
     {
-        EventQueue *home = EventQueue::active();
-        return spawnOn(home ? *home : eq, std::move(name), std::move(fn));
-    }
-
-    /** Create a fiber whose events live on @p home. */
-    Fiber &
-    spawnOn(EventQueue &home, std::string name, Fiber::Func fn)
-    {
-        auto fiber =
-            std::make_unique<Fiber>(home, std::move(name), std::move(fn));
-        Fiber &ref = *fiber;
-        std::lock_guard<std::mutex> lk(fiberMu);
-        fibers.push_back(std::move(fiber));
-        return ref;
+        fibers.push_back(
+            std::make_unique<Fiber>(eq, std::move(name), std::move(fn)));
+        return *fibers.back();
     }
 
     /** Create and immediately start a fiber. */
@@ -115,40 +52,11 @@ class Simulator
         return f;
     }
 
-    /** Create and immediately start a fiber homed on @p home. */
-    Fiber &
-    runOn(EventQueue &home, std::string name, Fiber::Func fn)
-    {
-        Fiber &f = spawnOn(home, std::move(name), std::move(fn));
-        f.start();
-        return f;
-    }
-
     /**
      * Drive the event queue until it drains or @p limit is passed.
      * @return number of events executed.
      */
-    uint64_t
-    simulate(Cycles limit = ~Cycles(0))
-    {
-        if (shardSet)
-            return shardSet->run(limit, nThreads);
-        return eq.run(limit);
-    }
-
-    /** True if every shard queue (and transfer inbox) has drained. */
-    bool
-    queuesEmpty() const
-    {
-        return shardSet ? !shardSet->anyPending() : eq.empty();
-    }
-
-    /** Engine counters summed over all shards. */
-    SimStats
-    foldedStats() const
-    {
-        return shardSet ? shardSet->foldedStats() : eq.stats();
-    }
+    uint64_t simulate(Cycles limit = ~Cycles(0)) { return eq.run(limit); }
 
     /**
      * Diagnostic: names of fibers that are blocked right now. A non-empty
@@ -185,9 +93,6 @@ class Simulator
 
   private:
     EventQueue eq;
-    std::unique_ptr<ShardSet> shardSet;
-    uint32_t nThreads = 1;
-    std::mutex fiberMu; //!< guards fibers during parallel execution
     std::vector<std::unique_ptr<Fiber>> fibers;
 };
 

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <map>
-#include <mutex>
 
 namespace m3
 {
@@ -25,10 +24,6 @@ struct Registry
     std::map<std::string, Counter> counters;
     std::map<std::string, Gauge> gauges;
     std::map<std::string, Histogram> histograms;
-    /** Guards map *insertion* (shards may first-touch a metric
-     *  concurrently); the cells themselves are atomics, and map nodes
-     *  are stable, so cached references never need the lock. */
-    std::mutex mu;
 };
 
 Registry &
@@ -50,7 +45,7 @@ bucketQuantile(const Histogram &h, uint64_t total, uint32_t permille)
     uint64_t rank = (total - 1) * permille / 1000;  // 0-based nearest rank
     uint64_t seen = 0;
     for (uint32_t i = 0; i < Histogram::BUCKETS; ++i) {
-        seen += h.buckets[i].load(std::memory_order_relaxed);
+        seen += h.buckets[i];
         if (seen > rank) {
             if (i == 0)
                 return 0;
@@ -68,43 +63,30 @@ void
 Metrics::reset()
 {
     Registry &r = reg();
-    std::lock_guard<std::mutex> lk(r.mu);
     for (auto &[name, c] : r.counters)
-        c.value.store(0, std::memory_order_relaxed);
+        c = Counter{};
     for (auto &[name, g] : r.gauges)
-        g.value.store(0, std::memory_order_relaxed);
-    for (auto &[name, h] : r.histograms) {
-        h.count.store(0, std::memory_order_relaxed);
-        h.sum.store(0, std::memory_order_relaxed);
-        h.minVal.store(~uint64_t(0), std::memory_order_relaxed);
-        h.maxVal.store(0, std::memory_order_relaxed);
-        for (auto &b : h.buckets)
-            b.store(0, std::memory_order_relaxed);
-    }
+        g = Gauge{};
+    for (auto &[name, h] : r.histograms)
+        h = Histogram{};
 }
 
 Counter &
 Metrics::counter(const std::string &name)
 {
-    Registry &r = reg();
-    std::lock_guard<std::mutex> lk(r.mu);
-    return r.counters[name];
+    return reg().counters[name];
 }
 
 Gauge &
 Metrics::gauge(const std::string &name)
 {
-    Registry &r = reg();
-    std::lock_guard<std::mutex> lk(r.mu);
-    return r.gauges[name];
+    return reg().gauges[name];
 }
 
 Histogram &
 Metrics::histogram(const std::string &name)
 {
-    Registry &r = reg();
-    std::lock_guard<std::mutex> lk(r.mu);
-    return r.histograms[name];
+    return reg().histograms[name];
 }
 
 std::string
@@ -147,7 +129,7 @@ Metrics::toJson()
             first ? "" : ",", name.c_str(),
             static_cast<unsigned long long>(h.count),
             static_cast<unsigned long long>(h.sum),
-            static_cast<unsigned long long>(h.count ? h.minVal.load() : 0),
+            static_cast<unsigned long long>(h.count ? h.minVal : 0),
             static_cast<unsigned long long>(h.maxVal));
         out += buf;
         // Sparse dump: [bit-width, count] pairs for non-empty buckets.
@@ -162,7 +144,7 @@ Metrics::toJson()
             out += buf;
             bfirst = false;
         }
-        uint64_t n = h.count.load(std::memory_order_relaxed);
+        const uint64_t n = h.count;
         std::snprintf(
             buf, sizeof(buf),
             "], \"quantiles\": {\"p50\": %llu, \"p99\": %llu, "

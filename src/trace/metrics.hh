@@ -20,7 +20,6 @@
 #ifndef M3_TRACE_METRICS_HH
 #define M3_TRACE_METRICS_HH
 
-#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <string>
@@ -30,39 +29,27 @@ namespace m3
 namespace trace
 {
 
-/**
- * Metric cells are relaxed atomics so shards of the parallel engine can
- * record concurrently. Relaxed is enough: cells are independent counters
- * whose totals are pure sums/extrema of a deterministic observation set,
- * and every read that matters happens after the engine joined its
- * workers. Plain reads (`c.value`, `h.count`) keep compiling through the
- * implicit conversion; on x86 a relaxed add is the same instruction a
- * plain add was, so the serial engine pays nothing.
- */
-
 /** A monotonically increasing count. */
 struct Counter
 {
-    std::atomic<uint64_t> value{0};
+    uint64_t value = 0;
 
-    void add(uint64_t n) { value.fetch_add(n, std::memory_order_relaxed); }
-    void inc() { value.fetch_add(1, std::memory_order_relaxed); }
+    void add(uint64_t n) { value += n; }
+    void inc() { ++value; }
 };
 
 /** A point-in-time value (last write wins; setMax keeps the peak). */
 struct Gauge
 {
-    std::atomic<uint64_t> value{0};
+    uint64_t value = 0;
 
-    void set(uint64_t v) { value.store(v, std::memory_order_relaxed); }
+    void set(uint64_t v) { value = v; }
 
     void
     setMax(uint64_t v)
     {
-        uint64_t cur = value.load(std::memory_order_relaxed);
-        while (cur < v && !value.compare_exchange_weak(
-                              cur, v, std::memory_order_relaxed)) {
-        }
+        if (v > value)
+            value = v;
     }
 };
 
@@ -75,26 +62,22 @@ struct Histogram
 {
     static constexpr uint32_t BUCKETS = 65;
 
-    std::atomic<uint64_t> count{0};
-    std::atomic<uint64_t> sum{0};
-    std::atomic<uint64_t> minVal{~uint64_t(0)};
-    std::atomic<uint64_t> maxVal{0};
-    std::atomic<uint64_t> buckets[BUCKETS] = {};
+    uint64_t count = 0;
+    uint64_t sum = 0;
+    uint64_t minVal = ~uint64_t(0);
+    uint64_t maxVal = 0;
+    uint64_t buckets[BUCKETS] = {};
 
     void
     observe(uint64_t v)
     {
-        count.fetch_add(1, std::memory_order_relaxed);
-        sum.fetch_add(v, std::memory_order_relaxed);
-        uint64_t cur = minVal.load(std::memory_order_relaxed);
-        while (v < cur && !minVal.compare_exchange_weak(
-                              cur, v, std::memory_order_relaxed)) {
-        }
-        cur = maxVal.load(std::memory_order_relaxed);
-        while (v > cur && !maxVal.compare_exchange_weak(
-                              cur, v, std::memory_order_relaxed)) {
-        }
-        buckets[std::bit_width(v)].fetch_add(1, std::memory_order_relaxed);
+        count++;
+        sum += v;
+        if (v < minVal)
+            minVal = v;
+        if (v > maxVal)
+            maxVal = v;
+        buckets[std::bit_width(v)]++;
     }
 };
 

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <deque>
 #include <map>
-#include <mutex>
 #include <vector>
 
 #include "trace/metrics.hh"
@@ -49,7 +48,7 @@ struct Req
  * Per-class fold of completed requests. Totals are retained per request
  * so the SLO report can compute *exact* nearest-rank quantiles (the
  * metric histograms only keep log2 buckets); the vector is sorted at
- * export time, so the host-thread order of completion does not matter.
+ * export time.
  */
 struct ClassAgg
 {
@@ -67,9 +66,6 @@ struct ClassAgg
 
 struct Sink
 {
-    std::mutex lock;
-    bool parallel = false;
-
     // Class names live in a deque: element addresses are stable, so the
     // Tracer may borrow c_str() pointers for event names.
     std::deque<ClassAgg> classes;
@@ -93,29 +89,9 @@ sink()
 }
 
 /**
- * Guard that locks only in parallel mode (the serial engine pays no
- * atomic). Same pattern as the Tracer's SinkGuard.
- */
-struct Guard
-{
-    explicit Guard(Sink &s) : s(s)
-    {
-        if (s.parallel)
-            s.lock.lock();
-    }
-    ~Guard()
-    {
-        if (s.parallel)
-            s.lock.unlock();
-    }
-    Sink &s;
-};
-
-/**
  * Flow-arrow ids for request legs. Bit 63 namespaces them away from the
- * NoC packet flows (small serial ids, or (shard+1)<<48 | seq on the
- * sharded engine — both leave bit 63 clear). leg 0 = request message,
- * leg 1 = its reply.
+ * NoC packet flows, whose small serial ids leave it clear. leg 0 =
+ * request message, leg 1 = its reply.
  */
 constexpr uint64_t
 flowId(uint64_t reqId, uint32_t spanId, uint32_t leg)
@@ -171,7 +147,6 @@ void
 ReqTrace::reset()
 {
     Sink &s = sink();
-    Guard g(s);
     s.reqs.clear();
     for (ClassAgg &c : s.classes) {
         std::string name = c.name;
@@ -182,17 +157,10 @@ ReqTrace::reset()
     s.firstGen = s.lastGen = s.lastEnd = 0;
 }
 
-void
-ReqTrace::setParallel(bool enabled)
-{
-    sink().parallel = enabled;
-}
-
 uint32_t
 ReqTrace::registerClass(const std::string &name)
 {
     Sink &s = sink();
-    Guard g(s);
     for (uint32_t i = 0; i < s.classes.size(); ++i)
         if (s.classes[i].name == name)
             return i;
@@ -205,7 +173,6 @@ ReqCtx
 ReqTrace::begin(uint32_t cls, uint64_t reqId, uint64_t genCycle)
 {
     Sink &s = sink();
-    Guard g(s);
     Req &r = s.reqs[reqId];
     r.cls = cls;
     r.gen = genCycle;
@@ -221,7 +188,6 @@ void
 ReqTrace::noteQueued(ReqCtx ctx, uint64_t cycles)
 {
     Sink &s = sink();
-    Guard g(s);
     if (Req *r = findReq(s, ctx))
         r->queued += cycles;
 }
@@ -230,7 +196,6 @@ void
 ReqTrace::noteCreditStall(ReqCtx ctx, uint64_t cycles)
 {
     Sink &s = sink();
-    Guard g(s);
     if (Req *r = findReq(s, ctx)) {
         r->creditStall += cycles;
         s.stallCycles += cycles;
@@ -241,7 +206,6 @@ void
 ReqTrace::end(ReqCtx ctx, uint64_t cycle)
 {
     Sink &s = sink();
-    Guard g(s);
     auto it = s.reqs.find(reqCtxId(ctx));
     if (it == s.reqs.end())
         return;
@@ -285,7 +249,6 @@ ReqCtx
 ReqTrace::msgSent(ReqCtx parent, uint64_t cycle, uint32_t srcNode)
 {
     Sink &s = sink();
-    Guard g(s);
     Req *r = findReq(s, parent);
     if (!r || r->spans.size() >= 0x7fff)
         return 0;
@@ -306,7 +269,6 @@ void
 ReqTrace::msgArrived(ReqCtx ctx, uint64_t cycle, uint32_t dstNode, bool reply)
 {
     Sink &s = sink();
-    Guard g(s);
     Req *r = findReq(s, ctx);
     Span *sp = findSpan(s, ctx);
     if (!r || !sp)
@@ -335,7 +297,6 @@ void
 ReqTrace::msgFetched(ReqCtx ctx, uint64_t cycle)
 {
     Sink &s = sink();
-    Guard g(s);
     Req *r = findReq(s, ctx);
     Span *sp = findSpan(s, ctx);
     if (!r || !sp)
@@ -355,7 +316,6 @@ void
 ReqTrace::replySent(ReqCtx ctx, uint64_t cycle, uint32_t node)
 {
     Sink &s = sink();
-    Guard g(s);
     Req *r = findReq(s, ctx);
     Span *sp = findSpan(s, ctx);
     if (!r || !sp || sp->replySend)
@@ -376,64 +336,49 @@ ReqTrace::replySent(ReqCtx ctx, uint64_t cycle, uint32_t node)
 uint64_t
 ReqTrace::requestCount()
 {
-    Sink &s = sink();
-    Guard g(s);
-    return s.begun;
+    return sink().begun;
 }
 
 uint64_t
 ReqTrace::completedCount()
 {
-    Sink &s = sink();
-    Guard g(s);
-    return s.completed;
+    return sink().completed;
 }
 
 uint64_t
 ReqTrace::spanCount()
 {
-    Sink &s = sink();
-    Guard g(s);
-    return s.spansOpened;
+    return sink().spansOpened;
 }
 
 uint64_t
 ReqTrace::creditStallCycles()
 {
-    Sink &s = sink();
-    Guard g(s);
-    return s.stallCycles;
+    return sink().stallCycles;
 }
 
 uint64_t
 ReqTrace::firstGenCycle()
 {
-    Sink &s = sink();
-    Guard g(s);
-    return s.firstGen;
+    return sink().firstGen;
 }
 
 uint64_t
 ReqTrace::lastGenCycle()
 {
-    Sink &s = sink();
-    Guard g(s);
-    return s.lastGen;
+    return sink().lastGen;
 }
 
 uint64_t
 ReqTrace::lastEndCycle()
 {
-    Sink &s = sink();
-    Guard g(s);
-    return s.lastEnd;
+    return sink().lastEnd;
 }
 
 std::string
 ReqTrace::sloJson()
 {
     Sink &s = sink();
-    Guard g(s);
     std::string out = "{";
     bool first = true;
     for (ClassAgg &c : s.classes) {

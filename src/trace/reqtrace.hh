@@ -58,7 +58,7 @@ namespace trace
  * Layout: [63..56] class id, [55..16] request id, [15..0] span id.
  * Request ids are caller-assigned and must be non-zero and unique for
  * the run (the open-loop driver uses client*2^20 + seq + 1), so context
- * words stay deterministic on a sharded engine — no global allocation
+ * words are a pure function of the workload — no global allocation
  * order is involved.
  */
 using ReqCtx = uint64_t;
@@ -91,15 +91,6 @@ class ReqTrace
     /** Drop all requests, spans and class aggregates (classes stay
      *  registered: their names are interned for the process lifetime). */
     static void reset();
-
-    /**
-     * Parallel mode: serialize sink mutation behind a mutex so engine
-     * shards may record concurrently. The exported bytes do not depend
-     * on thread interleaving: requests are keyed by caller-assigned id,
-     * per-request updates are causally ordered, and class aggregates
-     * are commutative folds.
-     */
-    static void setParallel(bool enabled);
 
     /**
      * Intern a request class (e.g. "echo", "kv") and return its id.

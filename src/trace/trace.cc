@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
-#include <mutex>
 #include <vector>
 
 namespace m3
@@ -73,9 +72,6 @@ struct Sink
     uint64_t nextFlow = 1;
     Tracer::ClockFn clockFn = nullptr;
     const void *clockCtx = nullptr;
-    /** Parallel-engine mode: guard sink mutation with `mu`. */
-    bool parallel = false;
-    std::mutex mu;
 };
 
 Sink &
@@ -85,29 +81,10 @@ sink()
     return s;
 }
 
-/** Lock the sink only in parallel mode (serial tracing stays lock-free). */
-struct SinkGuard
-{
-    explicit SinkGuard(Sink &s)
-    {
-        if (s.parallel) {
-            s.mu.lock();
-            locked = &s.mu;
-        }
-    }
-    ~SinkGuard()
-    {
-        if (locked)
-            locked->unlock();
-    }
-    std::mutex *locked = nullptr;
-};
-
 void
 record(TrackId t, char phase, uint64_t ts, uint64_t arg, const char *name)
 {
     Sink &s = sink();
-    SinkGuard g(s);
     s.tracks[t].push(Event{ts, arg, name, phase}, s.ringCapacity);
 }
 
@@ -142,15 +119,8 @@ void
 Tracer::reset()
 {
     Sink &s = sink();
-    SinkGuard g(s);
     s.tracks.clear();
     s.nextFlow = 1;
-}
-
-void
-Tracer::setParallel(bool enabled)
-{
-    sink().parallel = enabled;
 }
 
 void
@@ -180,9 +150,7 @@ Tracer::nowCycle()
 void
 Tracer::trackName(TrackId t, const std::string &name)
 {
-    Sink &s = sink();
-    SinkGuard g(s);
-    s.tracks[t].name = name;
+    sink().tracks[t].name = name;
 }
 
 void
@@ -230,11 +198,9 @@ Tracer::flowEnd(TrackId t, uint64_t ts, uint64_t id, const char *name)
 uint64_t
 Tracer::nextFlowId()
 {
-    // Only the serial engine draws from this global sequence; a sharded
-    // NoC derives flow ids from per-shard counters instead (noc.cc).
-    Sink &s = sink();
-    SinkGuard g(s);
-    return s.nextFlow++;
+    // One machine-wide sequence in NoC injection order, reset with the
+    // sink, so flow ids repeat byte-for-byte across runs.
+    return sink().nextFlow++;
 }
 
 uint64_t

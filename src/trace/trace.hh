@@ -85,16 +85,6 @@ class Tracer
     static void reset();
 
     /**
-     * Parallel mode: serialize sink mutation behind a mutex so shards of
-     * a parallel engine may record concurrently. Off by default (the
-     * serial engine pays no lock). The export is byte-identical either
-     * way: each track is only ever written by the shard that owns it, so
-     * per-track event order — the only order the exporter depends on —
-     * does not depend on thread interleaving.
-     */
-    static void setParallel(bool on);
-
-    /**
      * Wire the simulated clock. Every machine (M3System) registers its
      * event queue here on construction; events recorded without a clock
      * carry cycle 0.

@@ -38,7 +38,7 @@ constexpr uint32_t OL_MSG = 256;
 /**
  * Deterministic exponential inter-arrival gaps: a splitmix-style mix of
  * (seed, client, index) feeds the inverse-CDF. A pure function, so the
- * arrival process is identical across repeats and thread counts.
+ * arrival process is identical across repeats.
  */
 uint64_t
 mix64(uint64_t seed, uint32_t client, uint32_t idx)
@@ -61,8 +61,8 @@ poissonGap(uint64_t seed, uint32_t client, uint32_t idx, uint64_t mean)
     return 1 + static_cast<Cycles>(gap);
 }
 
-/** Request ids: non-zero, unique, assigned without any shared counter
- *  (determinism on the sharded engine). */
+/** Request ids: non-zero, unique, and a pure function of (client,
+ *  index), so no shared counter is involved. */
 constexpr uint64_t
 requestId(uint32_t client, uint32_t idx)
 {
@@ -282,9 +282,6 @@ runOpenLoop(const OpenLoopOpts &opts)
     cfg.numKernels = opts.numKernels;
     // Root + service + one PE per client.
     cfg.appPes = opts.clients + 2;
-    if (opts.shards > 1 && opts.shards == opts.numKernels)
-        cfg.shards = opts.shards;
-    cfg.threads = opts.threads ? opts.threads : 1;
 
     M3System sys(std::move(cfg));
 
@@ -341,7 +338,7 @@ runOpenLoop(const OpenLoopOpts &opts)
 
     if (trace::ReqTrace::on) {
         // The SLO report. Pure simulated integers: byte-identical across
-        // repeats and thread counts. "Offered" rates over the generation
+        // repeats. "Offered" rates over the generation
         // window; the verdict calls the offered load sustainable when
         // the completion tail past the last arrival stays within 10% of
         // the arrival window (the system kept pace instead of building

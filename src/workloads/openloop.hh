@@ -34,8 +34,6 @@ struct OpenLoopOpts
     uint64_t seed = 1;               //!< arrival-process seed
     uint64_t serviceCycles = 2000;   //!< per-request compute at the server
     uint32_t numKernels = 1;
-    uint32_t shards = 0;             //!< engaged only when == numKernels
-    uint32_t threads = 1;            //!< host threads (never affects sim)
 };
 
 struct OpenLoopResult
@@ -50,8 +48,7 @@ struct OpenLoopResult
      * achieved throughput, a max-sustainable-throughput verdict, and the
      * per-class latency quantiles + decomposition from ReqTrace. Only
      * composed when request tracing is enabled; empty otherwise. Pure
-     * simulated integers — byte-identical across repeats and thread
-     * counts.
+     * simulated integers — byte-identical across repeats.
      */
     std::string sloJson;
 };

@@ -26,8 +26,6 @@ makeM3Cfg(const FsSetup &setup, const M3RunOpts &opts)
     M3SystemCfg cfg;
     cfg.appPes = opts.appPes;
     cfg.numKernels = opts.numKernels;
-    cfg.shards = opts.shards;
-    cfg.threads = opts.threads;
     cfg.costs = opts.costs;
     cfg.fsCfg.appendBlocks = opts.fsAppendBlocks;
     cfg.fsCfg.backgroundZero = opts.fsBackgroundZero;
@@ -240,8 +238,6 @@ runM3Scalability(const std::string &benchName, uint32_t instances,
     cfg.distfsUnitBlocks = opts.distfsUnitBlocks;
     cfg.distfsReplicas = opts.distfsReplicas;
     cfg.numKernels = opts.numKernels;
-    cfg.shards = opts.shards;
-    cfg.threads = opts.threads;
     // Images + one pipe ring per instance. The classic runs (<= 16
     // instances) keep their exact historical sizes; larger machines
     // (the 256-PE engine-scaling workloads) grow proportionally.

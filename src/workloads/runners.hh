@@ -60,14 +60,6 @@ struct M3RunOpts
     /** Kernel scheduling quantum for time multiplexing (0 = off). */
     Cycles multiplexSlice = 0;
     /**
-     * Engine shards (parallel DES). Must equal numKernels when > 1;
-     * partitions the machine along the kernel-domain boundary. The
-     * simulated outcome depends only on this value, never on threads.
-     */
-    uint32_t shards = 1;
-    /** Host worker threads driving the shards (capped at shards). */
-    uint32_t threads = 1;
-    /**
      * Scalability runs: start each instance's timer at VPE entry rather
      * than after its m3fs mount, so session setup — the kernel-mediated
      * phase (OpenSess, capability exchanges) — counts toward the

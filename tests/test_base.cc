@@ -180,8 +180,8 @@ TEST(Accounting, CategoryNames)
 }
 
 /**
- * The parallel engine's workers log concurrently; warn() must emit
- * whole lines no matter how many threads race it. Hammer it from many
+ * A host program may log from several threads; warn() must emit whole
+ * lines no matter how many threads race it. Hammer it from many
  * threads into a captured stderr and verify no line was torn.
  */
 TEST(Logging, ConcurrentWarnsAreNeverTorn)

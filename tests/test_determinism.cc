@@ -241,6 +241,25 @@ TEST(Determinism, MigrationOffMatchesSeedPins)
     EXPECT_EQ(h, 0x644597d5ae523cf2ull);
 }
 
+// Runs a multi-kernel tar machine twice and expects per-instance cycles,
+// event counts and trace bytes to replay bit-identically.
+void
+expectScalabilityRepeats(const M3RunOpts &opts, uint32_t instances)
+{
+    auto run = [&] {
+        trace::Tracer::enable(1 << 16);
+        trace::Tracer::reset();
+        ScalabilityResult r = runM3Scalability("tar", instances, opts);
+        std::string json = trace::Tracer::toJson();
+        trace::Tracer::disable();
+        return std::make_tuple(r.rc, r.instances, r.events, json);
+    };
+    auto a = run();
+    ASSERT_EQ(std::get<0>(a), 0);
+    ASSERT_GT(std::get<3>(a).size(), 0u);
+    EXPECT_EQ(run(), a);
+}
+
 TEST(Determinism, MultiKernelScalabilityReproduces)
 {
     // Sharded control plane: remote placement, cross-domain session
@@ -248,12 +267,7 @@ TEST(Determinism, MultiKernelScalabilityReproduces)
     M3RunOpts opts;
     opts.numKernels = 2;
     opts.fsInstances = 2;
-    ScalabilityResult a = runM3Scalability("tar", 4, opts);
-    ScalabilityResult b = runM3Scalability("tar", 4, opts);
-    ASSERT_EQ(a.rc, 0);
-    ASSERT_EQ(b.rc, 0);
-    EXPECT_EQ(a.instances, b.instances);
-    EXPECT_EQ(a.events, b.events);
+    expectScalabilityRepeats(opts, 4);
 }
 
 TEST(Determinism, MultiKernelRandomWorkloadPins)
@@ -356,63 +370,29 @@ TEST(Determinism, DistfsOffMatchesSeedPins)
     EXPECT_EQ(h, 0x644597d5ae523cf2ull);
 }
 
+// The two tests below keep the names they had when the engine could be
+// driven by several host threads. With one serial queue, "invariant"
+// means the machine is a pure function of its configuration: a repeat
+// reproduces every cycle, event and trace byte.
+
 TEST(Determinism, DistfsThreadCountInvariant)
 {
-    // A striped machine under the parallel engine: two kernel domains,
-    // one stripe server in each, clients fanning metadata out across
-    // the domain boundary and moving data on parallel transfer slots.
-    // Per-instance cycles, event counts and trace bytes must not depend
-    // on the host thread count.
-    auto run = [](uint32_t threads) {
-        trace::Tracer::enable(1 << 16);
-        trace::Tracer::reset();
-        M3RunOpts opts;
-        opts.distfsStripes = 2;
-        opts.numKernels = 2;
-        opts.shards = 2;
-        opts.threads = threads;
-        ScalabilityResult r = runM3Scalability("tar", 2, opts);
-        std::string json = trace::Tracer::toJson();
-        trace::Tracer::disable();
-        return std::make_tuple(r.rc, r.instances, r.events, json);
-    };
-    auto base = run(1);
-    ASSERT_EQ(std::get<0>(base), 0);
-    ASSERT_GT(std::get<3>(base).size(), 0u);
-    for (uint32_t threads : {2u, 4u}) {
-        SCOPED_TRACE("threads " + std::to_string(threads));
-        EXPECT_EQ(run(threads), base);
-    }
+    // A striped machine across two kernel domains, one stripe server in
+    // each: clients fan metadata out across the domain boundary and move
+    // data on parallel transfer slots.
+    M3RunOpts opts;
+    opts.distfsStripes = 2;
+    opts.numKernels = 2;
+    expectScalabilityRepeats(opts, 2);
 }
 
 TEST(Determinism, ThreadCountInvariant)
 {
-    // The parallel engine's core promise: the simulated machine is a
-    // pure function of the configuration — the host thread count only
-    // changes which core drives which shard. A fig6-class multi-kernel
-    // machine with the engine sharded along its 4 domains must produce
-    // identical per-instance cycles, event counts and trace bytes at
-    // every thread count.
-    auto run = [](uint32_t threads) {
-        trace::Tracer::enable(1 << 16);
-        trace::Tracer::reset();
-        M3RunOpts opts;
-        opts.numKernels = 4;
-        opts.fsInstances = 4;
-        opts.shards = 4;
-        opts.threads = threads;
-        ScalabilityResult r = runM3Scalability("tar", 8, opts);
-        std::string json = trace::Tracer::toJson();
-        trace::Tracer::disable();
-        return std::make_tuple(r.rc, r.instances, r.events, json);
-    };
-    auto base = run(1);
-    ASSERT_EQ(std::get<0>(base), 0);
-    ASSERT_GT(std::get<3>(base).size(), 0u);
-    for (uint32_t threads : {2u, 4u, 8u}) {
-        SCOPED_TRACE("threads " + std::to_string(threads));
-        EXPECT_EQ(run(threads), base);
-    }
+    // A fig6-class machine: four kernel domains, four m3fs, tar x8.
+    M3RunOpts opts;
+    opts.numKernels = 4;
+    opts.fsInstances = 4;
+    expectScalabilityRepeats(opts, 8);
 }
 
 } // anonymous namespace

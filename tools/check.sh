@@ -30,19 +30,6 @@ run_config build-asan "-LE slow" -DM3_SANITIZE=address,undefined
 echo "=== test build-asan (-L slow: sanitized invariant/fuzz suite)"
 ctest --test-dir build-asan -j "$jobs" --output-on-failure -L slow
 
-# Parallel-engine gate under TSan: the sharded engine's cross-thread
-# hand-offs (inbox posts, barrier windows, atomic metric cells) must be
-# race-free. TSan selects the ucontext fiber fallback automatically, so
-# the full-machine test drives real fibers on worker threads. Only the
-# parallel suites run here — the rest of the tree is single-threaded
-# and covered by the ASan pass.
-echo "=== parallel engine under TSan"
-cmake -B build-tsan -S . -DM3_SANITIZE=thread
-cmake --build build-tsan -j "$jobs" --target test_shards test_determinism
-./build-tsan/tests/test_shards
-./build-tsan/tests/test_determinism \
-    --gtest_filter='Determinism.ThreadCountInvariant'
-
 # Observability smoke: a traced micro-benchmark must emit a well-formed
 # Chrome trace containing every phase the exporter produces (span B/E,
 # complete X, flow s/f, counter C) and a metrics dump with the schema
@@ -67,7 +54,6 @@ trap 'rm -rf "$obs"' EXIT
 echo "=== open-loop serving driver + SLO report (request tracing)"
 for build in build-release build-asan; do
     ./$build/bench/openloop --clients 6 --requests 30 --kernels 2 \
-        --shards=2 --threads=2 \
         --slo="$obs/slo.json" --trace="$obs/req.json" \
         --metrics="$obs/reqm.json" > /dev/null
     ./build-release/tools/tracecheck \
@@ -79,11 +65,8 @@ for build in build-release build-asan; do
 done
 
 # Perf smoke: the release build must reproduce the committed simulated
-# state (events, sim_cycles) exactly — including on the mk4.tN thread
-# sweep, whose rows must also match *each other* (thread-count
-# invariance of the parallel engine) — and stay within the events/sec
-# regression tolerance recorded in BENCH_simperf.json. The t8-vs-t1
-# speedup gate arms itself only on hosts with >= 8 cores. Tracing is
+# state (events, sim_cycles) exactly and stay within the events/sec
+# regression tolerance recorded in BENCH_simperf.json. Tracing is
 # compiled in but disabled here, so this doubles as the zero-overhead
 # gate for the observability layer.
 echo "=== simperf smoke (vs BENCH_simperf.json)"

@@ -22,9 +22,6 @@
  *   --replicas R       distfs replication factor (default 1 = off)
  *   --io-chunk N       streaming buffer override for trace benches
  *   --kernels K        shard the control plane over K kernels
- *   --shards=K         shard the engine (requires K == --kernels)
- *   --threads=N        host threads driving the engine shards
- *                      (M3_SHARDS / M3_THREADS env set the defaults)
  *   --bytes N          transfer size for read/write/pipe (default 2 MiB)
  *   --buf N            buffer size (default 4096)
  *   --append-blocks N  m3fs allocation granularity (default 256)
@@ -43,7 +40,6 @@
 
 #include "trace/metrics.hh"
 #include "trace/trace.hh"
-#include "workloads/engine_opts.hh"
 #include "workloads/generators.hh"
 #include "workloads/micro.hh"
 #include "workloads/runners.hh"
@@ -62,7 +58,7 @@ usage()
         "usage: m3bench <cat+tr|tar|untar|find|sqlite|fft|read|write|"
         "pipe|syscall> [options]\n"
         "  --lx --lx-hit --arm --accel --instances N --fs-instances K\n"
-        "  --kernels K --shards=K --threads=N\n"
+        "  --stripes N --stripe-unit B --replicas R --io-chunk N --kernels K\n"
         "  --bytes N --buf N --append-blocks N --frag N --json\n"
         "  --workload NAME --trace=FILE --metrics=FILE\n");
     std::exit(2);
@@ -133,8 +129,6 @@ main(int argc, char **argv)
     MicroOpts micro;
     M3RunOpts m3opts;
     LxRunOpts lxopts;
-    EngineArgs eng;
-    eng.loadEnv();
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -171,8 +165,6 @@ main(int argc, char **argv)
             m3opts.ioChunk = static_cast<uint32_t>(intArg("c"));
         } else if (arg == "--kernels") {
             m3opts.numKernels = static_cast<uint32_t>(intArg("k"));
-        } else if (eng.parse(arg)) {
-            // --threads= / --shards= handled by EngineArgs.
         } else if (arg == "--bytes") {
             micro.fileBytes = intArg("bytes");
         } else if (arg == "--buf") {
@@ -201,7 +193,6 @@ main(int argc, char **argv)
     }
     if (workload.empty())
         usage();
-    eng.apply(m3opts);
     micro.m3 = m3opts;
 
     if (!traceFile.empty())
