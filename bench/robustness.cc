@@ -14,6 +14,7 @@
 #include <map>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "bench/common.hh"
@@ -109,7 +110,7 @@ rollingWorkload(bool restart)
     }
     RollingRun out;
     trace::Metrics::reset();
-    M3System sys(cfg);
+    M3System sys(std::move(cfg));
     sys.runRoot("root", [&out] {
         Env &env = Env::cur();
         RecvGate rg(env, 2 * RR_WORKERS * RR_ROUNDS > 32 ? 64 : 32, 256);
@@ -264,7 +265,7 @@ stripeKillWorkload(int victim)  // victim < 0: clean run, nothing dies
     }
     StripeKillRun out;
     trace::Metrics::reset();
-    M3System sys(cfg);
+    M3System sys(std::move(cfg));
     sys.runRoot("root", [&out, victim, killAt] {
         Env &env = Env::cur();
         Error err = Error::None;

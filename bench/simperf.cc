@@ -4,11 +4,12 @@
  *
  * Runs a fixed set of representative workloads (null-syscall micro,
  * 2 MiB file read/write, pipe transfer, and one Fig. 6 scalability
- * point), times the simulate phase on the host and reports events/sec —
- * the engine-throughput trajectory future PRs have to beat. Simulated
- * cycles are reported alongside as a determinism cross-check: they must
- * never change from run to run (or from PR to PR unless the cost model
- * itself changes).
+ * point) and times each whole run on the host: config, image build,
+ * boot, simulate and teardown. That run time is what the regression
+ * gate compares. The events/sec of the simulate phase alone is reported
+ * next to it for information. Simulated cycles are reported alongside
+ * as a determinism cross-check: they must never change from run to run
+ * (or from PR to PR unless the cost model itself changes).
  *
  * The mk4 row is the large machine: a 256-PE fig6-class setup (tar
  * x240, 4 kernel domains, 4 m3fs instances).
@@ -18,7 +19,7 @@
  *   simperf --json          JSON report on stdout
  *   simperf --out FILE      write the JSON report to FILE
  *   simperf --check FILE    compare against a baseline JSON (exit 1 if
- *                           events/sec regresses beyond its tolerance)
+ *                           a whole run slows beyond its tolerance)
  *   simperf --quick         single repetition (CI smoke mode)
  *   simperf --reps N        repetitions per workload (default 3)
  *   simperf --trace=FILE    record a Chrome trace of the runs
@@ -31,6 +32,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -54,7 +56,8 @@ namespace
 struct Measurement
 {
     std::string name;
-    double hostSeconds = 0;  //!< best over all repetitions
+    double runSeconds = 0;   //!< whole run, best over all repetitions
+    double hostSeconds = 0;  //!< simulate phase, best over all repetitions
     uint64_t events = 0;     //!< identical across repetitions
     Cycles simCycles = 0;    //!< simulated wall of the measured phase
     double eventsPerSec = 0;
@@ -76,7 +79,11 @@ measure(const std::string &name, int reps, F &&runOnce)
     Measurement m;
     m.name = name;
     for (int i = 0; i < reps; ++i) {
+        auto t0 = std::chrono::steady_clock::now();
         Sample s = runOnce();
+        double run = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count();
         if (s.rc != 0) {
             std::fprintf(stderr, "simperf: workload '%s' failed (rc=%d)\n",
                          name.c_str(), s.rc);
@@ -85,6 +92,7 @@ measure(const std::string &name, int reps, F &&runOnce)
         if (i == 0) {
             m.events = s.events;
             m.simCycles = s.simCycles;
+            m.runSeconds = run;
             m.hostSeconds = s.hostSeconds;
         } else {
             if (s.events != m.events || s.simCycles != m.simCycles) {
@@ -98,6 +106,7 @@ measure(const std::string &name, int reps, F &&runOnce)
                              (unsigned long long)m.simCycles);
                 std::exit(1);
             }
+            m.runSeconds = std::min(m.runSeconds, run);
             m.hostSeconds = std::min(m.hostSeconds, s.hostSeconds);
         }
     }
@@ -149,12 +158,13 @@ runAll(int reps)
 void
 printTable(const std::vector<Measurement> &ms)
 {
-    std::printf("%-10s %12s %14s %16s %14s\n", "workload", "host s",
-                "events", "events/sec", "sim cycles");
+    std::printf("%-10s %10s %12s %14s %16s %14s\n", "workload", "run s",
+                "simulate s", "events", "events/sec", "sim cycles");
     for (const Measurement &m : ms)
-        std::printf("%-10s %12.4f %14llu %16.0f %14llu\n", m.name.c_str(),
-                    m.hostSeconds, (unsigned long long)m.events,
-                    m.eventsPerSec, (unsigned long long)m.simCycles);
+        std::printf("%-10s %10.4f %12.4f %14llu %16.0f %14llu\n",
+                    m.name.c_str(), m.runSeconds, m.hostSeconds,
+                    (unsigned long long)m.events, m.eventsPerSec,
+                    (unsigned long long)m.simCycles);
 }
 
 std::string
@@ -163,24 +173,29 @@ toJson(const std::vector<Measurement> &ms)
     std::ostringstream os;
     os << "{\n"
        << "  \"bench\": \"simperf\",\n"
-       << "  \"schema\": 2,\n"
+       << "  \"schema\": 3,\n"
        << "  \"host_cores\": " << std::thread::hardware_concurrency()
        << ",\n"
        << "  \"regression_tolerance\": 0.25,\n"
-       << "  \"note\": \"events_per_sec is host speed (machine-dependent);"
-          " --check fails a workload whose events_per_sec drops more than"
-          " regression_tolerance below this baseline. events and"
-          " sim_cycles are simulated state and must match exactly on any"
-          " machine. host_cores records the recording host.\",\n"
+       << "  \"note\": \"run_seconds is the host time of one whole run"
+          " (config, image, boot, simulate, teardown; machine-dependent);"
+          " --check fails a workload whose run speed (baseline"
+          " run_seconds / current run_seconds) drops more than"
+          " regression_tolerance below 1. host_seconds and events_per_sec"
+          " cover the simulate phase alone and are information only."
+          " events and sim_cycles are simulated state and must match"
+          " exactly on any machine. host_cores records the recording"
+          " host.\",\n"
        << "  \"workloads\": [\n";
     for (size_t i = 0; i < ms.size(); ++i) {
         const Measurement &m = ms[i];
-        char buf[256];
+        char buf[320];
         std::snprintf(buf, sizeof(buf),
-                      "    {\"name\": \"%s\", \"host_seconds\": %.6f, "
+                      "    {\"name\": \"%s\", \"run_seconds\": %.6f, "
+                      "\"host_seconds\": %.6f, "
                       "\"events\": %llu, \"events_per_sec\": %.0f, "
                       "\"sim_cycles\": %llu}%s\n",
-                      m.name.c_str(), m.hostSeconds,
+                      m.name.c_str(), m.runSeconds, m.hostSeconds,
                       (unsigned long long)m.events, m.eventsPerSec,
                       (unsigned long long)m.simCycles,
                       i + 1 < ms.size() ? "," : "");
@@ -230,22 +245,25 @@ check(const std::vector<Measurement> &ms, const std::string &baselinePath)
     }
 
     int bad = 0;
-    std::printf("%-10s %16s %16s %8s\n", "workload", "baseline ev/s",
-                "current ev/s", "ratio");
+    std::printf("%-10s %14s %14s %8s %16s %16s\n", "workload",
+                "baseline run s", "current run s", "speed",
+                "baseline ev/s", "current ev/s");
     for (const Measurement &m : ms) {
+        double baseRun = 0;
         double baseEps = 0;
-        if (!extractNumber(base, m.name, "events_per_sec", baseEps)) {
+        if (!extractNumber(base, m.name, "run_seconds", baseRun)) {
             std::fprintf(stderr,
                          "simperf: workload '%s' missing from baseline\n",
                          m.name.c_str());
             ++bad;
             continue;
         }
-        double ratio = baseEps > 0 ? m.eventsPerSec / baseEps : 0;
+        extractNumber(base, m.name, "events_per_sec", baseEps);
+        double ratio = m.runSeconds > 0 ? baseRun / m.runSeconds : 0;
         bool ok = ratio >= 1.0 - tol;
-        std::printf("%-10s %16.0f %16.0f %7.2fx%s\n", m.name.c_str(),
-                    baseEps, m.eventsPerSec, ratio,
-                    ok ? "" : "  REGRESSED");
+        std::printf("%-10s %14.4f %14.4f %7.2fx %16.0f %16.0f%s\n",
+                    m.name.c_str(), baseRun, m.runSeconds, ratio, baseEps,
+                    m.eventsPerSec, ok ? "" : "  REGRESSED");
         if (!ok)
             ++bad;
         // Simulated state must match the baseline bit-exactly.

@@ -9,8 +9,10 @@
 #ifndef M3_M3FS_FS_IMAGE_HH
 #define M3_M3FS_FS_IMAGE_HH
 
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/random.hh"
@@ -48,10 +50,27 @@ class DramAccess : public BlockAccess
 /** Description of a file to place into the image. */
 struct FileSpec
 {
+    /** File contents; files with the same contents share one buffer. */
+    using Bytes = std::shared_ptr<const std::vector<uint8_t>>;
+
+    FileSpec(std::string path, Bytes data,
+             uint32_t blocksPerExtent = 0xffffffff)
+        : path(std::move(path)), data(std::move(data)),
+          blocksPerExtent(blocksPerExtent)
+    {}
+
+    FileSpec(std::string path, std::vector<uint8_t> bytes,
+             uint32_t blocksPerExtent = 0xffffffff)
+        : FileSpec(std::move(path),
+                   std::make_shared<const std::vector<uint8_t>>(
+                       std::move(bytes)),
+                   blocksPerExtent)
+    {}
+
     std::string path;
-    std::vector<uint8_t> data;
+    Bytes data;
     /** Cap on the extent length, for fragmentation experiments. */
-    uint32_t blocksPerExtent = 0xffffffff;
+    uint32_t blocksPerExtent;
 };
 
 /** Description of a whole image. */
@@ -62,6 +81,16 @@ struct FsImageSpec
     uint32_t blockSize = DEFAULT_BLOCK_SIZE;
     std::vector<std::string> dirs;
     std::vector<FileSpec> files;
+
+    /**
+     * The pattern contents (see FsImage::patternData) of @p size bytes
+     * from @p seed, generated once per spec and shared by every file
+     * that asks for the same pair.
+     */
+    FileSpec::Bytes pattern(size_t size, uint64_t seed);
+
+  private:
+    std::map<std::pair<size_t, uint64_t>, FileSpec::Bytes> patterns;
 };
 
 /** A built filesystem image in DRAM. */
@@ -85,8 +114,8 @@ class FsImage
                       errorName(e));
         }
         for (const FileSpec &f : spec.files) {
-            Error e = fsCore.createFile(f.path, f.data.data(),
-                                        f.data.size(), f.blocksPerExtent);
+            Error e = fsCore.createFile(f.path, f.data->data(),
+                                        f.data->size(), f.blocksPerExtent);
             if (e != Error::None)
                 fatal("creating image file '%s': %s", f.path.c_str(),
                       errorName(e));
@@ -112,6 +141,16 @@ class FsImage
     FsCore fsCore;
     uint64_t bytes;
 };
+
+inline FileSpec::Bytes
+FsImageSpec::pattern(size_t size, uint64_t seed)
+{
+    FileSpec::Bytes &bytes = patterns[{size, seed}];
+    if (!bytes)
+        bytes = std::make_shared<const std::vector<uint8_t>>(
+            FsImage::patternData(size, seed));
+    return bytes;
+}
 
 } // namespace m3fs
 } // namespace m3

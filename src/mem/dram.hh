@@ -9,10 +9,6 @@
 #ifndef M3_MEM_DRAM_HH
 #define M3_MEM_DRAM_HH
 
-#include <cstring>
-#include <memory>
-
-#include "base/logging.hh"
 #include "base/types.hh"
 #include "mem/mem_target.hh"
 
@@ -27,57 +23,14 @@ class Dram : public MemTarget
      * @param bytes capacity
      * @param latency fixed access latency per request, in cycles
      */
-    Dram(size_t bytes, Cycles latency)
-        : bytes(bytes), latency(latency), data(new uint8_t[bytes])
-    {
-        std::memset(data.get(), 0, bytes);
-    }
-
-    size_t size() const override { return bytes; }
-
-    void
-    read(goff_t off, void *dst, size_t len) override
-    {
-        check(off, len);
-        std::memcpy(dst, data.get() + off, len);
-    }
-
-    void
-    write(goff_t off, const void *src, size_t len) override
-    {
-        check(off, len);
-        std::memcpy(data.get() + off, src, len);
-    }
-
-    void
-    zero(goff_t off, size_t len) override
-    {
-        check(off, len);
-        std::memset(data.get() + off, 0, len);
-    }
-
-    Cycles accessLatency() const override { return latency; }
+    Dram(size_t bytes, Cycles latency) : MemTarget(bytes, latency, "DRAM") {}
 
     /** Direct pointer for functional inspection in tests. */
     const uint8_t *
     inspect(goff_t off, size_t len) const
     {
-        check(off, len);
-        return data.get() + off;
+        return at(off, len);
     }
-
-  private:
-    void
-    check(goff_t off, size_t len) const
-    {
-        if (off > bytes || len > bytes - off)
-            panic("DRAM access out of bounds: %llu + %zu > %zu",
-                  static_cast<unsigned long long>(off), len, bytes);
-    }
-
-    size_t bytes;
-    Cycles latency;
-    std::unique_ptr<uint8_t[]> data;
 };
 
 } // namespace m3

@@ -15,10 +15,6 @@
 #ifndef M3_MEM_SPM_HH
 #define M3_MEM_SPM_HH
 
-#include <cstring>
-#include <memory>
-#include <vector>
-
 #include "base/logging.hh"
 #include "base/types.hh"
 #include "mem/mem_target.hh"
@@ -30,43 +26,14 @@ namespace m3
 class Spm : public MemTarget
 {
   public:
-    explicit Spm(size_t bytes) : bytes(bytes), data(new uint8_t[bytes])
-    {
-        std::memset(data.get(), 0, bytes);
-    }
-
-    size_t size() const override { return bytes; }
-
-    void
-    read(goff_t off, void *dst, size_t len) override
-    {
-        check(off, len);
-        std::memcpy(dst, data.get() + off, len);
-    }
-
-    void
-    write(goff_t off, const void *src, size_t len) override
-    {
-        check(off, len);
-        std::memcpy(data.get() + off, src, len);
-    }
-
-    void
-    zero(goff_t off, size_t len) override
-    {
-        check(off, len);
-        std::memset(data.get() + off, 0, len);
-    }
-
     /** SPM access is single-cycle from the NoC side. */
-    Cycles accessLatency() const override { return 1; }
+    explicit Spm(size_t bytes) : MemTarget(bytes, 1, "SPM") {}
 
     /** Direct pointer for the local core's load/store accesses. */
     uint8_t *
     ptr(spmaddr_t addr, size_t len = 0)
     {
-        check(addr, len);
-        return data.get() + addr;
+        return at(addr, len);
     }
 
     /**
@@ -77,8 +44,8 @@ class Spm : public MemTarget
     alloc(size_t len)
     {
         bumpPos = (bumpPos + 7) & ~size_t{7};
-        if (bumpPos + len > bytes)
-            panic("SPM exhausted: %zu + %zu > %zu", bumpPos, len, bytes);
+        if (bumpPos + len > size())
+            panic("SPM exhausted: %zu + %zu > %zu", bumpPos, len, size());
         spmaddr_t addr = static_cast<spmaddr_t>(bumpPos);
         bumpPos += len;
         return addr;
@@ -102,22 +69,12 @@ class Spm : public MemTarget
     void
     restoreAlloc(size_t mark)
     {
-        if (mark > bytes)
-            panic("SPM alloc mark out of bounds: %zu > %zu", mark, bytes);
+        if (mark > size())
+            panic("SPM alloc mark out of bounds: %zu > %zu", mark, size());
         bumpPos = mark;
     }
 
   private:
-    void
-    check(goff_t off, size_t len) const
-    {
-        if (off > bytes || len > bytes - off)
-            panic("SPM access out of bounds: %llu + %zu > %zu",
-                  static_cast<unsigned long long>(off), len, bytes);
-    }
-
-    size_t bytes;
-    std::unique_ptr<uint8_t[]> data;
     size_t bumpPos = 0;
 };
 

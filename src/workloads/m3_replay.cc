@@ -15,11 +15,8 @@ applySetupToImage(const FsSetup &setup, m3fs::FsImageSpec &spec)
 {
     for (const std::string &d : setup.dirs)
         spec.dirs.push_back(d);
-    for (const SetupFile &f : setup.files) {
-        spec.files.push_back({f.path,
-                              m3fs::FsImage::patternData(f.size, f.seed),
-                              0xffffffff});
-    }
+    for (const SetupFile &f : setup.files)
+        spec.files.push_back({f.path, spec.pattern(f.size, f.seed)});
 }
 
 int

@@ -29,8 +29,7 @@ makeM3Cfg(const FsSetup &setup, const M3RunOpts &opts)
     cfg.costs = opts.costs;
     cfg.fsCfg.appendBlocks = opts.fsAppendBlocks;
     cfg.fsCfg.backgroundZero = opts.fsBackgroundZero;
-    FsSetup adjusted = setup;
-    applySetupToImage(adjusted, cfg.fsSpec);
+    applySetupToImage(setup, cfg.fsSpec);
     for (auto &f : cfg.fsSpec.files)
         f.blocksPerExtent = opts.fsBlocksPerExtent;
     // Size the image generously for the workload's writes.
@@ -266,7 +265,7 @@ runM3Scalability(const std::string &benchName, uint32_t instances,
         }
     }
 
-    M3System sys(cfg);
+    M3System sys(std::move(cfg));
     std::vector<Cycles> durations(instances, 0);
     std::vector<int> rcs(instances, -1);
 

@@ -11,7 +11,9 @@
 #include <cmath>
 
 #include "accel/fft.hh"
+#include "m3fs/fs_image.hh"
 #include "workloads/generators.hh"
+#include "workloads/m3_replay.hh"
 #include "workloads/runners.hh"
 
 namespace m3
@@ -203,6 +205,48 @@ TEST(Scalability, CatTrScalesAlmostPerfectly)
               two.avgInstance + two.avgInstance / 2);
 }
 
+
+TEST(FsImage, SharedPatternContentIsByteIdentical)
+{
+    FsSetup tar;
+    for (Workload &w : makeAllTraceWorkloads(ComputeCosts{}))
+        if (w.name == "tar")
+            tar = w.setup;
+    ASSERT_FALSE(tar.files.empty());
+
+    // Two instance-private copies of the tar setup in one image.
+    m3fs::FsImageSpec spec;
+    for (const std::string prefix : {"/i0", "/i1"}) {
+        FsSetup copy;
+        copy.dirs.push_back(prefix);
+        for (const std::string &d : tar.dirs)
+            copy.dirs.push_back(prefix + d);
+        for (SetupFile f : tar.files) {
+            f.path = prefix + f.path;
+            copy.files.push_back(f);
+        }
+        applySetupToImage(copy, spec);
+    }
+    const size_t n = tar.files.size();
+    ASSERT_EQ(spec.files.size(), 2 * n);
+    for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(spec.files[i].data, spec.files[n + i].data)
+            << spec.files[i].path << " has a second buffer";
+        EXPECT_EQ(spec.files[i].data,
+                  spec.pattern(tar.files[i].size, tar.files[i].seed));
+    }
+
+    Dram dram(32 * MiB, 20);
+    m3fs::FsImage image(dram, 0, spec);
+    for (size_t i = 0; i < spec.files.size(); ++i) {
+        const SetupFile &f = tar.files[i % n];
+        std::vector<uint8_t> back;
+        ASSERT_EQ(image.core().readFile(spec.files[i].path, back),
+                  Error::None);
+        EXPECT_EQ(back, m3fs::FsImage::patternData(f.size, f.seed))
+            << spec.files[i].path;
+    }
+}
 
 TEST(TraceReplay, EveryOpKindReplaysOnBothSystems)
 {
