@@ -116,7 +116,8 @@ rollingWorkload(bool restart)
         RecvGate rg(env, 2 * RR_WORKERS * RR_ROUNDS > 32 ? 64 : 32, 256);
         std::vector<std::unique_ptr<VPE>> workers;
         for (uint64_t i = 0; i < RR_WORKERS; ++i) {
-            auto v = std::make_unique<VPE>(env, "w" + std::to_string(i));
+            auto v = std::make_unique<VPE>(
+                env, std::string("w").append(std::to_string(i)));
             if (v->err() != Error::None)
                 return 1;
             SendGate sg =

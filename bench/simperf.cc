@@ -14,6 +14,11 @@
  * The mk4 row is the large machine: a 256-PE fig6-class setup (tar
  * x240, 4 kernel domains, 4 m3fs instances).
  *
+ * A row times a fixed number of runs of its workload (the row's
+ * "runs"), chosen so that even the smallest rows take at least 50 ms
+ * on a 4-core x86-64 host: a single run of the micro rows takes 0.5 to
+ * 8 ms, too close to timer and scheduler noise to gate.
+ *
  * Usage:
  *   simperf                 human-readable table
  *   simperf --json          JSON report on stdout
@@ -25,9 +30,9 @@
  *   simperf --trace=FILE    record a Chrome trace of the runs
  *   simperf --metrics=FILE  dump the metric registry as JSON
  *
- * Every repetition must execute the identical number of events; the
- * harness verifies this and fails otherwise (a cheap determinism check
- * that costs nothing extra).
+ * Every run must execute the identical number of events and simulated
+ * cycles; the harness verifies this and fails otherwise (a cheap
+ * determinism check that costs nothing extra).
  */
 
 #include <algorithm>
@@ -56,10 +61,11 @@ namespace
 struct Measurement
 {
     std::string name;
-    double runSeconds = 0;   //!< whole run, best over all repetitions
-    double hostSeconds = 0;  //!< simulate phase, best over all repetitions
-    uint64_t events = 0;     //!< identical across repetitions
-    Cycles simCycles = 0;    //!< simulated wall of the measured phase
+    int runs = 1;            //!< runs of the workload per repetition
+    double runSeconds = 0;   //!< all runs, best over all repetitions
+    double hostSeconds = 0;  //!< their simulate phases, best likewise
+    uint64_t events = 0;     //!< of one run, identical across runs
+    Cycles simCycles = 0;    //!< simulated wall of one run
     double eventsPerSec = 0;
 };
 
@@ -71,31 +77,32 @@ struct Sample
     Cycles simCycles;
 };
 
-/** One workload: a name and a callable producing a Sample. */
+/**
+ * One row: @p runs runs of a workload (a callable producing a Sample) per
+ * timed repetition, best of @p reps repetitions.
+ */
 template <typename F>
 Measurement
-measure(const std::string &name, int reps, F &&runOnce)
+measure(const std::string &name, int reps, int runs, F &&runOnce)
 {
     Measurement m;
     m.name = name;
+    m.runs = runs;
     for (int i = 0; i < reps; ++i) {
+        double host = 0;
         auto t0 = std::chrono::steady_clock::now();
-        Sample s = runOnce();
-        double run = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - t0)
-                         .count();
-        if (s.rc != 0) {
-            std::fprintf(stderr, "simperf: workload '%s' failed (rc=%d)\n",
-                         name.c_str(), s.rc);
-            std::exit(1);
-        }
-        if (i == 0) {
-            m.events = s.events;
-            m.simCycles = s.simCycles;
-            m.runSeconds = run;
-            m.hostSeconds = s.hostSeconds;
-        } else {
-            if (s.events != m.events || s.simCycles != m.simCycles) {
+        for (int r = 0; r < runs; ++r) {
+            Sample s = runOnce();
+            if (s.rc != 0) {
+                std::fprintf(stderr,
+                             "simperf: workload '%s' failed (rc=%d)\n",
+                             name.c_str(), s.rc);
+                std::exit(1);
+            }
+            if (i == 0 && r == 0) {
+                m.events = s.events;
+                m.simCycles = s.simCycles;
+            } else if (s.events != m.events || s.simCycles != m.simCycles) {
                 std::fprintf(stderr,
                              "simperf: '%s' is non-deterministic: "
                              "%llu/%llu events, %llu/%llu cycles\n",
@@ -106,13 +113,19 @@ measure(const std::string &name, int reps, F &&runOnce)
                              (unsigned long long)m.simCycles);
                 std::exit(1);
             }
-            m.runSeconds = std::min(m.runSeconds, run);
-            m.hostSeconds = std::min(m.hostSeconds, s.hostSeconds);
+            host += s.hostSeconds;
         }
+        double run = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count();
+        if (i == 0 || run < m.runSeconds)
+            m.runSeconds = run;
+        if (i == 0 || host < m.hostSeconds)
+            m.hostSeconds = host;
     }
-    m.eventsPerSec =
-        m.hostSeconds > 0 ? static_cast<double>(m.events) / m.hostSeconds
-                          : 0;
+    m.eventsPerSec = m.hostSeconds > 0
+                         ? static_cast<double>(m.events) * runs / m.hostSeconds
+                         : 0;
     std::fflush(stdout);
     return m;
 }
@@ -127,25 +140,27 @@ std::vector<Measurement>
 runAll(int reps)
 {
     std::vector<Measurement> out;
-    out.push_back(measure("syscall", reps, [] {
+    // The runs per row are fixed here, not derived from the host's
+    // speed, so that every host times the same work.
+    out.push_back(measure("syscall", reps, 160, [] {
         return fromRunResult(m3NullSyscall(512));
     }));
     MicroOpts micro;  // paper defaults: 2 MiB transfers, 4 KiB buffers
-    out.push_back(measure("read", reps, [&] {
+    out.push_back(measure("read", reps, 24, [&] {
         return fromRunResult(m3FileRead(micro));
     }));
-    out.push_back(measure("write", reps, [&] {
+    out.push_back(measure("write", reps, 80, [&] {
         return fromRunResult(m3FileWrite(micro));
     }));
-    out.push_back(measure("pipe", reps, [&] {
+    out.push_back(measure("pipe", reps, 80, [&] {
         return fromRunResult(m3PipeXfer(micro));
     }));
-    out.push_back(measure("fig6", reps, [] {
+    out.push_back(measure("fig6", reps, 12, [] {
         ScalabilityResult r = runM3Scalability("tar", 8);
         return Sample{r.rc, r.hostSeconds, r.events, r.avgInstance};
     }));
 
-    out.push_back(measure("mk4", reps, [] {
+    out.push_back(measure("mk4", reps, 1, [] {
         M3RunOpts opts;
         opts.numKernels = 4;
         opts.fsInstances = 4;
@@ -158,11 +173,12 @@ runAll(int reps)
 void
 printTable(const std::vector<Measurement> &ms)
 {
-    std::printf("%-10s %10s %12s %14s %16s %14s\n", "workload", "run s",
-                "simulate s", "events", "events/sec", "sim cycles");
+    std::printf("%-10s %5s %10s %12s %14s %16s %14s\n", "workload", "runs",
+                "run s", "simulate s", "events", "events/sec",
+                "sim cycles");
     for (const Measurement &m : ms)
-        std::printf("%-10s %10.4f %12.4f %14llu %16.0f %14llu\n",
-                    m.name.c_str(), m.runSeconds, m.hostSeconds,
+        std::printf("%-10s %5d %10.4f %12.4f %14llu %16.0f %14llu\n",
+                    m.name.c_str(), m.runs, m.runSeconds, m.hostSeconds,
                     (unsigned long long)m.events, m.eventsPerSec,
                     (unsigned long long)m.simCycles);
 }
@@ -173,29 +189,32 @@ toJson(const std::vector<Measurement> &ms)
     std::ostringstream os;
     os << "{\n"
        << "  \"bench\": \"simperf\",\n"
-       << "  \"schema\": 3,\n"
+       << "  \"schema\": 4,\n"
        << "  \"host_cores\": " << std::thread::hardware_concurrency()
        << ",\n"
        << "  \"regression_tolerance\": 0.25,\n"
-       << "  \"note\": \"run_seconds is the host time of one whole run"
-          " (config, image, boot, simulate, teardown; machine-dependent);"
+       << "  \"note\": \"run_seconds is the host time of a row's"
+          " \\\"runs\\\" whole runs of its workload (config, image, boot,"
+          " simulate, teardown; machine-dependent), best of --reps"
+          " repetitions;"
           " --check fails a workload whose run speed (baseline"
           " run_seconds / current run_seconds) drops more than"
-          " regression_tolerance below 1. host_seconds and events_per_sec"
-          " cover the simulate phase alone and are information only."
-          " events and sim_cycles are simulated state and must match"
-          " exactly on any machine. host_cores records the recording"
-          " host.\",\n"
+          " regression_tolerance below 1, or whose runs differ from the"
+          " baseline's. host_seconds and events_per_sec cover the simulate"
+          " phases alone and are information only. events and sim_cycles"
+          " are the simulated state of one run and must match exactly on"
+          " any machine and in every run. host_cores records the"
+          " recording host.\",\n"
        << "  \"workloads\": [\n";
     for (size_t i = 0; i < ms.size(); ++i) {
         const Measurement &m = ms[i];
         char buf[320];
         std::snprintf(buf, sizeof(buf),
-                      "    {\"name\": \"%s\", \"run_seconds\": %.6f, "
-                      "\"host_seconds\": %.6f, "
+                      "    {\"name\": \"%s\", \"runs\": %d, "
+                      "\"run_seconds\": %.6f, \"host_seconds\": %.6f, "
                       "\"events\": %llu, \"events_per_sec\": %.0f, "
                       "\"sim_cycles\": %llu}%s\n",
-                      m.name.c_str(), m.runSeconds, m.hostSeconds,
+                      m.name.c_str(), m.runs, m.runSeconds, m.hostSeconds,
                       (unsigned long long)m.events, m.eventsPerSec,
                       (unsigned long long)m.simCycles,
                       i + 1 < ms.size() ? "," : "");
@@ -259,6 +278,16 @@ check(const std::vector<Measurement> &ms, const std::string &baselinePath)
             continue;
         }
         extractNumber(base, m.name, "events_per_sec", baseEps);
+        double baseRuns = 1;
+        extractNumber(base, m.name, "runs", baseRuns);
+        if (static_cast<int>(baseRuns) != m.runs) {
+            std::fprintf(stderr,
+                         "simperf: '%s' times %d runs, baseline %d — "
+                         "re-record the baseline\n",
+                         m.name.c_str(), m.runs, static_cast<int>(baseRuns));
+            ++bad;
+            continue;
+        }
         double ratio = m.runSeconds > 0 ? baseRun / m.runSeconds : 0;
         bool ok = ratio >= 1.0 - tol;
         std::printf("%-10s %14.4f %14.4f %7.2fx %16.0f %16.0f%s\n",
@@ -267,14 +296,19 @@ check(const std::vector<Measurement> &ms, const std::string &baselinePath)
         if (!ok)
             ++bad;
         // Simulated state must match the baseline bit-exactly.
-        double baseEvents = 0;
-        if (extractNumber(base, m.name, "events", baseEvents) &&
-            static_cast<uint64_t>(baseEvents) != m.events) {
+        double baseEvents = 0, baseCycles = 0;
+        if ((extractNumber(base, m.name, "events", baseEvents) &&
+             static_cast<uint64_t>(baseEvents) != m.events) ||
+            (extractNumber(base, m.name, "sim_cycles", baseCycles) &&
+             static_cast<Cycles>(baseCycles) != m.simCycles)) {
             std::fprintf(stderr,
-                         "simperf: '%s' executed %llu events, baseline "
-                         "has %llu — simulated behaviour changed\n",
+                         "simperf: '%s' executed %llu events in %llu "
+                         "cycles, baseline has %llu in %llu — simulated "
+                         "behaviour changed\n",
                          m.name.c_str(), (unsigned long long)m.events,
-                         (unsigned long long)baseEvents);
+                         (unsigned long long)m.simCycles,
+                         (unsigned long long)baseEvents,
+                         (unsigned long long)baseCycles);
             ++bad;
         }
     }

@@ -11,6 +11,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <vector>
 
 namespace m3
 {
@@ -42,6 +44,12 @@ using goff_t = uint64_t;
 
 /** An address within a PE-local scratchpad memory (SPM). */
 using spmaddr_t = uint32_t;
+
+/**
+ * Read-only bytes that several owners hold at once, e.g. file contents
+ * that many m3fs images and simulated memories refer to without copying.
+ */
+using SharedBytes = std::shared_ptr<const std::vector<uint8_t>>;
 
 /** Invalid-value sentinels. */
 static constexpr peid_t INVALID_PE = std::numeric_limits<peid_t>::max();

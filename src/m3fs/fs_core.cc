@@ -588,7 +588,7 @@ FsCore::createDir(const std::string &path)
 }
 
 Error
-FsCore::createFile(const std::string &path, const void *data, size_t len,
+FsCore::createFile(const std::string &path, const SharedBytes &data,
                    uint32_t blocksPerExtent)
 {
     ResolveResult r = resolve(path);
@@ -605,7 +605,7 @@ FsCore::createFile(const std::string &path, const void *data, size_t len,
     if (e != Error::None)
         return e;
 
-    const uint8_t *src = static_cast<const uint8_t *>(data);
+    const size_t len = data->size();
     size_t written = 0;
     while (written < len) {
         uint32_t wantBlocks = static_cast<uint32_t>(
@@ -621,7 +621,7 @@ FsCore::createFile(const std::string &path, const void *data, size_t len,
         size_t chunk = std::min(len - written,
                                 static_cast<size_t>(ext.len) *
                                     sb.blockSize);
-        ba.write(blockOff(ext.start), src + written, chunk);
+        ba.share(blockOff(ext.start), data, written, chunk);
         written += chunk;
         if (written < len && blocksPerExtent < wantBlocks) {
             // Force a gap so the next extent is not mergeable.

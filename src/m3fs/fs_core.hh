@@ -34,6 +34,17 @@ class BlockAccess
 
     /** Write @p len bytes at image offset @p off. */
     virtual void write(goff_t off, const void *src, size_t len) = 0;
+
+    /**
+     * Place @p src[srcOff, srcOff+len) at image offset @p off. Accesses
+     * whose memory can refer to shared bytes do so instead of copying
+     * them; by default this is a write().
+     */
+    virtual void
+    share(goff_t off, const SharedBytes &src, size_t srcOff, size_t len)
+    {
+        write(off, src->data() + srcOff, len);
+    }
 };
 
 /** Result of a path resolution. */
@@ -102,8 +113,8 @@ class FsCore
     bool dirEmpty(inodeno_t dir);
 
     // --- whole-file helpers (image builder, tests) ---------------------
-    Error createFile(const std::string &path, const void *data,
-                     size_t len, uint32_t blocksPerExtent);
+    Error createFile(const std::string &path, const SharedBytes &data,
+                     uint32_t blocksPerExtent);
     Error createDir(const std::string &path);
     Error readFile(const std::string &path, std::vector<uint8_t> &out);
 

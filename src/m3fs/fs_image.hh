@@ -42,6 +42,13 @@ class DramAccess : public BlockAccess
         dram.write(base + off, src, len);
     }
 
+    void
+    share(goff_t off, const SharedBytes &src, size_t srcOff,
+          size_t len) override
+    {
+        dram.share(base + off, src, srcOff, len);
+    }
+
   private:
     Dram &dram;
     goff_t base;
@@ -50,10 +57,7 @@ class DramAccess : public BlockAccess
 /** Description of a file to place into the image. */
 struct FileSpec
 {
-    /** File contents; files with the same contents share one buffer. */
-    using Bytes = std::shared_ptr<const std::vector<uint8_t>>;
-
-    FileSpec(std::string path, Bytes data,
+    FileSpec(std::string path, SharedBytes data,
              uint32_t blocksPerExtent = 0xffffffff)
         : path(std::move(path)), data(std::move(data)),
           blocksPerExtent(blocksPerExtent)
@@ -68,7 +72,9 @@ struct FileSpec
     {}
 
     std::string path;
-    Bytes data;
+    /** File contents; files with the same contents share one buffer,
+     *  which the image's DRAM refers to instead of copying it. */
+    SharedBytes data;
     /** Cap on the extent length, for fragmentation experiments. */
     uint32_t blocksPerExtent;
 };
@@ -87,10 +93,10 @@ struct FsImageSpec
      * from @p seed, generated once per spec and shared by every file
      * that asks for the same pair.
      */
-    FileSpec::Bytes pattern(size_t size, uint64_t seed);
+    SharedBytes pattern(size_t size, uint64_t seed);
 
   private:
-    std::map<std::pair<size_t, uint64_t>, FileSpec::Bytes> patterns;
+    std::map<std::pair<size_t, uint64_t>, SharedBytes> patterns;
 };
 
 /** A built filesystem image in DRAM. */
@@ -114,8 +120,7 @@ class FsImage
                       errorName(e));
         }
         for (const FileSpec &f : spec.files) {
-            Error e = fsCore.createFile(f.path, f.data->data(),
-                                        f.data->size(), f.blocksPerExtent);
+            Error e = fsCore.createFile(f.path, f.data, f.blocksPerExtent);
             if (e != Error::None)
                 fatal("creating image file '%s': %s", f.path.c_str(),
                       errorName(e));
@@ -142,10 +147,10 @@ class FsImage
     uint64_t bytes;
 };
 
-inline FileSpec::Bytes
+inline SharedBytes
 FsImageSpec::pattern(size_t size, uint64_t seed)
 {
-    FileSpec::Bytes &bytes = patterns[{size, seed}];
+    SharedBytes &bytes = patterns[{size, seed}];
     if (!bytes)
         bytes = std::make_shared<const std::vector<uint8_t>>(
             FsImage::patternData(size, seed));

@@ -25,11 +25,15 @@ class Dram : public MemTarget
      */
     Dram(size_t bytes, Cycles latency) : MemTarget(bytes, latency, "DRAM") {}
 
-    /** Direct pointer for functional inspection in tests. */
+    /**
+     * Direct pointer to @p len bytes at @p off, for functional inspection
+     * in tests. A raw pointer bypasses read(), so any shared range that
+     * the bytes overlap is copied in first (see MemTarget::share).
+     */
     const uint8_t *
-    inspect(goff_t off, size_t len) const
+    inspect(goff_t off, size_t len)
     {
-        return at(off, len);
+        return own(off, len);
     }
 };
 

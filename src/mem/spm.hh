@@ -29,11 +29,16 @@ class Spm : public MemTarget
     /** SPM access is single-cycle from the NoC side. */
     explicit Spm(size_t bytes) : MemTarget(bytes, 1, "SPM") {}
 
-    /** Direct pointer for the local core's load/store accesses. */
+    /**
+     * Direct pointer for the local core's load/store accesses to @p len
+     * bytes at @p addr. A raw pointer bypasses read() and write(), so any
+     * shared range (MemTarget::share) that those bytes overlap is copied
+     * in first.
+     */
     uint8_t *
     ptr(spmaddr_t addr, size_t len = 0)
     {
-        return at(addr, len);
+        return own(addr, len);
     }
 
     /**

@@ -16,6 +16,13 @@ namespace
 
 using namespace m3fs;
 
+/** File contents in the form FsCore::createFile takes them. */
+SharedBytes
+shared(std::vector<uint8_t> bytes)
+{
+    return std::make_shared<const std::vector<uint8_t>>(std::move(bytes));
+}
+
 struct FsFixture : public ::testing::Test
 {
     FsFixture() : dram(32 * MiB, 20), access(dram, 0), core(access)
@@ -42,8 +49,7 @@ TEST_F(FsFixture, FormatProducesValidEmptyFs)
 TEST_F(FsFixture, CreateAndReadBackFile)
 {
     auto data = FsImage::patternData(10000, 42);
-    ASSERT_EQ(core.createFile("/a.bin", data.data(), data.size(),
-                              0xffffffff),
+    ASSERT_EQ(core.createFile("/a.bin", shared(data), 0xffffffff),
               Error::None);
     std::vector<uint8_t> out;
     ASSERT_EQ(core.readFile("/a.bin", out), Error::None);
@@ -56,7 +62,7 @@ TEST_F(FsFixture, CreateAndReadBackFile)
 TEST_F(FsFixture, UnfragmentedFileHasOneExtent)
 {
     auto data = FsImage::patternData(100 * 1024, 1);
-    core.createFile("/big", data.data(), data.size(), 0xffffffff);
+    core.createFile("/big", shared(data), 0xffffffff);
     ResolveResult r = core.resolve("/big");
     Inode inode = core.getInode(r.ino);
     EXPECT_EQ(inode.extents, 1u);
@@ -67,7 +73,7 @@ TEST_F(FsFixture, ControlledFragmentation)
 {
     // 64 KiB at 16 blocks per extent: 64 blocks -> 4 extents.
     auto data = FsImage::patternData(64 * 1024, 2);
-    core.createFile("/frag", data.data(), data.size(), 16);
+    core.createFile("/frag", shared(data), 16);
     ResolveResult r = core.resolve("/frag");
     Inode inode = core.getInode(r.ino);
     EXPECT_EQ(inode.extents, 4u);
@@ -81,7 +87,7 @@ TEST_F(FsFixture, IndirectExtentsWork)
 {
     // More extents than the 6 direct slots.
     auto data = FsImage::patternData(16 * 1024, 3);
-    core.createFile("/many", data.data(), data.size(), 1);
+    core.createFile("/many", shared(data), 1);
     ResolveResult r = core.resolve("/many");
     Inode inode = core.getInode(r.ino);
     EXPECT_EQ(inode.extents, 16u);
@@ -99,7 +105,7 @@ TEST_F(FsFixture, DirectoriesNestAndResolve)
     ASSERT_EQ(core.createDir("/sub"), Error::None);
     ASSERT_EQ(core.createDir("/sub/inner"), Error::None);
     uint8_t byte = 0x5a;
-    ASSERT_EQ(core.createFile("/sub/inner/leaf", &byte, 1, 1),
+    ASSERT_EQ(core.createFile("/sub/inner/leaf", shared({byte}), 1),
               Error::None);
 
     ResolveResult r = core.resolve("/sub/inner/leaf");
@@ -122,7 +128,9 @@ TEST_F(FsFixture, DirInsertLookupRemove)
     core.createDir("/d");
     ResolveResult r = core.resolve("/d");
     for (int i = 0; i < 50; ++i) {
-        ASSERT_EQ(core.dirInsert(r.ino, "f" + std::to_string(i), 100 + i),
+        ASSERT_EQ(core.dirInsert(r.ino,
+                                 std::string("f").append(std::to_string(i)),
+                                 100 + i),
                   Error::None);
     }
     inodeno_t out;
@@ -146,7 +154,7 @@ TEST_F(FsFixture, DirInsertLookupRemove)
 TEST_F(FsFixture, TruncateShrinksAndFreesBlocks)
 {
     auto data = FsImage::patternData(32 * 1024, 4);
-    core.createFile("/t", data.data(), data.size(), 8);
+    core.createFile("/t", shared(data), 8);
     ResolveResult r = core.resolve("/t");
     Inode inode = core.getInode(r.ino);
     uint32_t extentsBefore = inode.extents;
@@ -169,7 +177,7 @@ TEST_F(FsFixture, TruncateShrinksAndFreesBlocks)
 TEST_F(FsFixture, TruncateToZeroFreesEverything)
 {
     auto data = FsImage::patternData(8 * 1024, 5);
-    core.createFile("/z", data.data(), data.size(), 0xffffffff);
+    core.createFile("/z", shared(data), 0xffffffff);
     ResolveResult r = core.resolve("/z");
     Inode inode = core.getInode(r.ino);
     core.truncate(inode, 0);
@@ -214,7 +222,7 @@ TEST_F(FsFixture, AllocatorExhaustionIsGraceful)
 TEST_F(FsFixture, CheckDetectsCorruption)
 {
     auto data = FsImage::patternData(4096, 6);
-    core.createFile("/c", data.data(), data.size(), 0xffffffff);
+    core.createFile("/c", shared(data), 0xffffffff);
     ResolveResult r = core.resolve("/c");
     // Corrupt: mark one of the file's blocks free in the bitmap.
     Inode inode = core.getInode(r.ino);
@@ -261,7 +269,7 @@ TEST_P(FsRoundTrip, ContentPreserved)
     ASSERT_TRUE(core.load());
 
     auto data = FsImage::patternData(size, size ^ bpe);
-    ASSERT_EQ(core.createFile("/f", data.data(), data.size(), bpe),
+    ASSERT_EQ(core.createFile("/f", shared(data), bpe),
               Error::None);
     std::vector<uint8_t> out;
     ASSERT_EQ(core.readFile("/f", out), Error::None);

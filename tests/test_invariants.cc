@@ -106,8 +106,8 @@ runRandomWorkload(const WorkloadParams &p, M3System &sys)
         std::vector<std::unique_ptr<VPE>> children;
         std::vector<capsel_t> sgates;
         for (uint32_t i = 0; i < p.vpes; ++i) {
-            auto v = std::make_unique<VPE>(env,
-                                           "c" + std::to_string(i));
+            auto v = std::make_unique<VPE>(
+                env, std::string("c").append(std::to_string(i)));
             if (v->err() != Error::None)
                 return 1;
             SendGate sg =
@@ -319,8 +319,8 @@ TEST(Invariants, StripedWorkloads)
             Random wrng(seed * 613 + 29);
             std::vector<std::unique_ptr<VPE>> children;
             for (uint32_t i = 0; i < vpes; ++i) {
-                auto v =
-                    std::make_unique<VPE>(env, "c" + std::to_string(i));
+                auto v = std::make_unique<VPE>(
+                    env, std::string("c").append(std::to_string(i)));
                 if (v->err() != Error::None)
                     return 1;
                 uint64_t childSeed = wrng.next();

@@ -310,8 +310,8 @@ TEST(Invariants, MigrationUnderFaults)
             RecvGate rg(env, 16, 256);
             std::vector<std::unique_ptr<VPE>> children;
             for (uint32_t i = 0; i < workers; ++i) {
-                auto v = std::make_unique<VPE>(env,
-                                               "c" + std::to_string(i));
+                auto v = std::make_unique<VPE>(
+                    env, std::string("c").append(std::to_string(i)));
                 if (v->err() != Error::None)
                     return 1;
                 SendGate sg = SendGate::create(env, rg, i,

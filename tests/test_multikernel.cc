@@ -179,8 +179,8 @@ TEST(MultiKernel, FourKernelsManyChildren)
         // Create every child before starting any, so each holds its PE
         // and placement is forced to spill into the peer domains.
         for (int i = 0; i < 7; ++i) {
-            auto v = std::make_unique<VPE>(env,
-                                           "c" + std::to_string(i));
+            auto v = std::make_unique<VPE>(
+                env, std::string("c").append(std::to_string(i)));
             if (v->err() != Error::None)
                 return 1 + i;
             vpes.push_back(std::move(v));

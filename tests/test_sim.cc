@@ -145,7 +145,7 @@ TEST(Fiber, ManyFibersInterleaveDeterministically)
     Simulator sim;
     std::vector<int> order;
     for (int i = 0; i < 5; ++i) {
-        sim.run("f" + std::to_string(i), [&, i] {
+        sim.run(std::string("f").append(std::to_string(i)), [&, i] {
             Fiber::current()->sleep(10 * (5 - i));
             order.push_back(i);
         });

@@ -248,6 +248,45 @@ TEST(FsImage, SharedPatternContentIsByteIdentical)
     }
 }
 
+TEST(FsImage, ImagesSharingContentStayIsolated)
+{
+    m3fs::FsImageSpec spec;
+    spec.totalBlocks = 1024;
+    spec.totalInodes = 32;
+    spec.dirs = {"/d"};
+    spec.files.emplace_back("/d/f", spec.pattern(10000, 7));
+    spec.files.emplace_back("/d/g", spec.pattern(10000, 7), 4);
+
+    Dram dram(4 * MiB, 20);
+    m3fs::FsImage a(dram, 0, spec);
+    m3fs::FsImage b(dram, a.sizeBytes(), spec);
+
+    // Overwrite the middle of image A's /d/f behind the image's back.
+    m3fs::FsCore &core = a.core();
+    m3fs::Extent ext = core.getExtent(
+        core.getInode(core.resolve("/d/f").ino), 0);
+    const std::vector<uint8_t> junk(50, 0xee);
+    core.access().write(core.blockOff(ext.start) + 100, junk.data(),
+                        junk.size());
+
+    const std::vector<uint8_t> pattern = m3fs::FsImage::patternData(10000, 7);
+    std::vector<uint8_t> expectA = pattern;
+    std::copy(junk.begin(), junk.end(), expectA.begin() + 100);
+    std::vector<uint8_t> back;
+    ASSERT_EQ(a.core().readFile("/d/f", back), Error::None);
+    EXPECT_EQ(back, expectA);
+    for (const char *path : {"/d/f", "/d/g"}) {
+        ASSERT_EQ(b.core().readFile(path, back), Error::None);
+        EXPECT_EQ(back, pattern) << path;
+    }
+    ASSERT_EQ(a.core().readFile("/d/g", back), Error::None);
+    EXPECT_EQ(back, pattern);
+    EXPECT_EQ(*spec.pattern(10000, 7), pattern);
+    std::string report;
+    EXPECT_TRUE(a.core().check(report)) << report;
+    EXPECT_TRUE(b.core().check(report)) << report;
+}
+
 TEST(TraceReplay, EveryOpKindReplaysOnBothSystems)
 {
     // A synthetic trace touching every TraceOp kind once.

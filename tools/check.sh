@@ -25,8 +25,11 @@ run_config() {
 # The release pass runs the quick suite; the randomized invariant/fuzz
 # tests (label "slow") run once, in the sanitized build, so every check
 # includes ASan+UBSan-instrumented fuzzing without doubling its cost.
-run_config build-release "-LE slow" -DCMAKE_BUILD_TYPE=Release -DM3_SANITIZE=
-run_config build-asan "-LE slow" -DM3_SANITIZE=address,undefined
+# Both builds treat compiler warnings as errors: the tree builds clean.
+run_config build-release "-LE slow" -DCMAKE_BUILD_TYPE=Release -DM3_SANITIZE= \
+    -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
+run_config build-asan "-LE slow" -DM3_SANITIZE=address,undefined \
+    -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 echo "=== test build-asan (-L slow: sanitized invariant/fuzz suite)"
 ctest --test-dir build-asan -j "$jobs" --output-on-failure -L slow
 
@@ -65,14 +68,16 @@ for build in build-release build-asan; do
 done
 
 # Perf smoke: the release build must reproduce the committed simulated
-# state (events, sim_cycles) exactly, and each row's whole run (config,
-# image build, boot, simulate, teardown) must stay within the regression
-# tolerance of its run_seconds in BENCH_simperf.json. The whole run is
-# what a user waits for; simulate-only events/sec is printed for
-# information, because DRAM pages are zeroed on first touch and some of
-# that cost lands inside simulate(). Tracing is compiled in but disabled
-# here, so this doubles as the zero-overhead gate for the observability
-# layer.
+# state (events, sim_cycles) exactly, in every run, and each row's
+# runs must stay within the regression tolerance of its run_seconds in
+# BENCH_simperf.json. A row is a fixed number of whole runs of its
+# workload (config, image build, boot, simulate, teardown), at least
+# 50 ms in all on the recording host, so the gate measures more than
+# timer noise. The whole run is what a user waits for; simulate-only
+# events/sec is printed for information, because DRAM pages are zeroed
+# on first touch and some of that cost lands inside simulate(). Tracing
+# is compiled in but disabled here, so this doubles as the
+# zero-overhead gate for the observability layer.
 echo "=== simperf smoke (vs BENCH_simperf.json)"
 # Best-of-3 measurement: a single rep is too noisy on a loaded host to
 # hold the 25% tolerance against the recorded baseline.
