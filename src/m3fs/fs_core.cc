@@ -1,5 +1,6 @@
 #include "m3fs/fs_core.hh"
 
+#include <algorithm>
 #include <cstring>
 #include <set>
 
@@ -53,12 +54,11 @@ FsCore::format(BlockAccess &access, uint32_t totalBlocks,
     FsCore core(access);
     if (!core.load())
         panic("freshly formatted filesystem failed to load");
-    for (blockno_t b = 0; b < sb.dataStart; ++b)
-        core.bitSet(sb.bbmStart, b, true);
+    core.bitRange(sb.bbmStart, 0, sb.dataStart, true);
 
     // Create the root directory (inode 0, no parent entry).
     Inode root{};
-    core.bitSet(sb.ibmStart, 0, true);
+    core.bitRange(sb.ibmStart, 0, 1, true);
     root.ino = 0;
     root.mode = 0x4000;  // M_DIR
     root.links = 1;
@@ -70,7 +70,11 @@ bool
 FsCore::load()
 {
     ba.read(0, &sb, sizeof(sb));
-    return sb.valid();
+    if (!sb.valid())
+        return false;
+    bitBuf.resize(sb.blockSize);
+    dirBuf.resize(sb.blockSize / DIRENTRY_SIZE);
+    return true;
 }
 
 void
@@ -89,25 +93,58 @@ FsCore::blockOff(blockno_t b) const
 // Bitmaps.
 // ---------------------------------------------------------------------
 
-bool
-FsCore::bitGet(blockno_t bmStart, uint32_t idx)
+uint32_t
+FsCore::bitFind(blockno_t bmStart, uint32_t from, uint32_t to, bool value)
 {
-    uint8_t byte = 0;
-    ba.read(blockOff(bmStart) + idx / 8, &byte, 1);
-    return byte & (1u << (idx % 8));
+    const uint64_t bitsPerBlock = uint64_t{sb.blockSize} * 8;
+    // A byte without a bit of the wanted value is skipped whole.
+    const uint8_t skip = value ? 0x00 : 0xff;
+    for (uint64_t pos = from; pos < to; ) {
+        uint64_t end = std::min<uint64_t>(
+            to, (pos / bitsPerBlock + 1) * bitsPerBlock);
+        uint64_t lo = pos / 8;
+        ba.read(blockOff(bmStart) + lo, bitBuf.data(),
+                (end - 1) / 8 + 1 - lo);
+        for (uint64_t i = pos; i < end; ) {
+            uint8_t byte = bitBuf[i / 8 - lo];
+            if (i % 8 == 0 && byte == skip) {
+                i += 8;
+                continue;
+            }
+            if (((byte >> (i % 8)) & 1) == value)
+                return static_cast<uint32_t>(i);
+            ++i;
+        }
+        pos = end;
+    }
+    return to;
 }
 
 void
-FsCore::bitSet(blockno_t bmStart, uint32_t idx, bool value)
+FsCore::bitRange(blockno_t bmStart, uint32_t from, uint32_t len,
+                 bool value)
 {
-    goff_t off = blockOff(bmStart) + idx / 8;
-    uint8_t byte = 0;
-    ba.read(off, &byte, 1);
-    if (value)
-        byte |= (1u << (idx % 8));
-    else
-        byte &= ~(1u << (idx % 8));
-    ba.write(off, &byte, 1);
+    const uint64_t bitsPerBlock = uint64_t{sb.blockSize} * 8;
+    const uint64_t to = uint64_t{from} + len;
+    for (uint64_t pos = from; pos < to; ) {
+        uint64_t end = std::min(to, (pos / bitsPerBlock + 1) * bitsPerBlock);
+        uint64_t lo = pos / 8;
+        size_t bytes = (end - 1) / 8 + 1 - lo;
+        goff_t off = blockOff(bmStart) + lo;
+        // Read first: the bytes at the range's ends keep their other
+        // bits, and a range covering a whole block must not write it
+        // unread (see the touch-order rule in fs_core.hh).
+        ba.read(off, bitBuf.data(), bytes);
+        for (uint64_t i = pos; i < end; ++i) {
+            uint8_t bit = static_cast<uint8_t>(1u << (i % 8));
+            if (value)
+                bitBuf[i / 8 - lo] |= bit;
+            else
+                bitBuf[i / 8 - lo] &= static_cast<uint8_t>(~bit);
+        }
+        ba.write(off, bitBuf.data(), bytes);
+        pos = end;
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -137,24 +174,22 @@ FsCore::putInode(const Inode &inode)
 Error
 FsCore::allocInode(uint32_t mode, Inode &out)
 {
-    for (inodeno_t i = 0; i < sb.totalInodes; ++i) {
-        if (!bitGet(sb.ibmStart, i)) {
-            bitSet(sb.ibmStart, i, true);
-            out = Inode{};
-            out.ino = i;
-            out.mode = mode;
-            out.links = 1;
-            putInode(out);
-            return Error::None;
-        }
-    }
-    return Error::NoSpace;
+    inodeno_t i = bitFind(sb.ibmStart, 0, sb.totalInodes, false);
+    if (i == sb.totalInodes)
+        return Error::NoSpace;
+    bitRange(sb.ibmStart, i, 1, true);
+    out = Inode{};
+    out.ino = i;
+    out.mode = mode;
+    out.links = 1;
+    putInode(out);
+    return Error::None;
 }
 
 void
 FsCore::freeInode(inodeno_t ino)
 {
-    bitSet(sb.ibmStart, ino, false);
+    bitRange(sb.ibmStart, ino, 1, false);
 }
 
 // ---------------------------------------------------------------------
@@ -248,25 +283,25 @@ FsCore::setExtent(Inode &inode, uint32_t idx, const Extent &e)
 Extent
 FsCore::allocRun(uint32_t maxLen)
 {
-    // Next-fit: scan from the allocation hint for a contiguous free run.
-    uint32_t total = sb.totalBlocks;
-    blockno_t start = sb.allocHint;
-    for (uint32_t scanned = 0; scanned < total; ) {
-        if (start >= total)
-            start = sb.dataStart;
-        if (bitGet(sb.bbmStart, start)) {
-            ++start;
-            ++scanned;
+    // Next-fit: scan from the allocation hint for a free block, looking
+    // at no more than totalBlocks bits and wrapping to dataStart at the
+    // end of the disk.
+    const uint32_t total = sb.totalBlocks;
+    blockno_t pos = sb.allocHint;
+    for (uint32_t budget = total; budget > 0; ) {
+        if (pos >= total)
+            pos = sb.dataStart;
+        uint32_t end = pos + std::min(budget, total - pos);
+        blockno_t start = bitFind(sb.bbmStart, pos, end, false);
+        budget -= start - pos;
+        pos = start;
+        if (start == end)
             continue;
-        }
         // Extend the free run as far as possible (up to maxLen).
-        uint32_t len = 0;
-        while (len < maxLen && start + len < total &&
-               !bitGet(sb.bbmStart, start + len)) {
-            ++len;
-        }
-        for (uint32_t i = 0; i < len; ++i)
-            bitSet(sb.bbmStart, start + i, true);
+        uint32_t len = bitFind(sb.bbmStart, start,
+                               start + std::min(maxLen, total - start),
+                               true) - start;
+        bitRange(sb.bbmStart, start, len, true);
         sb.allocHint = start + len;
         saveSb();
         return Extent{start, len};
@@ -277,8 +312,7 @@ FsCore::allocRun(uint32_t maxLen)
 void
 FsCore::freeRun(blockno_t start, uint32_t len)
 {
-    for (uint32_t i = 0; i < len; ++i)
-        bitSet(sb.bbmStart, start + i, false);
+    bitRange(sb.bbmStart, start, len, false);
     if (start < sb.allocHint) {
         sb.allocHint = start;
         saveSb();
@@ -350,6 +384,9 @@ FsCore::freeBlocks(Inode &inode)
         inode.indirect = 0;
     }
     if (inode.dindirect) {
+        // One read per table entry, not one per table: the reads
+        // interleave with freeRun's bitmap touches, and reading the
+        // table up front would change the cache's LRU order.
         const uint32_t perPtrBlock = sb.blockSize / sizeof(blockno_t);
         for (uint32_t i = 0; i < perPtrBlock; ++i) {
             blockno_t tab = 0;
@@ -388,6 +425,14 @@ splitPath(const std::string &path)
         pos = next + 1;
     }
     return parts;
+}
+
+/** Whether @p de is a live entry called @p name. */
+bool
+named(const DirEntry &de, const std::string &name)
+{
+    return de.ino != INVALID_INO && de.nameLen == name.size() &&
+           std::memcmp(de.name, name.data(), de.nameLen) == 0;
 }
 
 } // anonymous namespace
@@ -440,26 +485,39 @@ FsCore::resolve(const std::string &path)
     return res;
 }
 
+template <typename Visit>
+bool
+FsCore::walkDir(const Inode &dir, Visit visit)
+{
+    const uint64_t perBlock = sb.blockSize / DIRENTRY_SIZE;
+    const uint64_t entries = dir.size / DIRENTRY_SIZE;
+    for (uint64_t first = 0; first < entries; first += perBlock) {
+        goff_t off = dirEntryOff(dir, first);
+        if (!off)
+            break;
+        uint64_t n = std::min(perBlock, entries - first);
+        ba.read(off, dirBuf.data(), n * DIRENTRY_SIZE);
+        for (uint64_t j = 0; j < n; ++j) {
+            if (visit(off + j * DIRENTRY_SIZE, dirBuf[j]))
+                return true;
+        }
+    }
+    return false;
+}
+
 Error
 FsCore::dirLookup(inodeno_t dir, const std::string &name, inodeno_t &out)
 {
     Inode d = getInode(dir);
     if (!(d.mode & 0x4000))
         return Error::IsNoDirectory;
-    uint64_t entries = d.size / DIRENTRY_SIZE;
-    for (uint64_t i = 0; i < entries; ++i) {
-        goff_t off = dirEntryOff(d, i);
-        if (!off)
-            break;
-        DirEntry de{};
-        ba.read(off, &de, sizeof(de));
-        if (de.ino != INVALID_INO && de.nameLen == name.size() &&
-            std::memcmp(de.name, name.data(), de.nameLen) == 0) {
-            out = de.ino;
-            return Error::None;
-        }
-    }
-    return Error::NoSuchFile;
+    bool found = walkDir(d, [&](goff_t, const DirEntry &de) {
+        if (!named(de, name))
+            return false;
+        out = de.ino;
+        return true;
+    });
+    return found ? Error::None : Error::NoSuchFile;
 }
 
 Error
@@ -481,17 +539,14 @@ FsCore::dirInsert(inodeno_t dir, const std::string &name, inodeno_t ino)
     std::memcpy(de.name, name.data(), name.size());
 
     // Reuse a free slot if there is one.
-    for (uint64_t i = 0; i < entries; ++i) {
-        goff_t off = dirEntryOff(d, i);
-        if (!off)
-            break;
-        DirEntry cur{};
-        ba.read(off, &cur, sizeof(cur));
-        if (cur.ino == INVALID_INO) {
-            ba.write(off, &de, sizeof(de));
-            return Error::None;
-        }
-    }
+    bool reused = walkDir(d, [&](goff_t off, const DirEntry &cur) {
+        if (cur.ino != INVALID_INO)
+            return false;
+        ba.write(off, &de, sizeof(de));
+        return true;
+    });
+    if (reused)
+        return Error::None;
 
     // Append: grow the directory by one entry (maybe one block).
     if (entries % perBlock == 0) {
@@ -523,21 +578,15 @@ FsCore::dirRemove(inodeno_t dir, const std::string &name)
     Inode d = getInode(dir);
     if (!(d.mode & 0x4000))
         return Error::IsNoDirectory;
-    uint64_t entries = d.size / DIRENTRY_SIZE;
-    for (uint64_t i = 0; i < entries; ++i) {
-        goff_t off = dirEntryOff(d, i);
-        if (!off)
-            break;
-        DirEntry de{};
-        ba.read(off, &de, sizeof(de));
-        if (de.ino != INVALID_INO && de.nameLen == name.size() &&
-            std::memcmp(de.name, name.data(), de.nameLen) == 0) {
-            de.ino = INVALID_INO;
-            ba.write(off, &de, sizeof(de));
-            return Error::None;
-        }
-    }
-    return Error::NoSuchFile;
+    bool removed = walkDir(d, [&](goff_t off, const DirEntry &cur) {
+        if (!named(cur, name))
+            return false;
+        DirEntry de = cur;
+        de.ino = INVALID_INO;
+        ba.write(off, &de, sizeof(de));
+        return true;
+    });
+    return removed ? Error::None : Error::NoSuchFile;
 }
 
 Error
@@ -547,16 +596,11 @@ FsCore::dirList(inodeno_t dir,
     Inode d = getInode(dir);
     if (!(d.mode & 0x4000))
         return Error::IsNoDirectory;
-    uint64_t entries = d.size / DIRENTRY_SIZE;
-    for (uint64_t i = 0; i < entries; ++i) {
-        goff_t off = dirEntryOff(d, i);
-        if (!off)
-            break;
-        DirEntry de{};
-        ba.read(off, &de, sizeof(de));
+    walkDir(d, [&](goff_t, const DirEntry &de) {
         if (de.ino != INVALID_INO)
             out.emplace_back(de.ino, std::string(de.name, de.nameLen));
-    }
+        return false;
+    });
     return Error::None;
 }
 

@@ -23,7 +23,12 @@ namespace m3
 namespace m3fs
 {
 
-/** Byte-granular access to the filesystem image. */
+/**
+ * Access to the filesystem image by byte range. Callers may pass any
+ * range, but the server backs this with its block cache, which costs
+ * cycles per block it fills or writes back; FsCore therefore reads its
+ * bitmaps and directories one block at a time (see FsCore::bitFind).
+ */
 class BlockAccess
 {
   public:
@@ -135,8 +140,51 @@ class FsCore
     bool check(std::string &report);
 
   private:
-    bool bitGet(blockno_t bmStart, uint32_t idx);
-    void bitSet(blockno_t bmStart, uint32_t idx, bool value);
+    /*
+     * The metadata walks below read whole blocks, but they touch the
+     * same blocks in the same order as a walk by single bits and
+     * entries would. The server's BlockCache charges cycles only for
+     * misses and write-backs, so this keeps every simulated cycle:
+     * repeating a sequence of touches right after itself (a bit's
+     * bitmap block; an entry's extent-table and directory blocks) only
+     * hits, and leaves the LRU order as it was while the sequence fits
+     * in the cache, so only the hit count drops. Two further
+     * rules keep the misses and write-backs the same: write only the
+     * bytes a bit-wise walk would have written (never a whole block
+     * that a walk by bits would have filled first), and read before
+     * writing. A loop that interleaves touches of two blocks must stay
+     * as it is (freeBlocks' double-indirect walk calls freeRun between
+     * reads of its table).
+     */
+
+    /**
+     * First index in [@p from, @p to) of bitmap @p bmStart whose bit is
+     * @p value, or @p to. Issues one read per bitmap block the range
+     * covers, of the bytes in range only, in ascending block order,
+     * and stops in the block holding the bit it finds.
+     */
+    uint32_t bitFind(blockno_t bmStart, uint32_t from, uint32_t to,
+                     bool value);
+
+    /** Set (@p value true) or clear @p len bits of bitmap @p bmStart
+     *  from @p from, with one read and one write per bitmap block. */
+    void bitRange(blockno_t bmStart, uint32_t from, uint32_t len,
+                  bool value);
+
+    bool bitGet(blockno_t bmStart, uint32_t idx)
+    {
+        return bitFind(bmStart, idx, idx + 1, true) == idx;
+    }
+
+    /**
+     * Walk directory @p dir one block at a time: one dirEntryOff and
+     * one read of the block's live entries per block. @p visit(off,
+     * entry) sees each entry in order and returns true to stop.
+     * @return true if @p visit stopped the walk
+     */
+    template <typename Visit>
+    bool walkDir(const Inode &dir, Visit visit);
+
     void saveSb();
     void setExtent(Inode &inode, uint32_t idx, const Extent &e);
     blockno_t allocZeroedMetaBlock();
@@ -145,6 +193,10 @@ class FsCore
 
     BlockAccess &ba;
     SuperBlock sb{};
+    /** One block of bitmap bytes and of directory entries, sized by
+     *  load() so the walks allocate nothing. */
+    std::vector<uint8_t> bitBuf;
+    std::vector<DirEntry> dirBuf;
 };
 
 } // namespace m3fs

@@ -5,6 +5,8 @@
  * fragmentation and the consistency checker.
  */
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "m3fs/fs_image.hh"
@@ -276,6 +278,292 @@ TEST_P(FsRoundTrip, ContentPreserved)
     EXPECT_EQ(out, data);
     std::string report;
     EXPECT_TRUE(core.check(report)) << report;
+}
+
+/**
+ * A model of the m3fs server's BlockCache for FsCore's access pattern:
+ * an LRU of @p capacity blocks that forwards every access to @p inner
+ * and counts what BlockCache charges cycles for. A miss whose access is
+ * a write of the whole block skips the fill (BlockCache's rule); a
+ * dirty block costs a write-back when it is evicted or flushed.
+ */
+class LruModel : public BlockAccess
+{
+  public:
+    LruModel(BlockAccess &inner, uint32_t blockSize, size_t capacity)
+        : inner(inner), blockSize(blockSize), capacity(capacity)
+    {}
+
+    void
+    read(goff_t off, void *dst, size_t len) override
+    {
+        touchRange(off, len, false);
+        inner.read(off, dst, len);
+    }
+
+    void
+    write(goff_t off, const void *src, size_t len) override
+    {
+        touchRange(off, len, true);
+        inner.write(off, src, len);
+    }
+
+    /** Write back every dirty block, as the server does per request. */
+    void
+    flush()
+    {
+        for (Entry &e : lru) {
+            if (e.dirty)
+                writeBacks++;
+            e.dirty = false;
+        }
+    }
+
+    uint64_t misses = 0;
+    uint64_t fillsSkipped = 0;
+    uint64_t writeBacks = 0;
+
+  private:
+    struct Entry
+    {
+        blockno_t no;
+        bool dirty;
+    };
+
+    void
+    touchRange(goff_t off, size_t len, bool write)
+    {
+        while (len > 0) {
+            size_t boff = off % blockSize;
+            size_t chunk = std::min<size_t>(len, blockSize - boff);
+            touch(static_cast<blockno_t>(off / blockSize), write,
+                  write && boff == 0 && chunk == blockSize);
+            off += chunk;
+            len -= chunk;
+        }
+    }
+
+    void
+    touch(blockno_t no, bool write, bool whole)
+    {
+        // lru is ordered most recently used first.
+        auto it = std::find_if(lru.begin(), lru.end(),
+                               [no](const Entry &e) { return e.no == no; });
+        if (it != lru.end()) {
+            std::rotate(lru.begin(), it, it + 1);
+            lru.front().dirty |= write;
+            return;
+        }
+        misses++;
+        if (whole)
+            fillsSkipped++;
+        if (lru.size() == capacity) {
+            if (lru.back().dirty)
+                writeBacks++;
+            lru.pop_back();
+        }
+        lru.insert(lru.begin(), Entry{no, write});
+    }
+
+    BlockAccess &inner;
+    uint32_t blockSize;
+    size_t capacity;
+    std::vector<Entry> lru;
+};
+
+struct PinnedCacheCounts
+{
+    uint64_t misses;
+    uint64_t fillsSkipped;
+    uint64_t writeBacks;
+};
+
+/**
+ * Drive FsCore through an LRU model of @p capacity blocks with a script
+ * that crosses both bitmaps' block boundaries, grows a directory into
+ * its indirect extents, frees below the allocation hint and fills the
+ * disk until both allocators fail. Each call stands for one server
+ * request and is followed by a flush. @p imageHash receives the FNV-1a
+ * hash of the resulting image.
+ */
+PinnedCacheCounts
+runCacheScript(size_t capacity, uint64_t &imageHash)
+{
+    constexpr uint32_t totalBlocks = 9216;  // block bitmap: 2 blocks
+    constexpr uint32_t totalInodes = 8256;  // inode bitmap: 2 blocks
+    Dram dram(16 * MiB, 20);
+    DramAccess direct(dram, 0);
+    LruModel model(direct, DEFAULT_BLOCK_SIZE, capacity);
+
+    FsCore::format(model, totalBlocks, totalInodes);
+    model.flush();
+    FsCore core(model);
+    EXPECT_TRUE(core.load());
+    EXPECT_GE(core.superBlock().ibmBlocks, 2u);
+    EXPECT_GE(core.superBlock().bbmBlocks, 2u);
+
+    EXPECT_EQ(core.createDir("/d"), Error::None);
+    model.flush();
+    EXPECT_EQ(core.createDir("/big"), Error::None);
+    model.flush();
+    EXPECT_EQ(core.createFile("/d/frag",
+                              shared(FsImage::patternData(64 * 1024, 7)), 4),
+              Error::None);
+    model.flush();
+
+    // Grow /big to 12 blocks; the files' data lands between its blocks,
+    // so each directory block is an extent of its own (6 direct, then
+    // the indirect block).
+    for (int k = 0; k < 12 * 32; ++k) {
+        std::string path = std::string("/big/f").append(std::to_string(k));
+        auto data = FsImage::patternData(1 + (k * 379) % 3000, k);
+        EXPECT_EQ(core.createFile(path, shared(data), 0xffffffff),
+                  Error::None);
+        model.flush();
+    }
+    inodeno_t bigIno = core.resolve("/big").ino;
+    EXPECT_GT(core.getInode(bigIno).extents, INODE_DIRECT);
+    model.flush();
+
+    // Fill the inode table past the inode bitmap's first block.
+    Inode orphan{};
+    std::vector<inodeno_t> orphans;
+    while (core.allocInode(0x8000, orphan) == Error::None) {
+        orphans.push_back(orphan.ino);
+        model.flush();
+    }
+    model.flush();
+    EXPECT_EQ(core.superBlock().totalInodes - 1, orphans.back());
+    // Free orphans on both sides of the boundary and take them again.
+    for (inodeno_t ino : {inodeno_t{500}, inodeno_t{8191}, inodeno_t{8192},
+                          inodeno_t{8250}}) {
+        core.freeInode(ino);
+        model.flush();
+    }
+    for (inodeno_t expect : {inodeno_t{500}, inodeno_t{8191},
+                             inodeno_t{8192}}) {
+        EXPECT_EQ(core.allocInode(0x8000, orphan), Error::None);
+        EXPECT_EQ(orphan.ino, expect);
+        model.flush();
+    }
+
+    // Free runs below the allocation hint: unlink (as the server does)
+    // and truncate.
+    for (const char *leaf : {"f10", "f11", "f200"}) {
+        ResolveResult r = core.resolve(std::string("/big/").append(leaf));
+        Inode inode = core.getInode(r.ino);
+        EXPECT_EQ(core.dirRemove(r.parent, r.leafName), Error::None);
+        core.freeBlocks(inode);
+        core.freeInode(inode.ino);
+        model.flush();
+    }
+    {
+        Inode frag = core.getInode(core.resolve("/d/frag").ino);
+        core.truncate(frag, 9 * 1024);
+        model.flush();
+    }
+    for (int k = 0; k < 4; ++k) {
+        std::string path = std::string("/big/g").append(std::to_string(k));
+        EXPECT_EQ(core.createFile(path,
+                                  shared(FsImage::patternData(5000, 100 + k)),
+                                  2),
+                  Error::None);
+        model.flush();
+    }
+
+    // Fill the disk through the block bitmap's boundary until allocRun
+    // wraps around without finding a free block.
+    Inode frag = core.getInode(core.resolve("/d/frag").ino);
+    model.flush();
+    uint64_t filled = 0;
+    for (;;) {
+        Extent e = core.appendBlocks(frag, 64, 64);
+        model.flush();
+        if (e.len == 0)
+            break;
+        filled += e.len;
+    }
+    EXPECT_GT(filled, 4000u);
+    EXPECT_EQ(core.appendBlocks(frag, 1, 1).len, 0u);
+    model.flush();
+    EXPECT_EQ(core.allocInode(0x8000, orphan), Error::NoSpace);
+    model.flush();
+    // /big's last block still has free slots; /d's first block fills up
+    // and its next block finds no space.
+    EXPECT_EQ(core.dirInsert(bigIno, "late", orphans[10]), Error::None);
+    model.flush();
+    inodeno_t dIno = core.resolve("/d").ino;
+    model.flush();
+    int inserted = 0;
+    for (;;) {
+        Error e = core.dirInsert(dIno,
+                                 std::string("x").append(
+                                     std::to_string(inserted)),
+                                 orphans[inserted]);
+        model.flush();
+        if (e != Error::None) {
+            EXPECT_EQ(e, Error::NoSpace);
+            break;
+        }
+        inserted++;
+    }
+    EXPECT_EQ(inserted, 31);
+
+    inodeno_t found = INVALID_INO;
+    EXPECT_EQ(core.dirLookup(bigIno, "f383", found), Error::None);
+    model.flush();
+    std::vector<std::pair<inodeno_t, std::string>> list;
+    EXPECT_EQ(core.dirList(bigIno, list), Error::None);
+    EXPECT_EQ(list.size(), 12u * 32 - 3 + 4 + 1);
+    model.flush();
+    EXPECT_EQ(core.dirRemove(bigIno, "f383"), Error::None);
+    model.flush();
+    EXPECT_EQ(core.dirRemove(bigIno, "nope"), Error::NoSuchFile);
+    model.flush();
+
+    FsCore plain(direct);
+    EXPECT_TRUE(plain.load());
+    std::string report;
+    EXPECT_TRUE(plain.check(report)) << report;
+
+    std::vector<uint8_t> image(static_cast<size_t>(totalBlocks) *
+                               DEFAULT_BLOCK_SIZE);
+    direct.read(0, image.data(), image.size());
+    imageHash = 0xcbf29ce484222325ull;
+    for (uint8_t b : image) {
+        imageHash ^= b;
+        imageHash *= 0x100000001b3ull;
+    }
+    return {model.misses, model.fillsSkipped, model.writeBacks};
+}
+
+TEST(FsCore, BlockCacheBehaviourPinned)
+{
+    // The server charges cycles for cache misses (minus skipped fills)
+    // and write-backs only, so these counts carry every simulated cycle
+    // FsCore's metadata walks cost. The pins were recorded with the
+    // bit-by-bit and entry-by-entry walks that the block-wise ones
+    // replaced (one byte per bitmap bit, one dirEntryOff per directory
+    // entry); they must not move. Hits are not pinned: reading a block
+    // once instead of once per bit is what the block-wise walks save.
+    struct Case
+    {
+        size_t capacity;
+        PinnedCacheCounts pinned;
+    };
+    const Case cases[] = {
+        {8, {10356, 1505, 20801}},
+        {128, {2952, 1505, 20543}},  // the server's cacheBlocks
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.capacity);
+        uint64_t hash = 0;
+        PinnedCacheCounts got = runCacheScript(c.capacity, hash);
+        EXPECT_EQ(got.misses, c.pinned.misses);
+        EXPECT_EQ(got.fillsSkipped, c.pinned.fillsSkipped);
+        EXPECT_EQ(got.writeBacks, c.pinned.writeBacks);
+        EXPECT_EQ(hash, 0x976db6a8e30161ecull);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -83,6 +83,22 @@ echo "=== simperf smoke (vs BENCH_simperf.json)"
 # hold the 25% tolerance against the recorded baseline.
 ./build-release/bench/simperf --reps 3 --check BENCH_simperf.json
 
+# Figure-verdict gate: every figure and section bench prints the paper's
+# rows with PASS/FAIL shape verdicts and exits 1 on any FAIL, so the
+# reproduction's claims hold on every check, not only when someone
+# reads the tables. About 1 s in all, against the release build.
+echo "=== figure and section verdicts"
+for b in fig3_syscall fig3_fileops fig4_fragmentation fig5_apps \
+         fig6_scalability fig7_accelerator sec34_utilization sec52_arm \
+         ablations; do
+    if ! ./build-release/bench/$b > "$obs/$b.txt" 2>&1; then
+        cat "$obs/$b.txt"
+        echo "=== $b: a verdict failed"
+        exit 1
+    fi
+    echo "$b: $(grep -c '\[PASS\]' "$obs/$b.txt") verdicts pass"
+done
+
 # Multi-kernel gate: the sharded-control-plane table of fig6 must keep
 # both verdicts (two kernels remove most of the syscall bottleneck;
 # four strictly beat one per instance). Runs against the release build;
