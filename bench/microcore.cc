@@ -1,13 +1,17 @@
 /**
  * @file
  * google-benchmark micro-benchmarks of the simulator substrate itself:
- * event-queue throughput, fiber context switches, NoC packet routing and
- * the DTU message path. These measure host wall-clock performance (how
- * fast the simulation runs), not simulated cycles.
+ * event-queue throughput, fiber context switches, NoC packet routing,
+ * the DTU message path and the file-content generator. These measure
+ * host wall-clock performance (how fast the simulation runs), not
+ * simulated cycles.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
+#include "base/random.hh"
 #include "pe/platform.hh"
 
 namespace m3
@@ -141,6 +145,22 @@ BM_DtuBulkTransfer(benchmark::State &state)
                             static_cast<int64_t>(bytes));
 }
 BENCHMARK(BM_DtuBulkTransfer)->Arg(64 * 1024)->Arg(1024 * 1024);
+
+void
+BM_PatternFill(benchmark::State &state)
+{
+    const size_t bytes = static_cast<size_t>(state.range(0));
+    std::vector<uint8_t> buf(bytes);
+    Random rng(99);
+    for (auto _ : state) {
+        rng.fillLowBytes(buf.data(), bytes);
+        benchmark::DoNotOptimize(buf.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<int64_t>(bytes));
+}
+BENCHMARK(BM_PatternFill)->Arg(64 * 1024)->Arg(2 * 1024 * 1024);
 
 } // anonymous namespace
 } // namespace m3

@@ -10,6 +10,7 @@
 #ifndef M3_BASE_RANDOM_HH
 #define M3_BASE_RANDOM_HH
 
+#include <cstddef>
 #include <cstdint>
 
 #include "base/logging.hh"
@@ -32,11 +33,21 @@ class Random
     uint64_t
     next()
     {
-        state ^= state >> 12;
-        state ^= state << 25;
-        state ^= state >> 27;
-        return state * 0x2545f4914f6cdd1dULL;
+        step(state);
+        return state * MULT;
     }
+
+    /**
+     * Write the low byte of each of the next @p n next() values to
+     * @p dst, leaving the generator exactly where @p n calls to next()
+     * would. All synthesised file contents come from here.
+     *
+     * The xorshift step is linear over GF(2), so the low state bytes of
+     * the next 64 steps, and the state 64 steps on, are the XOR of one
+     * precomputed row per state nibble. The multiply only matters for
+     * its low byte, which is the low state byte times the multiplier's.
+     */
+    void fillLowBytes(uint8_t *dst, size_t n);
 
     /** Uniform value in [0, bound). @p bound must be non-zero. */
     uint64_t
@@ -64,6 +75,16 @@ class Random
     }
 
   private:
+    static constexpr uint64_t MULT = 0x2545f4914f6cdd1dULL;
+
+    static void
+    step(uint64_t &s)
+    {
+        s ^= s >> 12;
+        s ^= s << 25;
+        s ^= s >> 27;
+    }
+
     uint64_t state;
 };
 

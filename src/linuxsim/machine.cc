@@ -255,18 +255,14 @@ Process::read(int fd, void *buf, size_t len)
     if (d->pipe) {
         PipeBuf &p = *d->pipe;
         chargeOs(m.cfg.costs.pipePath);
-        while (p.data.empty()) {
+        while (p.size() == 0) {
             if (p.writers == 0)
                 return 0;  // EOF
             p.waitReaders.push_back(this);
             m.blockCurrent();
         }
-        size_t n = std::min(len, p.data.size());
-        uint8_t *out = static_cast<uint8_t *>(buf);
-        for (size_t i = 0; i < n; ++i) {
-            out[i] = p.data.front();
-            p.data.pop_front();
-        }
+        size_t n = std::min(len, p.size());
+        p.pop(static_cast<uint8_t *>(buf), n);
         chargeXfer(copyCost(n));
         for (Process *w : p.waitWriters)
             m.makeRunnable(w);
@@ -310,15 +306,14 @@ Process::write(int fd, const void *buf, size_t len)
         while (total < len) {
             if (p.readers == 0)
                 return -1;  // EPIPE
-            size_t space = p.capacity - p.data.size();
+            size_t space = p.space();
             if (space == 0) {
                 p.waitWriters.push_back(this);
                 m.blockCurrent();
                 continue;
             }
             size_t n = std::min(space, len - total);
-            for (size_t i = 0; i < n; ++i)
-                p.data.push_back(in[total + i]);
+            p.push(in + total, n);
             chargeXfer(copyCost(n));
             total += n;
             for (Process *r : p.waitReaders)
@@ -518,8 +513,7 @@ Error
 Process::pipe(int fds_[2])
 {
     syscallEntry(m.cfg.costs.pipePath);
-    auto buf = std::make_shared<PipeBuf>();
-    buf->capacity = m.cfg.pipeBufBytes;
+    auto buf = std::make_shared<PipeBuf>(m.cfg.pipeBufBytes);
     buf->readers = 1;
     buf->writers = 1;
 

@@ -14,6 +14,8 @@
 #ifndef M3_LINUXSIM_MACHINE_HH
 #define M3_LINUXSIM_MACHINE_HH
 
+#include <algorithm>
+#include <cstring>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -44,15 +46,45 @@ struct LinuxConfig
 class Machine;
 class Process;
 
-/** A kernel pipe: bounded byte buffer plus wait queues. */
+/** A kernel pipe: bounded byte ring plus wait queues. */
 struct PipeBuf
 {
-    std::deque<uint8_t> data;
-    size_t capacity;
+    explicit PipeBuf(size_t capacity) : ring(capacity) {}
+
+    size_t size() const { return used; }
+    size_t space() const { return ring.size() - used; }
+
+    /** Append @p n bytes; @p n must not exceed space(). */
+    void
+    push(const uint8_t *in, size_t n)
+    {
+        size_t tail = (head + used) % ring.size();
+        size_t first = std::min(n, ring.size() - tail);
+        std::memcpy(ring.data() + tail, in, first);
+        std::memcpy(ring.data(), in + first, n - first);
+        used += n;
+    }
+
+    /** Remove the oldest @p n bytes; @p n must not exceed size(). */
+    void
+    pop(uint8_t *out, size_t n)
+    {
+        size_t first = std::min(n, ring.size() - head);
+        std::memcpy(out, ring.data() + head, first);
+        std::memcpy(out + first, ring.data(), n - first);
+        head = (head + n) % ring.size();
+        used -= n;
+    }
+
     uint32_t readers = 0;
     uint32_t writers = 0;
     std::vector<Process *> waitReaders;
     std::vector<Process *> waitWriters;
+
+  private:
+    std::vector<uint8_t> ring;
+    size_t head = 0;
+    size_t used = 0;
 };
 
 /** An entry of a process's file-descriptor table. */

@@ -47,7 +47,6 @@ struct TmpNode
             pages.resize(idx + 1);
         if (!pages[idx]) {
             pages[idx] = std::make_unique<uint8_t[]>(PAGE_SIZE);
-            std::fill_n(pages[idx].get(), PAGE_SIZE, 0);
             fresh = true;
         }
         return {pages[idx].get(), fresh};

@@ -134,10 +134,8 @@ class FsImage
     static std::vector<uint8_t>
     patternData(size_t size, uint64_t seed)
     {
-        Random rng(seed);
         std::vector<uint8_t> data(size);
-        for (size_t i = 0; i < size; ++i)
-            data[i] = static_cast<uint8_t>(rng.next());
+        Random(seed).fillLowBytes(data.data(), size);
         return data;
     }
 

@@ -1,5 +1,6 @@
 #include "workloads/lx_replay.hh"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 
@@ -20,13 +21,13 @@ applySetupToTmpfs(const FsSetup &setup, lx::Tmpfs &fs)
         auto node = fs.create(f.path, false, e);
         if (!node)
             continue;
-        // Deterministic content identical to the m3fs image.
+        // Deterministic content identical to the m3fs image, generated
+        // straight into each page.
         Random rng(f.seed);
         node->size = f.size;
-        for (size_t off = 0; off < f.size; ++off) {
-            auto [page, fresh] = node->page(off / lx::PAGE_SIZE);
-            (void)fresh;
-            page[off % lx::PAGE_SIZE] = static_cast<uint8_t>(rng.next());
+        for (size_t off = 0; off < f.size; off += lx::PAGE_SIZE) {
+            rng.fillLowBytes(node->page(off / lx::PAGE_SIZE).first,
+                             std::min<size_t>(lx::PAGE_SIZE, f.size - off));
         }
     }
 }

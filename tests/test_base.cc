@@ -21,6 +21,7 @@
 #include "base/logging.hh"
 #include "base/marshal.hh"
 #include "base/random.hh"
+#include "base/types.hh"
 
 namespace m3
 {
@@ -107,6 +108,50 @@ TEST(Random, DifferentSeedsDiffer)
     for (int i = 0; i < 50; ++i)
         same += a.next() == b.next();
     EXPECT_LT(same, 5);
+}
+
+/** The low bytes of the next @p n values of a serial next() loop. */
+std::vector<uint8_t>
+serialLowBytes(Random &r, size_t n)
+{
+    std::vector<uint8_t> out(n);
+    for (uint8_t &b : out)
+        b = static_cast<uint8_t>(r.next());
+    return out;
+}
+
+TEST(Random, FillLowBytesMatchesSerialNext)
+{
+    const size_t sizes[] = {0,    1,    63,   64,  65,
+                            4095, 4096, 4097, 2 * MiB + 3};
+    const uint64_t seeds[] = {0, 1, 99, ~0ULL};
+    for (uint64_t seed : seeds) {
+        for (size_t n : sizes) {
+            SCOPED_TRACE(testing::Message() << "seed " << seed << " n " << n);
+            Random ref(seed), fast(seed);
+            std::vector<uint8_t> want = serialLowBytes(ref, n);
+            std::vector<uint8_t> got(n);
+            fast.fillLowBytes(got.data(), n);
+            ASSERT_EQ(got, want);
+            EXPECT_EQ(fast.next(), ref.next());
+        }
+
+        // The same stream written in uneven chunks.
+        SCOPED_TRACE(testing::Message() << "seed " << seed << " chunked");
+        const size_t total = 2 * MiB + 3;
+        Random ref(seed), fast(seed);
+        std::vector<uint8_t> want = serialLowBytes(ref, total);
+        std::vector<uint8_t> got(total);
+        size_t done = 0;
+        for (size_t c : {size_t{1}, size_t{63}, size_t{64}, size_t{4096},
+                         total - 4224}) {
+            fast.fillLowBytes(got.data() + done, c);
+            done += c;
+        }
+        ASSERT_EQ(done, total);
+        ASSERT_EQ(got, want);
+        EXPECT_EQ(fast.next(), ref.next());
+    }
 }
 
 TEST(Accounting, ChargesToStackTop)

@@ -566,6 +566,24 @@ TEST(FsCore, BlockCacheBehaviourPinned)
     }
 }
 
+TEST(FsImage, PatternDataIsPinned)
+{
+    // Tests that compare file contents with patternData() cannot catch
+    // a changed definition, since both sides would change together.
+    auto fnv1a = [](const std::vector<uint8_t> &data) {
+        uint64_t h = 0xcbf29ce484222325ull;
+        for (uint8_t b : data) {
+            h ^= b;
+            h *= 0x100000001b3ull;
+        }
+        return h;
+    };
+    EXPECT_EQ(fnv1a(FsImage::patternData(2 * MiB, 99)),
+              0x01003840f4fd7febull);
+    EXPECT_EQ(fnv1a(FsImage::patternData(65537, 4242)),
+              0xd732e8744959ed4aull);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     SizesAndExtents, FsRoundTrip,
     ::testing::Combine(::testing::Values(size_t{1}, size_t{1023},

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <vector>
 
 #include "linuxsim/machine.hh"
 
@@ -145,48 +147,59 @@ TEST(LinuxSim, FreshPagesAreZeroedAtCost)
 
 TEST(LinuxSim, PipeTransfersDataBetweenProcesses)
 {
-    Machine m{LinuxConfig{}};
-    std::vector<uint8_t> got;
-    int childExit = -1;
-    m.spawnInit("parent", [&](Process &p) {
-        int fds[2];
-        p.pipe(fds);
-        int child = p.fork([fds](Process &c) {
-            std::vector<uint8_t> data(200000);
-            for (size_t i = 0; i < data.size(); ++i)
-                data[i] = static_cast<uint8_t>(i);
-            size_t sent = 0;
-            while (sent < data.size()) {
-                ssize_t n = c.write(fds[1],
-                                    data.data() + sent,
-                                    std::min<size_t>(4096,
-                                                     data.size() - sent));
-                if (n <= 0)
-                    return 1;
-                sent += static_cast<size_t>(n);
+    // Write and read sizes that fill and drain the 64 KiB pipe out of
+    // phase, so the buffered bytes wrap around its end at many offsets.
+    struct Sizes
+    {
+        size_t write;
+        size_t read;
+    };
+    const Sizes cases[] = {
+        {4096, 4096}, {1, 4095}, {4095, 65537}, {65537, 4095}, {65537, 1},
+    };
+    std::vector<uint8_t> data(200003);
+    for (size_t i = 0; i < data.size(); ++i)
+        data[i] = static_cast<uint8_t>(i ^ (i >> 8) ^ (i >> 16));
+    for (const Sizes &sz : cases) {
+        SCOPED_TRACE(testing::Message()
+                     << "write " << sz.write << " read " << sz.read);
+        Machine m{LinuxConfig{}};
+        std::vector<uint8_t> got;
+        int childExit = -1;
+        m.spawnInit("parent", [&](Process &p) {
+            int fds[2];
+            p.pipe(fds);
+            int child = p.fork([&data, fds, sz](Process &c) {
+                size_t sent = 0;
+                while (sent < data.size()) {
+                    ssize_t n = c.write(
+                        fds[1], data.data() + sent,
+                        std::min(sz.write, data.size() - sent));
+                    if (n <= 0)
+                        return 1;
+                    sent += static_cast<size_t>(n);
+                }
+                c.close(fds[1]);
+                return 0;
+            });
+            p.close(fds[1]);  // parent only reads
+            std::vector<uint8_t> buf(sz.read);
+            for (;;) {
+                ssize_t n = p.read(fds[0], buf.data(), buf.size());
+                if (n < 0)
+                    return 2;
+                if (n == 0)
+                    break;
+                got.insert(got.end(), buf.begin(), buf.begin() + n);
             }
-            c.close(fds[1]);
+            p.close(fds[0]);
+            childExit = p.waitpid(child);
             return 0;
         });
-        p.close(fds[1]);  // parent only reads
-        uint8_t buf[4096];
-        for (;;) {
-            ssize_t n = p.read(fds[0], buf, sizeof(buf));
-            if (n < 0)
-                return 2;
-            if (n == 0)
-                break;
-            got.insert(got.end(), buf, buf + n);
-        }
-        p.close(fds[0]);
-        childExit = p.waitpid(child);
-        return 0;
-    });
-    m.simulate();
-    EXPECT_EQ(childExit, 0);
-    ASSERT_EQ(got.size(), 200000u);
-    for (size_t i = 0; i < got.size(); ++i)
-        ASSERT_EQ(got[i], static_cast<uint8_t>(i));
+        m.simulate();
+        EXPECT_EQ(childExit, 0);
+        ASSERT_EQ(got, data);
+    }
 }
 
 TEST(LinuxSim, PipeBlockingCausesContextSwitches)

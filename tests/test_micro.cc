@@ -32,6 +32,18 @@ TEST(MicroAnchors, LinuxSyscall410Cycles)
     EXPECT_EQ(r.wall, 410u);
 }
 
+TEST(MicroAnchors, LinuxPipeTransferIsPinned)
+{
+    // 2 MiB through the 64 KiB pipe: copy costs, blocking points and
+    // wake-ups all show in these cycles.
+    RunResult r = lxPipeXfer(MicroOpts{});
+    ASSERT_EQ(r.rc, 0);
+    EXPECT_EQ(r.wall, 6612060u);
+    EXPECT_EQ(r.app(), 0u);
+    EXPECT_EQ(r.xfer(), 5242880u);
+    EXPECT_EQ(r.os(), 1369180u);
+}
+
 TEST(MicroAnchors, M3ReadBeatsLinuxByLargeFactor)
 {
     MicroOpts opts;
