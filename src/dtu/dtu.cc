@@ -912,15 +912,15 @@ Dtu::startRead(epid_t id, spmaddr_t dstAddr, goff_t off, uint64_t size)
                                seq] {
         eq.schedule(mem->accessLatency(), [this, mem, gaddr, size, dstAddr,
                                            tnode, seq] {
-            auto data = std::make_shared<std::vector<uint8_t>>(size);
-            mem->read(gaddr, data->data(), size);
+            auto data = std::make_shared_for_overwrite<uint8_t[]>(size);
+            mem->read(gaddr, data.get(), size);
             noc.send(tnode, nocId, static_cast<uint32_t>(size),
-                     [this, data, dstAddr, seq] {
+                     [this, data, size, dstAddr, seq] {
                          // The SPM write must not happen for an aborted
                          // command: the PE may have a new owner.
                          if (!busy || seq != cmdSeq)
                              return;
-                         spm.write(dstAddr, data->data(), data->size());
+                         spm.write(dstAddr, data.get(), size);
                          completeCommand(seq, Error::None);
                      });
         });
@@ -955,15 +955,15 @@ Dtu::startWrite(epid_t id, spmaddr_t srcAddr, goff_t off, uint64_t size)
     goff_t gaddr = r.mem.offset + off;
     uint32_t tnode = r.mem.targetNode;
 
-    auto data = std::make_shared<std::vector<uint8_t>>(size);
+    auto data = std::make_shared_for_overwrite<uint8_t[]>(size);
     if (size)
-        spm.read(srcAddr, data->data(), size);
+        spm.read(srcAddr, data.get(), size);
 
     noc.send(nocId, tnode, static_cast<uint32_t>(size),
-             [this, mem, gaddr, data, tnode, seq] {
+             [this, mem, gaddr, data, size, tnode, seq] {
                  eq.schedule(mem->accessLatency(), [this, mem, gaddr, data,
-                                                    tnode, seq] {
-                     mem->write(gaddr, data->data(), data->size());
+                                                    size, tnode, seq] {
+                     mem->write(gaddr, data.get(), size);
                      // Completion ack back to the initiator.
                      noc.send(tnode, nocId, 0, [this, seq] {
                          completeCommand(seq, Error::None);
@@ -1017,16 +1017,16 @@ Dtu::startReadX(uint32_t slot, epid_t id, spmaddr_t dstAddr, goff_t off,
                                slot, seq] {
         eq.schedule(mem->accessLatency(), [this, mem, gaddr, size, dstAddr,
                                            tnode, slot, seq] {
-            auto data = std::make_shared<std::vector<uint8_t>>(size);
-            mem->read(gaddr, data->data(), size);
+            auto data = std::make_shared_for_overwrite<uint8_t[]>(size);
+            mem->read(gaddr, data.get(), size);
             noc.send(tnode, nocId, static_cast<uint32_t>(size),
-                     [this, data, dstAddr, slot, seq] {
+                     [this, data, size, dstAddr, slot, seq] {
                          XferSlot &x = xferSlots[slot];
                          // The SPM write must not happen for a stale
                          // completion: the PE may have a new owner.
                          if (!x.busy || seq != x.seq)
                              return;
-                         spm.write(dstAddr, data->data(), data->size());
+                         spm.write(dstAddr, data.get(), size);
                          completeXfer(slot, seq, Error::None);
                      });
         });
@@ -1066,15 +1066,15 @@ Dtu::startWriteX(uint32_t slot, epid_t id, spmaddr_t srcAddr, goff_t off,
     goff_t gaddr = r.mem.offset + off;
     uint32_t tnode = r.mem.targetNode;
 
-    auto data = std::make_shared<std::vector<uint8_t>>(size);
+    auto data = std::make_shared_for_overwrite<uint8_t[]>(size);
     if (size)
-        spm.read(srcAddr, data->data(), size);
+        spm.read(srcAddr, data.get(), size);
 
     noc.send(nocId, tnode, static_cast<uint32_t>(size),
-             [this, mem, gaddr, data, tnode, slot, seq] {
+             [this, mem, gaddr, data, size, tnode, slot, seq] {
                  eq.schedule(mem->accessLatency(), [this, mem, gaddr, data,
-                                                    tnode, slot, seq] {
-                     mem->write(gaddr, data->data(), data->size());
+                                                    size, tnode, slot, seq] {
+                     mem->write(gaddr, data.get(), size);
                      // Completion ack back to the initiator.
                      noc.send(tnode, nocId, 0, [this, slot, seq] {
                          completeXfer(slot, seq, Error::None);

@@ -127,11 +127,6 @@ M3System::M3System(M3SystemCfg config) : cfg(std::move(config))
         // stripe image.
         dramAllocStart = images[0]->sizeBytes();
     }
-    // Only now: applied before the images, the hint would make each of
-    // their sparse metadata writes fault in a whole huge page.
-    for (uint32_t m = 0; m < plat->dramModules(); ++m)
-        plat->dram(m).adviseHugePages();
-
     // One kernel per domain. Each gets its own slice of the dynamic DRAM
     // region; a single kernel keeps the whole region, exactly as before.
     const uint32_t K = cfg.numKernels;

@@ -43,10 +43,7 @@ FsCore::format(BlockAccess &access, uint32_t totalBlocks,
         fatal("m3fs format: metadata exceeds %u blocks", totalBlocks);
 
     // Zero all metadata blocks.
-    std::vector<uint8_t> zero(blockSize, 0);
-    for (blockno_t b = 0; b < sb.dataStart; ++b)
-        access.write(static_cast<goff_t>(b) * blockSize, zero.data(),
-                     blockSize);
+    access.zero(0, static_cast<size_t>(sb.dataStart) * blockSize);
 
     access.write(0, &sb, sizeof(sb));
 

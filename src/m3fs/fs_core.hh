@@ -50,6 +50,18 @@ class BlockAccess
     {
         write(off, src->data() + srcOff, len);
     }
+
+    /**
+     * Set @p len bytes at image offset @p off to zero. By default this
+     * is a write() of zeros; a direct DRAM access leaves untouched
+     * memory alone.
+     */
+    virtual void
+    zero(goff_t off, size_t len)
+    {
+        const std::vector<uint8_t> zeros(len, 0);
+        write(off, zeros.data(), len);
+    }
 };
 
 /** Result of a path resolution. */

@@ -49,6 +49,12 @@ class DramAccess : public BlockAccess
         dram.share(base + off, src, srcOff, len);
     }
 
+    void
+    zero(goff_t off, size_t len) override
+    {
+        dram.zero(base + off, len);
+    }
+
   private:
     Dram &dram;
     goff_t base;

@@ -28,7 +28,8 @@ class Dram : public MemTarget
     /**
      * Direct pointer to @p len bytes at @p off, for functional inspection
      * in tests. A raw pointer bypasses read(), so any shared range that
-     * the bytes overlap is copied in first (see MemTarget::share).
+     * the bytes overlap is copied in first (see MemTarget::share), and
+     * the bytes count as written.
      */
     const uint8_t *
     inspect(goff_t off, size_t len)

@@ -3,21 +3,24 @@
  * The memory that can be the target of a DTU memory endpoint: the
  * platform's DRAM module, or another PE's scratchpad (used e.g. for
  * application loading, Sec. 4.5.5). Both are one bounds-checked byte
- * array. Three host-side behaviours keep a large memory cheap to set up,
- * and none of them is visible in a byte the simulation reads:
+ * array. Three host-side behaviours keep a large memory cheap, and none
+ * of them is visible in a byte the simulation reads:
  *
  * - Lazy zeroing: the storage comes from calloc, so a multi-GiB DRAM of
  *   which a run uses a few hundred MiB pays only for the pages it
- *   touches.
+ *   touches. zero() clears only the pages the store has written; the
+ *   others still hold calloc's zeros.
  * - Shared ranges: share() lets a range refer to read-only bytes that
  *   the host already holds (an m3fs image's file contents, which many
- *   images and files have in common). Reads copy from those bytes; the
- *   first write, zero or raw pointer over a range copies it in
- *   (copy-on-write), so the store never pages in memory for contents
- *   nobody modifies.
- * - Deferred huge-page hint: adviseHugePages() backs the untouched
- *   interior with huge pages. The owner calls it once the sparse setup
- *   writes are done, so that those do not fault in whole huge pages.
+ *   images and files have in common). Reads copy from those bytes; a
+ *   write or zero over part of a range cuts that part out and leaves
+ *   the rest a reference; only a raw pointer into a range copies the
+ *   bytes it covers into the store.
+ * - Copies by reference: read() remembers, per destination buffer, the
+ *   shared bytes it was served from. A later write() from that buffer
+ *   whose bytes still equal them (memcmp) becomes a shared range instead
+ *   of a copy, so a file copied through a host buffer (tar) stays a
+ *   reference and never pages in its destination.
  */
 
 #ifndef M3_MEM_MEM_TARGET_HH
@@ -31,9 +34,8 @@
 #include <map>
 #include <memory>
 #include <new>
+#include <unordered_map>
 #include <vector>
-
-#include <sys/mman.h>
 
 #include "base/logging.hh"
 #include "base/types.hh"
@@ -57,7 +59,8 @@ class MemTarget
      */
     MemTarget(size_t bytes, Cycles latency, const char *kind)
         : bytes(bytes), latency(latency), kind(kind),
-          data(static_cast<uint8_t *>(std::calloc(bytes, 1)))
+          data(static_cast<uint8_t *>(std::calloc(bytes, 1))),
+          pages((bytes + PAGE - 1) / PAGE)
     {
         if (!data)
             throw std::bad_alloc();
@@ -66,36 +69,86 @@ class MemTarget
     /** Capacity in bytes. */
     size_t size() const { return bytes; }
 
-    /** Copy @p len bytes at @p off into @p dst. Bounds-checked. */
+    /**
+     * Copy @p len bytes at @p off into @p dst. Bounds-checked. A read
+     * served wholly from one shared range is remembered for @p dst (see
+     * write()).
+     */
     void
     read(goff_t off, void *dst, size_t len)
     {
         const uint8_t *src = at(off, len);
-        if (mayShare(off, len))
-            readShared(off, static_cast<uint8_t *>(dst), len);
-        else
+        if (!mayShare(off, len)) {
             std::memcpy(dst, src, len);
+            return;
+        }
+        auto it = firstOverlap(off);
+        if (it != shared.end() && it->first <= off &&
+            it->first + it->second.len >= off + len) {
+            const Shared &s = it->second;
+            const size_t srcOff = s.srcOff + (off - it->first);
+            std::memcpy(dst, s.src->data() + srcOff, len);
+            remember(dst, s.src, srcOff, len);
+            return;
+        }
+        readShared(off, static_cast<uint8_t *>(dst), len);
     }
 
-    /** Copy @p len bytes from @p src to @p off. Bounds-checked. */
+    /**
+     * Copy @p len bytes from @p src to @p off. Bounds-checked. If @p src
+     * was the destination of a read() from shared bytes and still holds
+     * them, the bytes at @p off become a reference to those shared
+     * bytes instead of a copy.
+     */
     void
     write(goff_t off, const void *src, size_t len)
     {
-        std::memcpy(own(off, len), src, len);
+        uint8_t *dst = at(off, len);
+        if (len == 0)
+            return;
+        if (const Ref *r = recalled(src, len)) {
+            const SharedBytes from = r->src;
+            cut(off, len);
+            addRange(off, from, r->srcOff, len);
+            return;
+        }
+        cut(off, len);
+        std::memcpy(dst, src, len);
+        markWritten(off, len);
     }
 
-    /** Set @p len bytes at @p off to zero. */
+    /**
+     * Set @p len bytes at @p off to zero. Shared ranges inside are
+     * dropped, and only pages the store has written are cleared.
+     */
     void
     zero(goff_t off, size_t len)
     {
-        std::memset(own(off, len), 0, len);
+        at(off, len);
+        if (len == 0)
+            return;
+        cut(off, len);
+        const goff_t end = off + len;
+        for (size_t p = off / PAGE; p <= (end - 1) / PAGE;) {
+            if (!(pages[p] & WRITTEN)) {
+                ++p;
+                continue;
+            }
+            size_t q = p + 1;
+            while (q <= (end - 1) / PAGE && (pages[q] & WRITTEN))
+                ++q;
+            const goff_t lo = std::max<goff_t>(off, p * PAGE);
+            const goff_t hi = std::min<goff_t>(end, q * PAGE);
+            std::memset(data.get() + lo, 0, hi - lo);
+            p = q;
+        }
     }
 
     /**
      * Let the @p len bytes at @p off read as @p src[srcOff, srcOff+len)
      * without copying them: the memory keeps a reference to @p src,
      * whose bytes must not change while it does. Any shared range
-     * already overlapping the target is copied in first, so the bytes
+     * already overlapping the target is cut out of it, so the bytes
      * around it keep their values. Bounds-checked on both sides.
      */
     void
@@ -107,50 +160,43 @@ class MemTarget
                   len);
         if (len == 0)
             return;
-        copyIn(off, len);
-        if (pages.empty())
-            pages.resize((bytes + FLAG_PAGE - 1) / FLAG_PAGE);
-        for (size_t p = off / FLAG_PAGE; p <= (off + len - 1) / FLAG_PAGE;
-             ++p)
-            pages[p] = 1;
-        shared.emplace(off, Shared{len, std::move(src), srcOff});
-    }
-
-    /**
-     * Back the 2 MiB-aligned interior with huge pages from now on, so
-     * that first touch faults once per 2 MiB instead of per 4 KiB. A
-     * hint only. Pages already touched keep their size: call it after
-     * sparse setup writes (an image's metadata), or each of them would
-     * fault in a whole huge page.
-     */
-    void
-    adviseHugePages()
-    {
-#ifdef MADV_HUGEPAGE
-        constexpr uintptr_t huge = uintptr_t{2} << 20;
-        uintptr_t lo = (reinterpret_cast<uintptr_t>(data.get()) + huge - 1) &
-                       ~(huge - 1);
-        uintptr_t hi = (reinterpret_cast<uintptr_t>(data.get()) + bytes) &
-                       ~(huge - 1);
-        if (lo < hi)
-            madvise(reinterpret_cast<void *>(lo), hi - lo, MADV_HUGEPAGE);
-#endif
+        cut(off, len);
+        addRange(off, std::move(src), srcOff, len);
     }
 
     /** Fixed access latency per request, in cycles. */
     Cycles accessLatency() const { return latency; }
 
+    /** Pages of the store that have been written: the part of the
+     *  memory the host holds resident. For tests. */
+    size_t
+    writtenPages() const
+    {
+        return static_cast<size_t>(
+            std::count_if(pages.begin(), pages.end(),
+                          [](uint8_t f) { return f & WRITTEN; }));
+    }
+
+    /** Number of shared ranges. For tests. */
+    size_t sharedRanges() const { return shared.size(); }
+
   protected:
     /**
      * Bounds-checked pointer to @p len bytes at @p off that the store
-     * holds itself: every shared range they overlap is copied in first.
+     * holds itself, for the caller to read or write: the bytes of every
+     * shared range they overlap are copied in first.
      */
     uint8_t *
     own(goff_t off, size_t len)
     {
         uint8_t *p = at(off, len);
-        if (mayShare(off, len))
+        if (len == 0)
+            return p;
+        if (mayShare(off, len)) {
             copyIn(off, len);
+            cut(off, len);
+        }
+        markWritten(off, len);
         return p;
     }
 
@@ -165,8 +211,15 @@ class MemTarget
         return data.get() + off;
     }
 
-    /** Granularity of the "may hold shared bytes" flags. */
-    static constexpr size_t FLAG_PAGE = 4096;
+    /** Granularity of the per-page flags. */
+    static constexpr size_t PAGE = 4096;
+    /** Page flag: a shared range overlaps the page. */
+    static constexpr uint8_t SHARED = 1;
+    /** Page flag: the store has written the page. */
+    static constexpr uint8_t WRITTEN = 2;
+    /** Entries per generation of the read-source table: far above the
+     *  number of buffers copying at once (240 on the largest machine). */
+    static constexpr size_t REF_GENERATION = 4096;
 
     /** A range whose bytes live in a shared buffer, keyed by its start. */
     struct Shared
@@ -176,23 +229,38 @@ class MemTarget
         size_t srcOff;
     };
 
+    /** What a read() from one shared range left in its destination. */
+    struct Ref
+    {
+        SharedBytes src;
+        size_t srcOff;
+        size_t len;
+    };
+
     struct Free
     {
         void operator()(uint8_t *p) const { std::free(p); }
     };
 
-    /** Whether [off, off+len) lies on a page that may hold shared bytes. */
+    /** Whether [off, off+len) lies on a page that holds shared bytes. */
     bool
     mayShare(goff_t off, size_t len) const
     {
-        if (pages.empty() || len == 0)
+        if (shared.empty() || len == 0)
             return false;
-        for (size_t p = off / FLAG_PAGE; p <= (off + len - 1) / FLAG_PAGE;
-             ++p) {
-            if (pages[p])
+        for (size_t p = off / PAGE; p <= (off + len - 1) / PAGE; ++p) {
+            if (pages[p] & SHARED)
                 return true;
         }
         return false;
+    }
+
+    /** Flag the pages of [off, off+len) as written; @p len > 0. */
+    void
+    markWritten(goff_t off, size_t len)
+    {
+        for (size_t p = off / PAGE; p <= (off + len - 1) / PAGE; ++p)
+            pages[p] |= WRITTEN;
     }
 
     /** First shared range that ends after @p off. */
@@ -206,6 +274,14 @@ class MemTarget
                 return prev;
         }
         return it;
+    }
+
+    /** Whether a shared range overlaps page @p p. */
+    bool
+    pageShared(size_t p)
+    {
+        auto it = firstOverlap(p * PAGE);
+        return it != shared.end() && it->first < (p + 1) * PAGE;
     }
 
     /** read() over pages with shared ranges: never touches the store
@@ -230,41 +306,116 @@ class MemTarget
         std::memcpy(dst + done, data.get() + off + done, len - done);
     }
 
-    /** Copy every shared range overlapping [off, off+len) into the
-     *  store and drop it. */
+    /** Copy the shared bytes of [off, off+len) into the store. */
     void
     copyIn(goff_t off, size_t len)
     {
         const goff_t end = off + len;
-        auto it = firstOverlap(off);
-        while (it != shared.end() && it->first < end) {
-            const goff_t start = it->first;
+        for (auto it = firstOverlap(off);
+             it != shared.end() && it->first < end; ++it) {
             const Shared &s = it->second;
-            std::memcpy(data.get() + start, s.src->data() + s.srcOff, s.len);
-            const goff_t rangeEnd = start + s.len;
-            it = shared.erase(it);
-            clearFlags(start, rangeEnd);
+            const goff_t lo = std::max<goff_t>(off, it->first);
+            const goff_t hi = std::min<goff_t>(end, it->first + s.len);
+            std::memcpy(data.get() + lo,
+                        s.src->data() + s.srcOff + (lo - it->first), hi - lo);
         }
     }
 
     /**
-     * Clear the flags of the pages of the dropped range [start, end).
-     * Ranges never overlap, so only its two edge pages can still hold
-     * another range.
+     * Remove [off, off+len) from the shared ranges. The parts of a
+     * range outside it stay shared; the store under the cut part keeps
+     * whatever it held before.
      */
     void
-    clearFlags(goff_t start, goff_t end)
+    cut(goff_t off, size_t len)
     {
-        const size_t first = start / FLAG_PAGE;
-        const size_t lastPage = (end - 1) / FLAG_PAGE;
-        for (size_t p = first; p <= lastPage; ++p)
-            pages[p] = 0;
-        for (size_t p : {first, lastPage}) {
-            const goff_t lo = p * FLAG_PAGE;
-            auto it = firstOverlap(lo);
-            if (it != shared.end() && it->first < lo + FLAG_PAGE)
-                pages[p] = 1;
+        if (!mayShare(off, len))
+            return;
+        const goff_t end = off + len;
+        auto it = firstOverlap(off);
+        if (it == shared.end() || it->first >= end)
+            return;
+        while (it != shared.end() && it->first < end) {
+            const goff_t start = it->first;
+            const goff_t rangeEnd = start + it->second.len;
+            if (rangeEnd > end) {
+                Shared &s = it->second;
+                shared.emplace_hint(std::next(it), end,
+                                    Shared{rangeEnd - end, s.src,
+                                           s.srcOff + (end - start)});
+            }
+            if (start < off) {
+                it->second.len = off - start;
+                ++it;
+            } else {
+                it = shared.erase(it);
+            }
+            if (rangeEnd > end)
+                break;
         }
+        // Ranges never overlap, so only the two edge pages can still
+        // hold one.
+        const size_t first = off / PAGE, last = (end - 1) / PAGE;
+        for (size_t p = first + 1; p < last; ++p)
+            pages[p] &= ~SHARED;
+        for (size_t p : {first, last}) {
+            if (!pageShared(p))
+                pages[p] &= ~SHARED;
+        }
+    }
+
+    /**
+     * Let [off, off+len), which no range overlaps, refer to
+     * @p src[srcOff, srcOff+len). A range that ends at @p off and
+     * continues in @p src just before @p srcOff grows instead.
+     */
+    void
+    addRange(goff_t off, SharedBytes src, size_t srcOff, size_t len)
+    {
+        auto next = shared.lower_bound(off);
+        auto prev = next == shared.begin() ? shared.end() : std::prev(next);
+        if (prev != shared.end() && prev->first + prev->second.len == off &&
+            prev->second.src == src &&
+            prev->second.srcOff + prev->second.len == srcOff)
+            prev->second.len += len;
+        else
+            shared.emplace_hint(next, off, Shared{len, std::move(src),
+                                                  srcOff});
+        for (size_t p = off / PAGE; p <= (off + len - 1) / PAGE; ++p)
+            pages[p] |= SHARED;
+    }
+
+    /** Record that @p dst now holds @p src[srcOff, srcOff+len). */
+    void
+    remember(const void *dst, const SharedBytes &src, size_t srcOff,
+             size_t len)
+    {
+        if (refs.size() >= REF_GENERATION) {
+            oldRefs = std::move(refs);
+            refs.clear();
+        }
+        refs.insert_or_assign(dst, Ref{src, srcOff, len});
+    }
+
+    /** The shared bytes that the @p len bytes at @p src still equal, or
+     *  nullptr: the memcmp makes a stale entry harmless. */
+    const Ref *
+    recalled(const void *src, size_t len) const
+    {
+        // The current generation is empty only until the first remember().
+        if (refs.empty())
+            return nullptr;
+        for (const auto *table : {&refs, &oldRefs}) {
+            auto it = table->find(src);
+            if (it == table->end())
+                continue;
+            const Ref &r = it->second;
+            if (r.len >= len &&
+                std::memcmp(src, r.src->data() + r.srcOff, len) == 0)
+                return &r;
+            return nullptr;
+        }
+        return nullptr;
     }
 
     size_t bytes;
@@ -273,10 +424,15 @@ class MemTarget
     std::unique_ptr<uint8_t[], Free> data;
     /** Shared ranges by start offset; pairwise disjoint. */
     std::map<goff_t, Shared> shared;
-    /** One flag per page: set if a shared range may overlap it. Empty
-     *  until the first share(), so memories without any stay on the
-     *  plain load-and-memcpy path. */
+    /** SHARED | WRITTEN flags, one byte per page. */
     std::vector<uint8_t> pages;
+    /**
+     * Destination buffer -> the shared bytes the last read() from one
+     * range copied into it. Two generations of at most REF_GENERATION
+     * entries each: when the current one fills it becomes the old one,
+     * so the newest entries always survive.
+     */
+    std::unordered_map<const void *, Ref> refs, oldRefs;
 };
 
 } // namespace m3

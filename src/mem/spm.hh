@@ -33,10 +33,10 @@ class Spm : public MemTarget
      * Direct pointer for the local core's load/store accesses to @p len
      * bytes at @p addr. A raw pointer bypasses read() and write(), so any
      * shared range (MemTarget::share) that those bytes overlap is copied
-     * in first.
+     * in first, and the bytes count as written (MemTarget::zero).
      */
     uint8_t *
-    ptr(spmaddr_t addr, size_t len = 0)
+    ptr(spmaddr_t addr, size_t len)
     {
         return own(addr, len);
     }

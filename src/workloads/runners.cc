@@ -360,6 +360,8 @@ runM3Scalability(const std::string &benchName, uint32_t instances,
                              std::chrono::steady_clock::now() - host0)
                              .count();
     result.events = sys.eventsExecuted();
+    for (uint32_t m = 0; m < sys.platform().dramModules(); ++m)
+        result.dramWrittenPages += sys.platform().dram(m).writtenPages();
     if (!finished) {
         for (uint32_t i = 0; i < instances; ++i)
             warn("instance %u rc=%d dur=%llu", i, rcs[i],

@@ -135,6 +135,9 @@ struct ScalabilityResult
     uint32_t appPes = 0;
     /** True when maxAppPes reduced the machine below one PE/instance. */
     bool capped = false;
+    /** DRAM pages the host wrote (MemTarget::writtenPages), over all
+     *  modules: the run's host footprint. */
+    size_t dramWrittenPages = 0;
 };
 
 ScalabilityResult runM3Scalability(const std::string &benchName,

@@ -1,16 +1,21 @@
 /**
  * @file
  * Unit tests for the simulated memories: DRAM and SPM start zeroed, the
- * host pays for DRAM pages only on first touch, shared ranges read as
- * their source bytes and are copied in on first modification, and
- * out-of-bounds accesses panic with the memory's name.
+ * host pays for DRAM pages only on first touch and zero() leaves
+ * untouched pages alone, shared ranges read as their source bytes and
+ * are cut or copied in on modification, copies of shared bytes through
+ * a host buffer stay references, every access matches a plain byte
+ * vector, and out-of-bounds accesses panic with the memory's name.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <fstream>
+#include <functional>
 #include <memory>
+#include <random>
 #include <vector>
 
 #include <unistd.h>
@@ -48,14 +53,32 @@ TEST(Mem, DramIsLazilyZeroed)
     for (goff_t off : {goff_t{0}, goff_t{512 * MiB}, goff_t{1024 * MiB - 1}})
         EXPECT_EQ(*dram.inspect(off, 1), 0) << "offset " << off;
 
+    // inspect() hands out a pointer, so its page counts as written.
+    EXPECT_EQ(dram.writtenPages(), 3u);
+
     const uint8_t bytes[] = {1, 2, 3, 4, 5, 6, 7, 8};
     dram.write(512 * MiB - 4, bytes, sizeof(bytes));
     EXPECT_EQ(*dram.inspect(512 * MiB, 1), 5);
+    EXPECT_EQ(dram.writtenPages(), 4u);
     dram.zero(512 * MiB - 4, sizeof(bytes));
     uint8_t back[sizeof(bytes)] = {0xff};
     dram.read(512 * MiB - 4, back, sizeof(back));
     for (uint8_t b : back)
         EXPECT_EQ(b, 0);
+
+    // A zero over written and never-written pages clears the written
+    // ones and leaves the rest alone, so they stay non-resident.
+    dram.write(600 * MiB + 5, bytes, sizeof(bytes));
+    const size_t rss2 = residentBytes();
+    dram.zero(256 * MiB, 512 * MiB);
+    dram.read(600 * MiB + 5, back, sizeof(back));
+    for (uint8_t b : back)
+        EXPECT_EQ(b, 0);
+    EXPECT_EQ(*dram.inspect(512 * MiB, 1), 0);
+    EXPECT_EQ(dram.writtenPages(), 5u);
+#ifdef __linux__
+    EXPECT_LT(residentBytes() - rss2, 64 * MiB);
+#endif
 }
 
 /** @p len bytes counting up from @p first, as shared source bytes. */
@@ -161,6 +184,256 @@ TEST(Mem, SharedRangesStayNonResident)
     ASSERT_GT(rss0, 0u);
     // Copying the ranges in, or reading the store under them, would make
     // all 256 MiB resident.
+    EXPECT_LT(rss1 - rss0, 16 * MiB);
+#endif
+}
+
+/** @p len random bytes from @p rng, as shared source bytes. */
+SharedBytes
+randomBytes(size_t len, std::mt19937_64 &rng)
+{
+    std::vector<uint8_t> v(len);
+    for (size_t i = 0; i < len; i += 8) {
+        const uint64_t r = rng();
+        std::memcpy(v.data() + i, &r, std::min<size_t>(8, len - i));
+    }
+    return std::make_shared<const std::vector<uint8_t>>(std::move(v));
+}
+
+/**
+ * A memory beside a plain byte vector that every operation also updates:
+ * each read, and the whole memory after each step, must match it.
+ */
+class MemModel
+{
+  public:
+    explicit MemModel(MemTarget &mem) : mem(mem), model(mem.size(), 0) {}
+
+    void
+    write(goff_t off, const std::vector<uint8_t> &src, size_t len)
+    {
+        mem.write(off, src.data(), len);
+        std::copy_n(src.begin(), len, model.begin() + off);
+    }
+
+    void
+    zero(goff_t off, size_t len)
+    {
+        mem.zero(off, len);
+        std::fill_n(model.begin() + off, len, 0);
+    }
+
+    void
+    share(goff_t off, const SharedBytes &src, size_t srcOff, size_t len)
+    {
+        mem.share(off, src, srcOff, len);
+        std::copy_n(src->begin() + srcOff, len, model.begin() + off);
+    }
+
+    /** read() into @p buf, checked against the model. */
+    void
+    read(goff_t off, std::vector<uint8_t> &buf, size_t len)
+    {
+        mem.read(off, buf.data(), len);
+        EXPECT_TRUE(std::equal(buf.begin(), buf.begin() + len,
+                               model.begin() + off))
+            << "read " << off << " + " << len;
+    }
+
+    /** Copy [from, from+len) to @p to through @p buf, as a gate's
+     *  read() and write() do; @p flip changes one byte in between. */
+    void
+    copy(goff_t from, goff_t to, size_t len, std::vector<uint8_t> &buf,
+         bool flip)
+    {
+        read(from, buf, len);
+        if (flip)
+            buf[len / 2] ^= 0x5a;
+        write(to, buf, len);
+    }
+
+    /** Whole-memory comparison. */
+    bool matches() { return contents(mem) == model; }
+
+    MemTarget &mem;
+    std::vector<uint8_t> model;
+};
+
+TEST(Mem, CopiesOfSharedBytesStayReferences)
+{
+    std::mt19937_64 rng(1);
+    const SharedBytes file = randomBytes(64 * KiB, rng);
+    Dram dram(1 * MiB, 20);
+    MemModel m(dram);
+    std::vector<uint8_t> buf(16 * KiB);
+
+    // Read back and write through the same buffer, chunk by chunk: each
+    // chunk continues the last one, so one range grows.
+    m.share(0, file, 0, file->size());
+    m.zero(256 * KiB, 256 * KiB);
+    for (goff_t off = 0; off < file->size(); off += 4 * KiB)
+        m.copy(off, 256 * KiB + off, 4 * KiB, buf, false);
+    EXPECT_EQ(dram.writtenPages(), 0u);
+    EXPECT_EQ(dram.sharedRanges(), 2u);
+    EXPECT_TRUE(m.matches());
+
+    // Next to a range, not continuing it: a range of its own.
+    m.copy(0, 256 * KiB + file->size(), 4 * KiB, buf, false);
+    EXPECT_EQ(dram.sharedRanges(), 3u);
+    // Onto the end of a range from the wrong source offset: no coalescing.
+    m.copy(8 * KiB, 512 * KiB, 4 * KiB, buf, false);
+    m.copy(16 * KiB, 516 * KiB, 4 * KiB, buf, false);
+    EXPECT_EQ(dram.sharedRanges(), 5u);
+    EXPECT_EQ(dram.writtenPages(), 0u);
+
+    // One byte changed in the buffer: a plain copy.
+    m.copy(4 * KiB, 600 * KiB, 4 * KiB, buf, true);
+    EXPECT_EQ(dram.writtenPages(), 1u);
+    EXPECT_EQ(dram.sharedRanges(), 5u);
+
+    // A write longer than the read that filled the buffer is a copy,
+    // even where the buffer's next bytes match the source's.
+    m.read(0, buf, 4 * KiB);
+    std::copy_n(file->begin() + 4 * KiB, 4 * KiB, buf.begin() + 4 * KiB);
+    m.write(700 * KiB, buf, 8 * KiB);
+    EXPECT_EQ(dram.writtenPages(), 3u);
+    EXPECT_EQ(dram.sharedRanges(), 5u);
+
+    // A write at, across and beside a range's edge cuts the range; the
+    // parts outside it stay references.
+    const goff_t edge = 256 * KiB + file->size();
+    std::vector<uint8_t> junk(100, 0xee);
+    m.write(edge - 100, junk, 100);
+    m.write(edge - 30, junk, 60);
+    m.write(edge + 4 * KiB, junk, 10);
+    m.write(256 * KiB + 1000, junk, 1);
+    EXPECT_TRUE(m.matches());
+    EXPECT_EQ(dram.sharedRanges(), 5u + 1);
+
+    // A zero over the middle of a range keeps both ends; one over whole
+    // ranges drops them, across written and never-written pages.
+    m.zero(256 * KiB + 5000, 10000);
+    EXPECT_EQ(dram.sharedRanges(), 7u);
+    m.zero(500 * KiB, 200 * KiB);
+    EXPECT_TRUE(m.matches());
+    EXPECT_EQ(dram.sharedRanges(), 5u);
+}
+
+/**
+ * Seeded random write, copy, zero, share, read and raw-pointer steps on
+ * a DRAM and an SPM, checked against a byte vector after every step.
+ * Offsets cluster around page edges and the edges of recent shares.
+ */
+void
+runMemModel(MemTarget &mem, uint64_t seed,
+            const std::function<uint8_t *(goff_t, size_t)> &raw)
+{
+    std::mt19937_64 rng(seed);
+    const SharedBytes srcs[] = {randomBytes(24 * KiB, rng),
+                                randomBytes(9000, rng)};
+    MemModel m(mem);
+    std::vector<uint8_t> buf(3 * 4096 + 64), fresh(buf.size());
+    std::vector<goff_t> edges;
+
+    auto below = [&](size_t n) { return static_cast<size_t>(rng() % n); };
+    auto pick = [&]() -> goff_t {
+        goff_t at = below(mem.size());
+        if (below(2)) {
+            at = below(2) || edges.empty() ? below(mem.size() / 4096) * 4096
+                                           : edges[below(edges.size())];
+            at = at + below(5) - std::min<goff_t>(at, 2);
+        }
+        return std::min<goff_t>(at, mem.size() - 1);
+    };
+    auto length = [&](goff_t off) {
+        size_t len = below(3) ? 1 + below(64) : 1 + below(buf.size() - 64);
+        return std::min<size_t>(len, mem.size() - off);
+    };
+
+    for (int step = 0; step < 3000; ++step) {
+        const goff_t off = pick();
+        const size_t len = length(off);
+        switch (below(7)) {
+          case 0:
+            for (size_t i = 0; i < len; ++i)
+                fresh[i] = static_cast<uint8_t>(rng());
+            m.write(off, fresh, len);
+            break;
+          case 1:
+          case 2: {
+            const goff_t to = pick();
+            m.copy(off, to, std::min(len, mem.size() - to), buf,
+                   below(4) == 0);
+            break;
+          }
+          case 3:
+            m.zero(off, len);
+            break;
+          case 4: {
+            const SharedBytes &src = srcs[below(2)];
+            const size_t srcOff = below(src->size() / 2);
+            const size_t n = std::min(len, src->size() - srcOff);
+            m.share(off, src, srcOff, n);
+            edges.push_back(off);
+            edges.push_back(off + n);
+            if (edges.size() > 16)
+                edges.erase(edges.begin(), edges.begin() + 2);
+            break;
+          }
+          case 5:
+            m.read(off, buf, len);
+            break;
+          case 6: {
+            uint8_t *p = raw(off, len);
+            ASSERT_TRUE(std::equal(p, p + len, m.model.begin() + off))
+                << "raw " << off << " + " << len;
+            break;
+          }
+        }
+        ASSERT_TRUE(m.matches()) << "seed " << seed << " step " << step;
+    }
+}
+
+TEST(Mem, MatchesAPlainByteVector)
+{
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+        Dram dram(64 * KiB, 20);
+        runMemModel(dram, seed, [&](goff_t off, size_t len) {
+            return const_cast<uint8_t *>(dram.inspect(off, len));
+        });
+        Spm spm(32 * KiB);
+        runMemModel(spm, seed, [&](goff_t off, size_t len) {
+            return spm.ptr(static_cast<spmaddr_t>(off), len);
+        });
+    }
+}
+
+TEST(Mem, CopiedFileStaysNonResident)
+{
+    std::mt19937_64 rng(3);
+    const SharedBytes file = randomBytes(64 * MiB, rng);
+    std::vector<uint8_t> buf(4 * KiB);
+    Dram dram(256 * MiB, 20);
+    dram.share(0, file, 0, file->size());
+    const size_t rss0 = residentBytes();
+    const goff_t to = 128 * MiB;
+    dram.zero(to, file->size());
+    for (goff_t off = 0; off < file->size(); off += buf.size()) {
+        dram.read(off, buf.data(), buf.size());
+        dram.write(to + off, buf.data(), buf.size());
+    }
+    bool same = true;
+    for (goff_t off = 0; off < file->size(); off += buf.size()) {
+        dram.read(to + off, buf.data(), buf.size());
+        same = same && std::equal(buf.begin(), buf.end(),
+                                  file->begin() + off);
+    }
+    EXPECT_TRUE(same);
+    EXPECT_EQ(dram.writtenPages(), 0u);
+    const size_t rss1 = residentBytes();
+#ifdef __linux__
+    ASSERT_GT(rss0, 0u);
+    // A copy of the file would make its 64 MiB resident.
     EXPECT_LT(rss1 - rss0, 16 * MiB);
 #endif
 }

@@ -205,6 +205,16 @@ TEST(Scalability, CatTrScalesAlmostPerfectly)
               two.avgInstance + two.avgInstance / 2);
 }
 
+TEST(Scalability, TarHostFootprintIsPinned)
+{
+    // The DRAM pages the host writes for the 16-instance tar machine.
+    // The member files are copied by reference (MemTarget::write), so
+    // this counts tar headers and m3fs metadata, not file contents: a
+    // change that makes the copies materialise again moves it.
+    ScalabilityResult r = runM3Scalability("tar", 16);
+    ASSERT_EQ(r.rc, 0);
+    EXPECT_EQ(r.dramWrittenPages, 118u);
+}
 
 TEST(FsImage, SharedPatternContentIsByteIdentical)
 {
