@@ -146,7 +146,7 @@ runAll(int reps)
         return fromRunResult(m3NullSyscall(512));
     }));
     MicroOpts micro;  // paper defaults: 2 MiB transfers, 4 KiB buffers
-    out.push_back(measure("read", reps, 24, [&] {
+    out.push_back(measure("read", reps, 48, [&] {
         return fromRunResult(m3FileRead(micro));
     }));
     out.push_back(measure("write", reps, 80, [&] {

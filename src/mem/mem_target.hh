@@ -15,7 +15,9 @@
  *   images and files have in common). Reads copy from those bytes; a
  *   write or zero over part of a range cuts that part out and leaves
  *   the rest a reference; only a raw pointer into a range copies the
- *   bytes it covers into the store.
+ *   bytes it covers into the store. A directory of one word per 4 KiB
+ *   page, also from calloc, names the first range on the page, so
+ *   finding the ranges of an access looks at its own pages only.
  * - Copies by reference: read() remembers, per destination buffer, the
  *   shared bytes it was served from. A later write() from that buffer
  *   whose bytes still equal them (memcmp) becomes a shared range instead
@@ -30,8 +32,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
-#include <iterator>
-#include <map>
 #include <memory>
 #include <new>
 #include <unordered_map>
@@ -60,9 +60,10 @@ class MemTarget
     MemTarget(size_t bytes, Cycles latency, const char *kind)
         : bytes(bytes), latency(latency), kind(kind),
           data(static_cast<uint8_t *>(std::calloc(bytes, 1))),
-          pages((bytes + PAGE - 1) / PAGE)
+          pages((bytes + PAGE - 1) / PAGE),
+          dir(static_cast<uint32_t *>(std::calloc(pages, sizeof(uint32_t))))
     {
-        if (!data)
+        if (!data || !dir)
             throw std::bad_alloc();
     }
 
@@ -78,20 +79,19 @@ class MemTarget
     read(goff_t off, void *dst, size_t len)
     {
         const uint8_t *src = at(off, len);
-        if (!mayShare(off, len)) {
+        const uint32_t r = firstIn(off, len);
+        if (r == NONE) {
             std::memcpy(dst, src, len);
             return;
         }
-        auto it = firstOverlap(off);
-        if (it != shared.end() && it->first <= off &&
-            it->first + it->second.len >= off + len) {
-            const Shared &s = it->second;
-            const size_t srcOff = s.srcOff + (off - it->first);
-            std::memcpy(dst, s.src->data() + srcOff, len);
-            remember(dst, s.src, srcOff, len);
+        const Range &g = ranges[r];
+        if (g.start <= off && g.end() >= off + len) {
+            const size_t srcOff = g.srcOff + (off - g.start);
+            std::memcpy(dst, g.src->data() + srcOff, len);
+            remember(dst, g.src, srcOff, len);
             return;
         }
-        readShared(off, static_cast<uint8_t *>(dst), len);
+        readShared(off, static_cast<uint8_t *>(dst), len, r);
     }
 
     /**
@@ -130,12 +130,12 @@ class MemTarget
         cut(off, len);
         const goff_t end = off + len;
         for (size_t p = off / PAGE; p <= (end - 1) / PAGE;) {
-            if (!(pages[p] & WRITTEN)) {
+            if (!(dir[p] & WRITTEN)) {
                 ++p;
                 continue;
             }
             size_t q = p + 1;
-            while (q <= (end - 1) / PAGE && (pages[q] & WRITTEN))
+            while (q <= (end - 1) / PAGE && (dir[q] & WRITTEN))
                 ++q;
             const goff_t lo = std::max<goff_t>(off, p * PAGE);
             const goff_t hi = std::min<goff_t>(end, q * PAGE);
@@ -173,12 +173,12 @@ class MemTarget
     writtenPages() const
     {
         return static_cast<size_t>(
-            std::count_if(pages.begin(), pages.end(),
-                          [](uint8_t f) { return f & WRITTEN; }));
+            std::count_if(dir.get(), dir.get() + pages,
+                          [](uint32_t w) { return w & WRITTEN; }));
     }
 
     /** Number of shared ranges. For tests. */
-    size_t sharedRanges() const { return shared.size(); }
+    size_t sharedRanges() const { return live; }
 
   protected:
     /**
@@ -192,8 +192,8 @@ class MemTarget
         uint8_t *p = at(off, len);
         if (len == 0)
             return p;
-        if (mayShare(off, len)) {
-            copyIn(off, len);
+        if (const uint32_t r = firstIn(off, len); r != NONE) {
+            copyIn(off, len, r);
             cut(off, len);
         }
         markWritten(off, len);
@@ -211,22 +211,33 @@ class MemTarget
         return data.get() + off;
     }
 
-    /** Granularity of the per-page flags. */
+    /** Granularity of the page directory. */
     static constexpr size_t PAGE = 4096;
-    /** Page flag: a shared range overlaps the page. */
-    static constexpr uint8_t SHARED = 1;
-    /** Page flag: the store has written the page. */
-    static constexpr uint8_t WRITTEN = 2;
+    /** Directory word bit: the store has written the page. The other
+     *  bits hold the index of the first range on the page, plus one. */
+    static constexpr uint32_t WRITTEN = 1;
+    /** No range. */
+    static constexpr uint32_t NONE = ~uint32_t(0);
     /** Entries per generation of the read-source table: far above the
      *  number of buffers copying at once (240 on the largest machine). */
     static constexpr size_t REF_GENERATION = 4096;
 
-    /** A range whose bytes live in a shared buffer, keyed by its start. */
-    struct Shared
+    /**
+     * A range [start, start+len) whose bytes live in a shared buffer.
+     * next links to the range after it only if that one starts on this
+     * one's last page, so the ranges on one page form a chain from the
+     * page's directory word.
+     */
+    struct Range
     {
+        goff_t start;
         size_t len;
         SharedBytes src;
         size_t srcOff;
+        uint32_t next;
+
+        goff_t end() const { return start + len; }
+        size_t lastPage() const { return (start + len - 1) / PAGE; }
     };
 
     /** What a read() from one shared range left in its destination. */
@@ -239,85 +250,147 @@ class MemTarget
 
     struct Free
     {
-        void operator()(uint8_t *p) const { std::free(p); }
+        void operator()(void *p) const { std::free(p); }
     };
 
-    /** Whether [off, off+len) lies on a page that holds shared bytes. */
-    bool
-    mayShare(goff_t off, size_t len) const
+    /** The first range on page @p p, or NONE. */
+    uint32_t firstOn(size_t p) const { return (dir[p] >> 1) - 1; }
+
+    /** Make @p r (or NONE) the first range on page @p p. The word is
+     *  stored only if it changes, so pages stay untouched. */
+    void
+    setFirst(size_t p, uint32_t r)
     {
-        if (shared.empty() || len == 0)
-            return false;
-        for (size_t p = off / PAGE; p <= (off + len - 1) / PAGE; ++p) {
-            if (pages[p] & SHARED)
-                return true;
-        }
-        return false;
+        const uint32_t w = ((r + 1) << 1) | (dir[p] & WRITTEN);
+        if (dir[p] != w)
+            dir[p] = w;
     }
 
     /** Flag the pages of [off, off+len) as written; @p len > 0. */
     void
     markWritten(goff_t off, size_t len)
     {
-        for (size_t p = off / PAGE; p <= (off + len - 1) / PAGE; ++p)
-            pages[p] |= WRITTEN;
-    }
-
-    /** First shared range that ends after @p off. */
-    std::map<goff_t, Shared>::iterator
-    firstOverlap(goff_t off)
-    {
-        auto it = shared.upper_bound(off);
-        if (it != shared.begin()) {
-            auto prev = std::prev(it);
-            if (prev->first + prev->second.len > off)
-                return prev;
+        for (size_t p = off / PAGE; p <= (off + len - 1) / PAGE; ++p) {
+            if (!(dir[p] & WRITTEN))
+                dir[p] |= WRITTEN;
         }
-        return it;
     }
 
-    /** Whether a shared range overlaps page @p p. */
-    bool
-    pageShared(size_t p)
+    /** The first range overlapping [off, off+len), or NONE. */
+    uint32_t
+    firstIn(goff_t off, size_t len) const
     {
-        auto it = firstOverlap(p * PAGE);
-        return it != shared.end() && it->first < (p + 1) * PAGE;
+        if (live == 0 || len == 0)
+            return NONE;
+        const goff_t end = off + len;
+        // The ranges on off's page come in order; those before off end
+        // on that page, and so link to the next one on it.
+        for (uint32_t r = firstOn(off / PAGE); r != NONE;
+             r = ranges[r].next) {
+            if (ranges[r].start >= end)
+                return NONE;
+            if (ranges[r].end() > off)
+                return r;
+        }
+        // Any range on a later page extends past off.
+        for (size_t p = off / PAGE + 1; p <= (end - 1) / PAGE; ++p) {
+            if (const uint32_t r = firstOn(p); r != NONE)
+                return ranges[r].start < end ? r : NONE;
+        }
+        return NONE;
     }
 
-    /** read() over pages with shared ranges: never touches the store
-     *  under a shared range, which would fault in zero pages. */
+    /** The range after @p r, or NONE if that one starts on a page past
+     *  both r's last page and @p last. */
+    uint32_t
+    after(uint32_t r, size_t last) const
+    {
+        if (ranges[r].next != NONE)
+            return ranges[r].next;
+        for (size_t p = ranges[r].lastPage() + 1; p <= last; ++p) {
+            if (firstOn(p) != NONE)
+                return firstOn(p);
+        }
+        return NONE;
+    }
+
+    /** The range whose next link is @p r, or NONE. */
+    uint32_t
+    linkedTo(uint32_t r) const
+    {
+        uint32_t x = firstOn(ranges[r].start / PAGE);
+        if (x == r)
+            return NONE;
+        while (ranges[x].next != r)
+            x = ranges[x].next;
+        return x;
+    }
+
+    /** A slot of the slab holding @p g. */
+    uint32_t
+    newRange(Range g)
+    {
+        ++live;
+        if (freeRange != NONE) {
+            const uint32_t r = freeRange;
+            freeRange = ranges[r].next;
+            ranges[r] = std::move(g);
+            return r;
+        }
+        // Indices plus one, shifted past the WRITTEN bit, fit a word.
+        if (ranges.size() >= (NONE >> 1) - 1)
+            panic("%s has too many shared ranges", kind);
+        ranges.push_back(std::move(g));
+        return static_cast<uint32_t>(ranges.size() - 1);
+    }
+
+    /** Return the slot of @p r to the slab. */
     void
-    readShared(goff_t off, uint8_t *dst, size_t len)
+    dropRange(uint32_t r)
     {
+        --live;
+        ranges[r].src.reset();
+        ranges[r].next = freeRange;
+        freeRange = r;
+    }
+
+    /** read() over pages with shared ranges, the first being @p r:
+     *  never touches the store under a shared range, which would fault
+     *  in zero pages. */
+    void
+    readShared(goff_t off, uint8_t *dst, size_t len, uint32_t r)
+    {
+        const goff_t end = off + len;
+        const size_t last = (end - 1) / PAGE;
         size_t done = 0;
-        for (auto it = firstOverlap(off);
-             it != shared.end() && it->first < off + len; ++it) {
-            const Shared &s = it->second;
-            if (it->first > off + done) {
-                const size_t gap = it->first - (off + done);
+        for (; r != NONE && ranges[r].start < end; r = after(r, last)) {
+            const Range &g = ranges[r];
+            if (g.start > off + done) {
+                const size_t gap = g.start - (off + done);
                 std::memcpy(dst + done, data.get() + off + done, gap);
                 done += gap;
             }
-            const size_t into = off + done - it->first;
-            const size_t n = std::min(len - done, s.len - into);
-            std::memcpy(dst + done, s.src->data() + s.srcOff + into, n);
+            const size_t into = off + done - g.start;
+            const size_t n = std::min(len - done, g.len - into);
+            std::memcpy(dst + done, g.src->data() + g.srcOff + into, n);
             done += n;
         }
         std::memcpy(dst + done, data.get() + off + done, len - done);
     }
 
-    /** Copy the shared bytes of [off, off+len) into the store. */
+    /** Copy the shared bytes of [off, off+len), whose first range is
+     *  @p r, into the store. */
     void
-    copyIn(goff_t off, size_t len)
+    copyIn(goff_t off, size_t len, uint32_t r)
     {
         const goff_t end = off + len;
-        for (auto it = firstOverlap(off);
-             it != shared.end() && it->first < end; ++it) {
-            const Shared &s = it->second;
-            const goff_t lo = std::max<goff_t>(off, it->first);
-            const goff_t hi = std::min<goff_t>(end, it->first + s.len);
+        const size_t last = (end - 1) / PAGE;
+        for (; r != NONE && ranges[r].start < end; r = after(r, last)) {
+            const Range &g = ranges[r];
+            const goff_t lo = std::max<goff_t>(off, g.start);
+            const goff_t hi = std::min<goff_t>(end, g.end());
             std::memcpy(data.get() + lo,
-                        s.src->data() + s.srcOff + (lo - it->first), hi - lo);
+                        g.src->data() + g.srcOff + (lo - g.start), hi - lo);
         }
     }
 
@@ -329,39 +402,63 @@ class MemTarget
     void
     cut(goff_t off, size_t len)
     {
-        if (!mayShare(off, len))
+        uint32_t r = firstIn(off, len);
+        if (r == NONE)
             return;
         const goff_t end = off + len;
-        auto it = firstOverlap(off);
-        if (it == shared.end() || it->first >= end)
-            return;
-        while (it != shared.end() && it->first < end) {
-            const goff_t start = it->first;
-            const goff_t rangeEnd = start + it->second.len;
-            if (rangeEnd > end) {
-                Shared &s = it->second;
-                shared.emplace_hint(std::next(it), end,
-                                    Shared{rangeEnd - end, s.src,
-                                           s.srcOff + (end - start)});
-            }
-            if (start < off) {
-                it->second.len = off - start;
-                ++it;
-            } else {
-                it = shared.erase(it);
-            }
-            if (rangeEnd > end)
+        const size_t f = off / PAGE, l = (end - 1) / PAGE;
+        const uint32_t first = r;
+        // The range before the cut, which may link across it, and the
+        // one after it.
+        const uint32_t left = ranges[r].start < off ? r : linkedTo(r);
+        uint32_t right = NONE;
+        for (; r != NONE && ranges[r].start < end; r = right) {
+            Range &g = ranges[r];
+            const goff_t gEnd = g.end();
+            if (gEnd > end && g.start < off) {
+                // Both ends stay: the right one takes a new slot and the
+                // pages past the cut that named this range.
+                Range rest{end, gEnd - end, g.src, g.srcOff + (end - g.start),
+                           g.next};
+                g.len = off - g.start;
+                right = newRange(std::move(rest));
+                for (size_t p = l + 1; p <= ranges[right].lastPage(); ++p)
+                    setFirst(p, right);
                 break;
+            }
+            if (gEnd > end) {
+                g.srcOff += end - g.start;
+                g.len = gEnd - end;
+                g.start = end;
+                right = r;
+                break;
+            }
+            right = after(r, l);
+            if (g.start < off)
+                g.len = off - g.start;
+            else
+                dropRange(r);
         }
-        // Ranges never overlap, so only the two edge pages can still
-        // hold one.
-        const size_t first = off / PAGE, last = (end - 1) / PAGE;
-        for (size_t p = first + 1; p < last; ++p)
-            pages[p] &= ~SHARED;
-        for (size_t p : {first, last}) {
-            if (!pageShared(p))
-                pages[p] &= ~SHARED;
+        if (left != NONE) {
+            ranges[left].next = right != NONE && ranges[right].start / PAGE ==
+                                                     ranges[left].lastPage()
+                                    ? right
+                                    : NONE;
         }
+        // Only the edge pages can still hold a range. A range before
+        // the cut that is first on f stays first.
+        const auto startsOn = [&](uint32_t x, size_t p) {
+            return x != NONE && ranges[x].start < (p + 1) * PAGE;
+        };
+        if (firstOn(f) == first) {
+            setFirst(f, left == first && off > f * PAGE ? first
+                        : startsOn(right, f)            ? right
+                                                        : NONE);
+        }
+        for (size_t p = f + 1; p < l; ++p)
+            setFirst(p, NONE);
+        if (l != f)
+            setFirst(l, startsOn(right, l) ? right : NONE);
     }
 
     /**
@@ -372,17 +469,42 @@ class MemTarget
     void
     addRange(goff_t off, SharedBytes src, size_t srcOff, size_t len)
     {
-        auto next = shared.lower_bound(off);
-        auto prev = next == shared.begin() ? shared.end() : std::prev(next);
-        if (prev != shared.end() && prev->first + prev->second.len == off &&
-            prev->second.src == src &&
-            prev->second.srcOff + prev->second.len == srcOff)
-            prev->second.len += len;
-        else
-            shared.emplace_hint(next, off, Shared{len, std::move(src),
-                                                  srcOff});
-        for (size_t p = off / PAGE; p <= (off + len - 1) / PAGE; ++p)
-            pages[p] |= SHARED;
+        const goff_t end = off + len;
+        const size_t f = off / PAGE, l = (end - 1) / PAGE;
+        // The last range before off on the page of byte off - 1 (one
+        // ending exactly at a page edge lives on the previous page).
+        uint32_t before = NONE;
+        if (off > 0) {
+            for (uint32_t x = firstOn((off - 1) / PAGE);
+                 x != NONE && ranges[x].start < off; x = ranges[x].next)
+                before = x;
+        }
+        // The range after, if it starts on the new range's last page.
+        uint32_t next = firstOn(l);
+        while (next != NONE && ranges[next].start < off)
+            next = ranges[next].next;
+        if (next != NONE && ranges[next].start / PAGE != l)
+            next = NONE;
+
+        uint32_t r;
+        if (before != NONE && ranges[before].end() == off &&
+            ranges[before].src == src &&
+            ranges[before].srcOff + ranges[before].len == srcOff) {
+            r = before;
+            ranges[r].len += len;
+        } else {
+            r = newRange(Range{off, len, std::move(src), srcOff, NONE});
+            if (before != NONE && ranges[before].lastPage() == f)
+                ranges[before].next = r;
+        }
+        ranges[r].next = next;
+        // The range is first on its pages unless one before it shares
+        // its first page.
+        for (size_t p = f; p <= l; ++p) {
+            const uint32_t x = firstOn(p);
+            if (x == NONE || ranges[x].start >= off)
+                setFirst(p, r);
+        }
     }
 
     /** Record that @p dst now holds @p src[srcOff, srcOff+len). */
@@ -422,10 +544,15 @@ class MemTarget
     Cycles latency;
     const char *kind;
     std::unique_ptr<uint8_t[], Free> data;
-    /** Shared ranges by start offset; pairwise disjoint. */
-    std::map<goff_t, Shared> shared;
-    /** SHARED | WRITTEN flags, one byte per page. */
-    std::vector<uint8_t> pages;
+    size_t pages;
+    /** Per page: the first range on it, and the WRITTEN bit. */
+    std::unique_ptr<uint32_t[], Free> dir;
+    /** The shared ranges, pairwise disjoint; free slots are chained
+     *  through next from freeRange. */
+    std::vector<Range> ranges;
+    uint32_t freeRange = NONE;
+    /** Ranges in use. */
+    size_t live = 0;
     /**
      * Destination buffer -> the shared bytes the last read() from one
      * range copied into it. Two generations of at most REF_GENERATION

@@ -1,24 +1,28 @@
 /**
  * @file
- * The discrete-event core: a global clock and a min-heap of events.
+ * The discrete-event core: a global clock and a time-ordered queue of
+ * events.
  *
  * Everything in the platform (NoC packet delivery, DTU command completion,
  * fiber wakeups) is an event. Ties at the same cycle are broken by
  * insertion order, which keeps the simulation fully deterministic.
  *
  * The engine is the hot path of every benchmark, so it is built for
- * near-zero allocation in steady state: callbacks are small-buffer
- * optimized (SmallFn), they live in pooled slots recycled through a free
- * list, and the heap itself orders 24-byte keys (cycle, sequence, slot)
- * instead of whole events. Sifting moves PODs, the callback bytes never
- * move while queued, and popping moves the callback out exactly once —
- * no `const_cast`-on-`top()` tricks like the old `std::priority_queue`
- * needed.
+ * near-zero allocation and constant-time work per event: callbacks are
+ * small-buffer optimized (SmallFn) and live in pooled slots recycled
+ * through a free list. An event due within WINDOW cycles of now goes
+ * into the FIFO bucket of its cycle, found again through an occupancy
+ * bitmap; a later one waits in a binary heap of 24-byte keys (cycle,
+ * sequence, slot) and moves into its bucket once the clock comes within
+ * WINDOW of it. Callback bytes never move while queued, and running an
+ * event moves its callback out exactly once.
  */
 
 #ifndef M3_SIM_EVENT_QUEUE_HH
 #define M3_SIM_EVENT_QUEUE_HH
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -35,7 +39,7 @@ struct SimStats
 {
     uint64_t eventsScheduled = 0;
     uint64_t eventsExecuted = 0;
-    uint64_t peakPending = 0;  //!< high-water mark of the event heap
+    uint64_t peakPending = 0;  //!< high-water mark of pending events
     /** Callbacks whose captures exceeded SmallFn::InlineCapacity. The
      *  core DTU/NoC/fiber paths must never contribute here (asserted
      *  in tests); occasional cold-path fallbacks are acceptable. */
@@ -50,6 +54,9 @@ class EventQueue
 {
   public:
     using Callback = SmallFn;
+
+    /** Cycles ahead of now that the buckets cover; a power of two. */
+    static constexpr Cycles WINDOW = 1024;
 
     EventQueue() = default;
 
@@ -80,18 +87,23 @@ class EventQueue
         if (M3_METRICS_ON) {
             static trace::Histogram &depth =
                 trace::Metrics::histogram("sim.queue_depth");
-            depth.observe(heap.size() + 1);
+            depth.observe(pending() + 1);
         }
         const uint32_t slot = acquireSlot();
         slots[slot].cb = std::move(cb);
-        heapPush(HeapEntry{when, nextSeq++, slot});
+        if (when - now < WINDOW)
+            append(when, slot);
+        else
+            heapPush(HeapEntry{when, nextSeq++, slot});
+        if (pending() > simStats.peakPending)
+            simStats.peakPending = pending();
     }
 
     /** True if no events are pending. */
-    bool empty() const { return heap.empty(); }
+    bool empty() const { return pending() == 0; }
 
     /** Number of pending events. */
-    size_t pending() const { return heap.size(); }
+    size_t pending() const { return near + heap.size(); }
 
     /**
      * Execute the earliest pending event, advancing the clock to its cycle.
@@ -100,9 +112,9 @@ class EventQueue
     bool
     runOne()
     {
-        if (heap.empty())
+        if (empty())
             return false;
-        execTop();
+        execAt(nextCycle());
         return true;
     }
 
@@ -114,8 +126,11 @@ class EventQueue
     run(Cycles limit = ~Cycles(0))
     {
         uint64_t executed = 0;
-        while (!heap.empty() && heap.front().when <= limit) {
-            execTop();
+        while (!empty()) {
+            const Cycles when = nextCycle();
+            if (when > limit)
+                break;
+            execAt(when);
             ++executed;
         }
         return executed;
@@ -125,7 +140,7 @@ class EventQueue
     const SimStats &stats() const { return simStats; }
 
   private:
-    /** Heap key: the callback bytes stay put in their pooled slot. */
+    /** Far-heap key: the callback bytes stay put in their pooled slot. */
     struct HeapEntry
     {
         Cycles when;
@@ -139,21 +154,32 @@ class EventQueue
         }
     };
 
-    /** A pooled event slot; free slots are chained through nextFree. */
+    /** A pooled event slot, chained through next into its bucket's FIFO
+     *  while queued and into the free list while free. */
     struct Slot
     {
         Callback cb;
-        uint32_t nextFree = NO_SLOT;
+        uint32_t next = NO_SLOT;
+    };
+
+    /** The events of one cycle in the window, in insertion order. */
+    struct Bucket
+    {
+        uint32_t head = NO_SLOT;
+        uint32_t tail = NO_SLOT;
     };
 
     static constexpr uint32_t NO_SLOT = ~uint32_t(0);
+    static constexpr Cycles MASK = WINDOW - 1;
+    static constexpr size_t WORDS = WINDOW / 64;
+    static_assert((WINDOW & MASK) == 0 && WINDOW % 64 == 0);
 
     uint32_t
     acquireSlot()
     {
         if (freeHead != NO_SLOT) {
             uint32_t s = freeHead;
-            freeHead = slots[s].nextFree;
+            freeHead = slots[s].next;
             return s;
         }
         slots.emplace_back();
@@ -163,8 +189,82 @@ class EventQueue
     void
     releaseSlot(uint32_t s)
     {
-        slots[s].nextFree = freeHead;
+        slots[s].next = freeHead;
         freeHead = s;
+    }
+
+    /** Queue @p slot last in the bucket of @p when, which is in the
+     *  window [now, now + WINDOW). */
+    void
+    append(Cycles when, uint32_t slot)
+    {
+        const size_t b = when & MASK;
+        Bucket &bk = buckets[b];
+        slots[slot].next = NO_SLOT;
+        if (bk.tail == NO_SLOT) {
+            bk.head = slot;
+            occupied[b / 64] |= uint64_t(1) << (b % 64);
+        } else {
+            slots[bk.tail].next = slot;
+        }
+        bk.tail = slot;
+        ++near;
+    }
+
+    /** Cycle of the earliest pending event; the queue is not empty. */
+    Cycles
+    nextCycle() const
+    {
+        if (near == 0)
+            return heap.front().when;
+        // The first occupied bucket at or after now's, wrapping around.
+        const size_t from = now & MASK;
+        const size_t w = from / 64;
+        uint64_t bits = occupied[w] & (~uint64_t(0) << (from % 64));
+        size_t i = 0;
+        while (bits == 0) {
+            ++i;
+            bits = occupied[(w + i) % WORDS];
+        }
+        const size_t b = ((w + i) % WORDS) * 64 +
+                         static_cast<size_t>(std::countr_zero(bits));
+        return now + ((b - from) & MASK);
+    }
+
+    /**
+     * Execute the first event of cycle @p when, the earliest pending
+     * one. Moving the clock pulls the heap events that enter the window
+     * into their buckets first, in heap order: a far event for a cycle
+     * was scheduled before any event that went straight into its bucket,
+     * so each bucket stays in insertion order. The callback is moved out
+     * of its slot and the slot is recycled *before* invocation, because
+     * the callback may schedule new events (growing the slot pool) or
+     * recurse into run().
+     */
+    void
+    execAt(Cycles when)
+    {
+        if (when != now) {
+            now = when;
+            while (!heap.empty() && heap.front().when - now < WINDOW) {
+                const HeapEntry e = heap.front();
+                heapPopRoot();
+                append(e.when, e.slot);
+            }
+        }
+        const size_t b = when & MASK;
+        Bucket &bk = buckets[b];
+        const uint32_t slot = bk.head;
+        bk.head = slots[slot].next;
+        if (bk.head == NO_SLOT) {
+            bk.tail = NO_SLOT;
+            occupied[b / 64] &= ~(uint64_t(1) << (b % 64));
+        }
+        --near;
+        Callback cb = std::move(slots[slot].cb);
+        releaseSlot(slot);
+        simStats.eventsExecuted++;
+        cb();
     }
 
     void
@@ -179,8 +279,6 @@ class EventQueue
             std::swap(heap[i], heap[parent]);
             i = parent;
         }
-        if (heap.size() > simStats.peakPending)
-            simStats.peakPending = heap.size();
     }
 
     /** Remove the root: move the last entry up and sift it down. */
@@ -207,25 +305,15 @@ class EventQueue
         heap[i] = last;
     }
 
-    /**
-     * Execute the root event. The callback is moved out of its slot and
-     * the slot is recycled *before* invocation, because the callback may
-     * schedule new events (growing the slot pool) or recurse into run().
-     */
-    void
-    execTop()
-    {
-        const HeapEntry e = heap.front();
-        heapPopRoot();
-        Callback cb = std::move(slots[e.slot].cb);
-        releaseSlot(e.slot);
-        now = e.when;
-        simStats.eventsExecuted++;
-        cb();
-    }
-
     Cycles now = 0;
     uint64_t nextSeq = 0;
+    /** Buckets of the cycles [now, now + WINDOW), by cycle % WINDOW. */
+    std::array<Bucket, WINDOW> buckets;
+    /** One bit per non-empty bucket. */
+    std::array<uint64_t, WORDS> occupied{};
+    /** Events in the buckets. */
+    size_t near = 0;
+    /** Events due at now + WINDOW or later, by (when, seq). */
     std::vector<HeapEntry> heap;
     std::vector<Slot> slots;
     uint32_t freeHead = NO_SLOT;

@@ -37,7 +37,7 @@ replayTraceLx(lx::Process &proc, const Trace &trace)
 {
     std::array<int, 8> slots;
     slots.fill(-1);
-    std::vector<uint8_t> buf(64 * KiB);
+    std::vector<uint8_t> buf(largestChunk(trace));
 
     for (size_t step = 0; step < trace.size(); ++step) {
         const TraceOp &op = trace[step];

@@ -52,7 +52,7 @@ replayTraceM3(Env &env, const Trace &trace)
 {
     Vfs &vfs = env.vfs();
     std::array<std::unique_ptr<File>, 8> slots;
-    std::vector<uint8_t> buf(64 * KiB);
+    std::vector<uint8_t> buf(largestChunk(trace));
 
     for (size_t step = 0; step < trace.size(); ++step) {
         const TraceOp &op = trace[step];

@@ -10,6 +10,7 @@
 #ifndef M3_WORKLOADS_TRACE_HH
 #define M3_WORKLOADS_TRACE_HH
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -63,6 +64,16 @@ struct TraceOp
 };
 
 using Trace = std::vector<TraceOp>;
+
+/** The largest chunkSize in @p trace: the buffer its replay needs. */
+inline size_t
+largestChunk(const Trace &trace)
+{
+    size_t n = 0;
+    for (const TraceOp &op : trace)
+        n = std::max<size_t>(n, op.chunkSize);
+    return n;
+}
 
 /** A file that must exist before the trace runs. */
 struct SetupFile

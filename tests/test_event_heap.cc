@@ -1,12 +1,14 @@
 /**
  * @file
- * Unit tests for the pooled event heap and the SmallFn callback type.
+ * Unit tests for the event queue and the SmallFn callback type.
  *
- * The heap replaced a `std::priority_queue` whose `top()` had to be
- * `const_cast` to move the callback out; several tests here pin down the
- * behaviours that rewrite must preserve (ordering, tie-breaks,
- * schedule-from-callback) and the ones it adds (move-only callbacks,
- * engine counters, heap-fallback accounting).
+ * The queue replaced a `std::priority_queue` whose `top()` had to be
+ * `const_cast` to move the callback out, and later its binary heap with
+ * cycle buckets in front of a heap of far events; several tests here pin
+ * down the behaviours those rewrites must preserve (ordering, tie-breaks,
+ * schedule-from-callback, events crossing from the far heap into the
+ * buckets) and the ones they add (move-only callbacks, engine counters,
+ * heap-fallback accounting).
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +16,9 @@
 #include <algorithm>
 #include <memory>
 #include <random>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -71,6 +76,179 @@ TEST(EventHeap, StressMatchesReferenceOrdering)
     ASSERT_EQ(order.size(), ref.size());
     for (int i = 0; i < N; ++i)
         EXPECT_EQ(order[i], ref[i].second) << "at position " << i;
+}
+
+/**
+ * A far event (scheduled WINDOW or more cycles ahead) and events that
+ * later go straight into the bucket of the same cycle still run in
+ * insertion order.
+ */
+TEST(EventHeap, FarEventsRunBeforeLaterTiesAtTheirCycle)
+{
+    constexpr Cycles W = EventQueue::WINDOW;
+    EventQueue eq;
+    std::vector<int> order;
+    eq.scheduleAbs(W + 5, [&] { order.push_back(0); });
+    eq.scheduleAbs(2 * W, [&] { order.push_back(1); });
+    eq.scheduleAbs(10, [&] {
+        eq.scheduleAbs(W + 5, [&] { order.push_back(2); });
+        eq.scheduleAbs(W + 5, [&] { order.push_back(3); });
+    });
+    eq.scheduleAbs(W + 5, [&] {
+        order.push_back(4);
+        eq.schedule(0, [&] { order.push_back(5); });
+        eq.schedule(W - 5, [&] { order.push_back(6); });
+    });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 4, 2, 3, 5, 1, 6}));
+    EXPECT_EQ(eq.curCycle(), 2 * W);
+}
+
+/**
+ * Drives the queue with events whose callbacks schedule more events at
+ * delays from 0 to three windows, exactly around the window's edge, and
+ * on a coarse grid of shared cycles (many ties between far and near
+ * inserts), and that sometimes run further events from inside
+ * themselves. Each event checks that it is the first (when, seq) of a
+ * reference set.
+ */
+class WheelStress
+{
+  public:
+    static constexpr Cycles W = EventQueue::WINDOW;
+
+    WheelStress(uint64_t seed, uint64_t budget) : rng(seed), budget(budget)
+    {
+    }
+
+    /** Schedule a fresh batch of events from now. */
+    void
+    seedBatch()
+    {
+        for (int i = 0; i < 256 && ids < budget; ++i)
+            add(eq.curCycle() + delay());
+    }
+
+    EventQueue eq;
+    std::mt19937_64 rng;
+    std::set<std::pair<Cycles, uint64_t>> ref;
+    const uint64_t budget;
+    uint64_t ids = 0;       //!< events scheduled, = each one's seq
+    uint64_t executed = 0;  //!< events run
+    uint64_t nested = 0;    //!< of those, run by a nested runOne()
+    uint64_t fallbacks = 0;
+    uint64_t peak = 0;
+    std::string failure;
+
+  private:
+    struct Pad
+    {
+        char bytes[SmallFn::InlineCapacity];
+    };
+
+    void
+    add(Cycles when)
+    {
+        const uint64_t id = ids++;
+        ref.emplace(when, id);
+        peak = std::max<uint64_t>(peak, ref.size());
+        if (rng() % 64 == 0) {
+            ++fallbacks;
+            eq.scheduleAbs(when, [this, id, pad = Pad{}] {
+                (void)pad;
+                fire(id);
+            });
+        } else {
+            eq.scheduleAbs(when, [this, id] { fire(id); });
+        }
+    }
+
+    Cycles
+    delay()
+    {
+        const Cycles now = eq.curCycle();
+        switch (rng() % 8) {
+          case 0:
+            return 0;
+          case 1:
+          case 2:
+            return rng() % (3 * W + 1);
+          case 3:
+            return W - 1 + rng() % 3;
+          case 4:
+          case 5:
+            return 1 + rng() % 8;
+          case 6:
+            return (now / 256 + 1) * 256 + (rng() % 2) * W - now;
+          default:
+            return rng() % W;
+        }
+    }
+
+    void
+    fire(uint64_t id)
+    {
+        ++executed;
+        const auto first = ref.begin();
+        if (first == ref.end() || first->second != id ||
+            first->first != eq.curCycle()) {
+            if (failure.empty()) {
+                failure = std::string("event ")
+                              .append(std::to_string(id))
+                              .append(" ran at cycle ")
+                              .append(std::to_string(eq.curCycle()));
+            }
+            ref.erase({eq.curCycle(), id});
+        } else {
+            ref.erase(first);
+        }
+        if (eq.pending() != ref.size() && failure.empty())
+            failure = "pending() differs from the reference";
+        const uint64_t children = ids < budget ? rng() % 3 : 0;
+        for (uint64_t i = 0; i < children && ids < budget; ++i)
+            add(eq.curCycle() + delay());
+        if (depth < 3 && rng() % 32 == 0) {
+            ++depth;
+            for (uint64_t n = 1 + rng() % 3; n > 0; --n)
+                nested += eq.runOne() ? 1 : 0;
+            --depth;
+        }
+    }
+
+    int depth = 0;
+};
+
+TEST(EventHeap, WheelMatchesReferenceOrdering)
+{
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+        WheelStress d(seed, 60000);
+        d.seedBatch();
+        Cycles limit = 0;
+        while (!d.eq.empty()) {
+            limit = std::max(limit, d.eq.curCycle()) + d.rng() % (2 * d.W);
+            const uint64_t executed = d.executed, nested = d.nested;
+            const uint64_t ran = d.eq.run(limit);
+            EXPECT_EQ(ran, (d.executed - executed) - (d.nested - nested));
+            if (d.nested == nested) {
+                EXPECT_LE(d.eq.curCycle(), limit);
+            }
+            if (!d.eq.empty()) {
+                EXPECT_GT(d.ref.begin()->first, limit);
+            } else if (d.ids < d.budget) {
+                d.seedBatch();
+            }
+        }
+        EXPECT_EQ(d.failure, "") << "seed " << seed;
+        EXPECT_TRUE(d.ref.empty());
+        EXPECT_EQ(d.ids, d.budget);
+        const SimStats &st = d.eq.stats();
+        EXPECT_EQ(st.eventsScheduled, d.ids);
+        EXPECT_EQ(st.eventsExecuted, d.executed);
+        EXPECT_EQ(st.eventsExecuted, d.ids);
+        EXPECT_EQ(st.peakPending, d.peak);
+        EXPECT_EQ(st.callbackHeapFallbacks, d.fallbacks);
+        EXPECT_GT(d.nested, 0u);
+    }
 }
 
 /**

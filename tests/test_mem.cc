@@ -5,7 +5,8 @@
  * untouched pages alone, shared ranges read as their source bytes and
  * are cut or copied in on modification, copies of shared bytes through
  * a host buffer stay references, every access matches a plain byte
- * vector, and out-of-bounds accesses panic with the memory's name.
+ * vector and the shared ranges match a reference bookkeeping, and
+ * out-of-bounds accesses panic with the memory's name.
  */
 
 #include <gtest/gtest.h>
@@ -14,8 +15,11 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <random>
+#include <set>
 #include <vector>
 
 #include <unistd.h>
@@ -201,8 +205,154 @@ randomBytes(size_t len, std::mt19937_64 &rng)
 }
 
 /**
- * A memory beside a plain byte vector that every operation also updates:
- * each read, and the whole memory after each step, must match it.
+ * The shared-range bookkeeping MemTarget must reproduce, kept simple: an
+ * ordered map of ranges, the read-source table and the written pages.
+ * It follows the same rules (cut, coalescing, copies by reference), so
+ * its range and page counts must equal the memory's after every step.
+ */
+class ReferenceRanges
+{
+  public:
+    /** read() of [off, off+len) into @p dst. */
+    void
+    read(goff_t off, const void *dst, size_t len)
+    {
+        if (len == 0)
+            return;
+        auto it = firstOverlap(off);
+        if (it != shared.end() && it->first <= off &&
+            it->first + it->second.len >= off + len) {
+            const Shared &s = it->second;
+            refs[dst] = Shared{len, s.src, s.srcOff + (off - it->first)};
+        }
+    }
+
+    /** write() of @p len bytes from @p src to @p off. */
+    void
+    write(goff_t off, const void *src, size_t len)
+    {
+        if (len == 0)
+            return;
+        cut(off, len);
+        auto it = refs.find(src);
+        if (it != refs.end() && it->second.len >= len &&
+            std::memcmp(src, it->second.src->data() + it->second.srcOff,
+                        len) == 0) {
+            addRange(off, it->second.src, it->second.srcOff, len);
+            return;
+        }
+        markWritten(off, len);
+    }
+
+    void
+    share(goff_t off, const SharedBytes &src, size_t srcOff, size_t len)
+    {
+        if (len == 0)
+            return;
+        cut(off, len);
+        addRange(off, src, srcOff, len);
+    }
+
+    void
+    zero(goff_t off, size_t len)
+    {
+        if (len > 0)
+            cut(off, len);
+    }
+
+    /** A raw pointer to [off, off+len) (Spm::ptr, Dram::inspect). */
+    void
+    own(goff_t off, size_t len)
+    {
+        if (len == 0)
+            return;
+        cut(off, len);
+        markWritten(off, len);
+    }
+
+    size_t ranges() const { return shared.size(); }
+    size_t writtenPages() const { return written.size(); }
+
+  private:
+    static constexpr size_t PAGE = 4096;
+
+    struct Shared
+    {
+        size_t len;
+        SharedBytes src;
+        size_t srcOff;
+    };
+
+    void
+    markWritten(goff_t off, size_t len)
+    {
+        for (size_t p = off / PAGE; p <= (off + len - 1) / PAGE; ++p)
+            written.insert(p);
+    }
+
+    /** First range that ends after @p off. */
+    std::map<goff_t, Shared>::iterator
+    firstOverlap(goff_t off)
+    {
+        auto it = shared.upper_bound(off);
+        if (it != shared.begin()) {
+            auto prev = std::prev(it);
+            if (prev->first + prev->second.len > off)
+                return prev;
+        }
+        return it;
+    }
+
+    /** Remove [off, off+len); the parts of a range outside it stay. */
+    void
+    cut(goff_t off, size_t len)
+    {
+        const goff_t end = off + len;
+        auto it = firstOverlap(off);
+        while (it != shared.end() && it->first < end) {
+            const goff_t start = it->first;
+            const goff_t rangeEnd = start + it->second.len;
+            if (rangeEnd > end) {
+                Shared &s = it->second;
+                shared.emplace_hint(std::next(it), end,
+                                    Shared{rangeEnd - end, s.src,
+                                           s.srcOff + (end - start)});
+            }
+            if (start < off) {
+                it->second.len = off - start;
+                ++it;
+            } else {
+                it = shared.erase(it);
+            }
+            if (rangeEnd > end)
+                break;
+        }
+    }
+
+    /** Add [off, off+len), which no range overlaps; a range that ends
+     *  at @p off and continues in @p src just before grows instead. */
+    void
+    addRange(goff_t off, const SharedBytes &src, size_t srcOff, size_t len)
+    {
+        auto next = shared.lower_bound(off);
+        auto prev = next == shared.begin() ? shared.end() : std::prev(next);
+        if (prev != shared.end() && prev->first + prev->second.len == off &&
+            prev->second.src == src &&
+            prev->second.srcOff + prev->second.len == srcOff)
+            prev->second.len += len;
+        else
+            shared.emplace_hint(next, off, Shared{len, src, srcOff});
+    }
+
+    std::map<goff_t, Shared> shared;
+    std::map<const void *, Shared> refs;
+    std::set<size_t> written;
+};
+
+/**
+ * A memory beside a plain byte vector and the reference bookkeeping,
+ * which every operation also updates: each read, and the whole memory
+ * and its range and written-page counts after each step, must match.
  */
 class MemModel
 {
@@ -213,6 +363,7 @@ class MemModel
     write(goff_t off, const std::vector<uint8_t> &src, size_t len)
     {
         mem.write(off, src.data(), len);
+        ref.write(off, src.data(), len);
         std::copy_n(src.begin(), len, model.begin() + off);
     }
 
@@ -220,6 +371,7 @@ class MemModel
     zero(goff_t off, size_t len)
     {
         mem.zero(off, len);
+        ref.zero(off, len);
         std::fill_n(model.begin() + off, len, 0);
     }
 
@@ -227,6 +379,7 @@ class MemModel
     share(goff_t off, const SharedBytes &src, size_t srcOff, size_t len)
     {
         mem.share(off, src, srcOff, len);
+        ref.share(off, src, srcOff, len);
         std::copy_n(src->begin() + srcOff, len, model.begin() + off);
     }
 
@@ -235,9 +388,19 @@ class MemModel
     read(goff_t off, std::vector<uint8_t> &buf, size_t len)
     {
         mem.read(off, buf.data(), len);
+        ref.read(off, buf.data(), len);
         EXPECT_TRUE(std::equal(buf.begin(), buf.begin() + len,
                                model.begin() + off))
             << "read " << off << " + " << len;
+    }
+
+    /** The raw pointer @p p that @p raw handed out for [off, off+len),
+     *  checked against the model. */
+    bool
+    owned(goff_t off, size_t len, const uint8_t *p)
+    {
+        ref.own(off, len);
+        return std::equal(p, p + len, model.begin() + off);
     }
 
     /** Copy [from, from+len) to @p to through @p buf, as a gate's
@@ -255,8 +418,17 @@ class MemModel
     /** Whole-memory comparison. */
     bool matches() { return contents(mem) == model; }
 
+    /** The range and written-page counts equal the reference's. */
+    bool
+    countsMatch() const
+    {
+        return mem.sharedRanges() == ref.ranges() &&
+               mem.writtenPages() == ref.writtenPages();
+    }
+
     MemTarget &mem;
     std::vector<uint8_t> model;
+    ReferenceRanges ref;
 };
 
 TEST(Mem, CopiesOfSharedBytesStayReferences)
@@ -321,25 +493,30 @@ TEST(Mem, CopiesOfSharedBytesStayReferences)
 
 /**
  * Seeded random write, copy, zero, share, read and raw-pointer steps on
- * a DRAM and an SPM, checked against a byte vector after every step.
- * Offsets cluster around page edges and the edges of recent shares.
+ * a DRAM and an SPM, checked against a byte vector and the reference
+ * bookkeeping after every step. Offsets cluster around page edges and
+ * the edges of recent shares. Three steps build the shapes the page
+ * directory must get right: many sub-page ranges at 512-byte offsets on
+ * one page (tar headers), a range ending on a page edge that a copy then
+ * continues, and a hole cut inside one range on one page.
  */
 void
 runMemModel(MemTarget &mem, uint64_t seed,
             const std::function<uint8_t *(goff_t, size_t)> &raw)
 {
+    constexpr size_t PAGE = 4096;
     std::mt19937_64 rng(seed);
     const SharedBytes srcs[] = {randomBytes(24 * KiB, rng),
                                 randomBytes(9000, rng)};
     MemModel m(mem);
-    std::vector<uint8_t> buf(3 * 4096 + 64), fresh(buf.size());
+    std::vector<uint8_t> buf(3 * PAGE + 64), fresh(buf.size());
     std::vector<goff_t> edges;
 
     auto below = [&](size_t n) { return static_cast<size_t>(rng() % n); };
     auto pick = [&]() -> goff_t {
         goff_t at = below(mem.size());
         if (below(2)) {
-            at = below(2) || edges.empty() ? below(mem.size() / 4096) * 4096
+            at = below(2) || edges.empty() ? below(mem.size() / PAGE) * PAGE
                                            : edges[below(edges.size())];
             at = at + below(5) - std::min<goff_t>(at, 2);
         }
@@ -349,11 +526,20 @@ runMemModel(MemTarget &mem, uint64_t seed,
         size_t len = below(3) ? 1 + below(64) : 1 + below(buf.size() - 64);
         return std::min<size_t>(len, mem.size() - off);
     };
+    auto share = [&](goff_t off, const SharedBytes &src, size_t srcOff,
+                     size_t n) {
+        m.share(off, src, srcOff, n);
+        edges.push_back(off);
+        edges.push_back(off + n);
+        if (edges.size() > 16)
+            edges.erase(edges.begin(), edges.begin() + 2);
+    };
+    const size_t pages = mem.size() / PAGE;
 
     for (int step = 0; step < 3000; ++step) {
         const goff_t off = pick();
         const size_t len = length(off);
-        switch (below(7)) {
+        switch (below(10)) {
           case 0:
             for (size_t i = 0; i < len; ++i)
                 fresh[i] = static_cast<uint8_t>(rng());
@@ -372,12 +558,7 @@ runMemModel(MemTarget &mem, uint64_t seed,
           case 4: {
             const SharedBytes &src = srcs[below(2)];
             const size_t srcOff = below(src->size() / 2);
-            const size_t n = std::min(len, src->size() - srcOff);
-            m.share(off, src, srcOff, n);
-            edges.push_back(off);
-            edges.push_back(off + n);
-            if (edges.size() > 16)
-                edges.erase(edges.begin(), edges.begin() + 2);
+            share(off, src, srcOff, std::min(len, src->size() - srcOff));
             break;
           }
           case 5:
@@ -385,18 +566,78 @@ runMemModel(MemTarget &mem, uint64_t seed,
             break;
           case 6: {
             uint8_t *p = raw(off, len);
-            ASSERT_TRUE(std::equal(p, p + len, m.model.begin() + off))
+            ASSERT_TRUE(m.owned(off, len, p))
                 << "raw " << off << " + " << len;
+            break;
+          }
+          case 7: {
+            // Sub-page ranges at 512-byte offsets, some continuing the
+            // one before them in the same source.
+            const goff_t page = below(pages) * PAGE;
+            const SharedBytes &src = srcs[0];
+            size_t srcOff = below(src->size() / 2);
+            for (goff_t at = page; at < page + PAGE; at += 512) {
+                if (below(4) == 0)
+                    continue;
+                const size_t n = below(2) ? 512 : 1 + below(512);
+                if (below(2))
+                    srcOff = below(src->size() / 2);
+                share(at, src, srcOff, n);
+                srcOff += n;
+            }
+            break;
+          }
+          case 8: {
+            // A range ending on a page edge, continued by a copy of the
+            // source's next bytes from elsewhere.
+            const goff_t edge = (1 + below(pages - 1)) * PAGE;
+            const SharedBytes &src = srcs[0];
+            const size_t n = 1 + below(600);
+            const size_t more = std::min<size_t>(1 + below(buf.size()),
+                                                 mem.size() - edge);
+            const size_t srcOff = below(src->size() - n - more);
+            const goff_t from = below(2) ? 0 : mem.size() - more;
+            if (from + more > edge - n && from < edge + more)
+                break;
+            share(edge - n, src, srcOff, n);
+            share(from, src, srcOff + n, more);
+            m.copy(from, edge, more, buf, false);
+            break;
+          }
+          case 9: {
+            // A hole inside one range, on one page: both ends stay.
+            const goff_t page = below(pages) * PAGE;
+            const SharedBytes &src = srcs[below(2)];
+            const size_t a = below(PAGE / 4), b = PAGE / 2 + below(PAGE / 2);
+            const size_t srcOff = below(src->size() - 2 * PAGE);
+            const goff_t lo = page + (below(2) ? a : 0);
+            const goff_t hi = std::min<goff_t>(page + b + below(2) * PAGE,
+                                               mem.size());
+            share(lo, src, srcOff, hi - lo);
+            const goff_t hole = lo + 1 + below(page + b - lo - 2);
+            const size_t n = 1 + below(page + b - hole - 1);
+            if (below(2)) {
+                for (size_t i = 0; i < n; ++i)
+                    fresh[i] = static_cast<uint8_t>(rng());
+                m.write(hole, fresh, n);
+            } else {
+                m.zero(hole, n);
+            }
             break;
           }
         }
         ASSERT_TRUE(m.matches()) << "seed " << seed << " step " << step;
+        ASSERT_TRUE(m.countsMatch())
+            << "seed " << seed << " step " << step << ": "
+            << mem.sharedRanges() << " ranges, " << m.ref.ranges()
+            << " expected; " << mem.writtenPages() << " written pages, "
+            << m.ref.writtenPages() << " expected";
     }
 }
 
 TEST(Mem, MatchesAPlainByteVector)
 {
-    for (uint64_t seed = 1; seed <= 4; ++seed) {
+    for (uint64_t seed = 1; seed <= 16; ++seed) {
         Dram dram(64 * KiB, 20);
         runMemModel(dram, seed, [&](goff_t off, size_t len) {
             return const_cast<uint8_t *>(dram.inspect(off, len));

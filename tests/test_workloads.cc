@@ -205,6 +205,16 @@ TEST(Scalability, CatTrScalesAlmostPerfectly)
               two.avgInstance + two.avgInstance / 2);
 }
 
+TEST(Scalability, ChunksLargerThan64KiBReplay)
+{
+    // Sendfile chunks of any size (m3bench --io-chunk) fit the replay
+    // buffer, which is sized to the trace's largest chunk.
+    M3RunOpts opts;
+    opts.ioChunk = 128 * KiB;
+    ScalabilityResult r = runM3Scalability("tar", 2, opts);
+    EXPECT_EQ(r.rc, 0);
+}
+
 TEST(Scalability, TarHostFootprintIsPinned)
 {
     // The DRAM pages the host writes for the 16-instance tar machine.
