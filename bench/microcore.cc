@@ -1,14 +1,15 @@
 /**
  * @file
  * google-benchmark micro-benchmarks of the simulator substrate itself:
- * event-queue throughput, fiber context switches, NoC packet routing,
- * the DTU message path and the file-content generator. These measure
- * host wall-clock performance (how fast the simulation runs), not
- * simulated cycles.
+ * event-queue throughput, fiber wakeups (in place and fiber to fiber),
+ * NoC packet routing, the DTU message path and the file-content
+ * generator. These measure host wall-clock performance (how fast the
+ * simulation runs), not simulated cycles.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <string>
 #include <vector>
 
 #include "base/random.hh"
@@ -34,20 +35,43 @@ BM_EventQueueScheduleRun(benchmark::State &state)
 }
 BENCHMARK(BM_EventQueueScheduleRun);
 
+/** One fiber alone: each sleep's wakeup is the next event, so the
+ *  fiber takes it and resumes in place, with no context switch. */
 void
-BM_FiberSwitch(benchmark::State &state)
+BM_FiberSleepInPlace(benchmark::State &state)
 {
     for (auto _ : state) {
         Simulator sim;
-        sim.run("switcher", [] {
+        sim.run("sleeper", [] {
             for (int i = 0; i < 1000; ++i)
                 Fiber::current()->sleep(1);
         });
         sim.simulate();
     }
-    state.SetItemsProcessed(state.iterations() * 2000);  // 2 per sleep
+    state.SetItemsProcessed(state.iterations() * 1000);  // 1 per sleep
 }
-BENCHMARK(BM_FiberSwitch);
+BENCHMARK(BM_FiberSleepInPlace);
+
+/** 64 fibers sleeping one cycle each in turn: every wakeup belongs to
+ *  another fiber, so each one is a fiber-to-fiber switch. */
+void
+BM_FiberRoundRobin(benchmark::State &state)
+{
+    constexpr int fibers = 64;
+    constexpr int sleeps = 100;
+    for (auto _ : state) {
+        Simulator sim;
+        for (int f = 0; f < fibers; ++f) {
+            sim.run(std::string("f").append(std::to_string(f)), [] {
+                for (int i = 0; i < sleeps; ++i)
+                    Fiber::current()->sleep(1);
+            });
+        }
+        sim.simulate();
+    }
+    state.SetItemsProcessed(state.iterations() * fibers * sleeps);
+}
+BENCHMARK(BM_FiberRoundRobin);
 
 void
 BM_NocSend(benchmark::State &state)

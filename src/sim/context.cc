@@ -39,8 +39,7 @@ m3CtxSwap:
 )");
 
 void
-ExecContext::init(void *stackBase, size_t stackSize, Entry entry,
-                  ExecContext *)
+ExecContext::init(void *stackBase, size_t stackSize, Entry entry)
 {
     // Lay the stack out as if m3CtxSwap had suspended a context that is
     // about to enter entry(): six zeroed callee-saved registers, the
@@ -67,13 +66,12 @@ ExecContext::switchTo(ExecContext &to)
 #else // portable ucontext fallback
 
 void
-ExecContext::init(void *stackBase, size_t stackSize, Entry entry,
-                  ExecContext *returnTo)
+ExecContext::init(void *stackBase, size_t stackSize, Entry entry)
 {
     getcontext(&ctx);
     ctx.uc_stack.ss_sp = stackBase;
     ctx.uc_stack.ss_size = stackSize;
-    ctx.uc_link = returnTo ? &returnTo->ctx : nullptr;
+    ctx.uc_link = nullptr;
     makecontext(&ctx, entry, 0);
 }
 

@@ -4,10 +4,11 @@
  *
  * glibc's swapcontext() saves and restores the signal mask with a
  * sigprocmask system call on every switch — several hundred nanoseconds
- * that dominate the simulator's hot path, where every fiber dispatch is
- * two switches. The fast path here is a hand-rolled System-V x86-64
- * switch (callee-saved registers + stack pointer, ~20 instructions, no
- * syscall), the same technique as boost.context's fcontext.
+ * on the simulator's hot path, where every fiber wakeup is one switch
+ * (fiber to fiber) or two (through the main loop). The fast path here is
+ * a hand-rolled System-V x86-64 switch (callee-saved registers + stack
+ * pointer, ~20 instructions, no syscall), the same technique as
+ * boost.context's fcontext.
  *
  * The ucontext path remains as the portable fallback and is selected
  * automatically when a sanitizer is active: ASan/TSan understand
@@ -55,11 +56,9 @@ class ExecContext
 
     /**
      * Prepare this context to run @p entry on the given stack when first
-     * switched to. @p returnTo is only used by the ucontext fallback (as
-     * uc_link); the fiber trampoline never returns.
+     * switched to. @p entry must never return: it switches away for good.
      */
-    void init(void *stackBase, size_t stackSize, Entry entry,
-              ExecContext *returnTo);
+    void init(void *stackBase, size_t stackSize, Entry entry);
 
     /** Save the current context into *this and resume @p to. */
     void switchTo(ExecContext &to);

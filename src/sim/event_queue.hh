@@ -15,7 +15,9 @@
  * bitmap; a later one waits in a binary heap of 24-byte keys (cycle,
  * sequence, slot) and moves into its bucket once the clock comes within
  * WINDOW of it. Callback bytes never move while queued, and running an
- * event moves its callback out exactly once.
+ * event moves its callback out exactly once. A fiber giving up the core
+ * takes the next event itself if it is a fiber wakeup (takeNext(), see
+ * sim/fiber.hh); run() counts such events as its own.
  */
 
 #ifndef M3_SIM_EVENT_QUEUE_HH
@@ -107,6 +109,9 @@ class EventQueue
 
     /**
      * Execute the earliest pending event, advancing the clock to its cycle.
+     * This is the one-event reference: while it runs, takeNext() hands
+     * nothing out, so exactly one event executes (plus whatever that
+     * event runs itself through a nested run()).
      * @return false if the queue was empty.
      */
     bool
@@ -114,17 +119,24 @@ class EventQueue
     {
         if (empty())
             return false;
+        RunFrame *outer = active;
+        active = nullptr;
         execAt(nextCycle());
+        active = outer;
         return true;
     }
 
     /**
      * Run events until the queue drains or the clock passes @p limit.
+     * Events that takeNext() hands out while this runs count as its own.
      * @return the number of events executed.
      */
     uint64_t
     run(Cycles limit = ~Cycles(0))
     {
+        RunFrame frame{limit, 0};
+        RunFrame *outer = active;
+        active = &frame;
         uint64_t executed = 0;
         while (!empty()) {
             const Cycles when = nextCycle();
@@ -133,13 +145,54 @@ class EventQueue
             execAt(when);
             ++executed;
         }
-        return executed;
+        active = outer;
+        return executed + frame.taken;
+    }
+
+    /**
+     * Take the event that run() would execute next, if it holds an
+     * @p Fn, so the caller can execute it in place: the same check
+     * against run()'s limit, the same clock advance, and the event is
+     * counted as run() would count it. Returns false, and takes
+     * nothing, outside run(), past its limit, or when that event holds
+     * another callable; the clock may then already stand at the
+     * event's cycle, as run() would set it before executing it.
+     */
+    template <typename Fn>
+    bool
+    takeNext(Fn &out)
+    {
+        if (!active || empty())
+            return false;
+        const Cycles when = nextCycle();
+        if (when > active->limit)
+            return false;
+        advanceTo(when);
+        const size_t b = when & MASK;
+        Fn *fn = slots[buckets[b].head].cb.template target<Fn>();
+        if (!fn)
+            return false;
+        out = std::move(*fn);
+        const uint32_t slot = popHead(b);
+        slots[slot].cb.reset();
+        releaseSlot(slot);
+        simStats.eventsExecuted++;
+        ++active->taken;
+        return true;
     }
 
     /** Engine counters (monotonic; never reset by the queue itself). */
     const SimStats &stats() const { return simStats; }
 
   private:
+    /** The innermost run(): its limit and the events takeNext() took
+     *  for it. */
+    struct RunFrame
+    {
+        Cycles limit;
+        uint64_t taken;
+    };
+
     /** Far-heap key: the callback bytes stay put in their pooled slot. */
     struct HeapEntry
     {
@@ -232,27 +285,29 @@ class EventQueue
     }
 
     /**
-     * Execute the first event of cycle @p when, the earliest pending
-     * one. Moving the clock pulls the heap events that enter the window
-     * into their buckets first, in heap order: a far event for a cycle
-     * was scheduled before any event that went straight into its bucket,
-     * so each bucket stays in insertion order. The callback is moved out
-     * of its slot and the slot is recycled *before* invocation, because
-     * the callback may schedule new events (growing the slot pool) or
-     * recurse into run().
+     * Move the clock to @p when, the cycle of the earliest pending
+     * event. Moving the clock pulls the heap events that enter the
+     * window into their buckets first, in heap order: a far event for a
+     * cycle was scheduled before any event that went straight into its
+     * bucket, so each bucket stays in insertion order.
      */
     void
-    execAt(Cycles when)
+    advanceTo(Cycles when)
     {
-        if (when != now) {
-            now = when;
-            while (!heap.empty() && heap.front().when - now < WINDOW) {
-                const HeapEntry e = heap.front();
-                heapPopRoot();
-                append(e.when, e.slot);
-            }
+        if (when == now)
+            return;
+        now = when;
+        while (!heap.empty() && heap.front().when - now < WINDOW) {
+            const HeapEntry e = heap.front();
+            heapPopRoot();
+            append(e.when, e.slot);
         }
-        const size_t b = when & MASK;
+    }
+
+    /** Unlink and return the first slot of the non-empty bucket @p b. */
+    uint32_t
+    popHead(size_t b)
+    {
         Bucket &bk = buckets[b];
         const uint32_t slot = bk.head;
         bk.head = slots[slot].next;
@@ -261,6 +316,20 @@ class EventQueue
             occupied[b / 64] &= ~(uint64_t(1) << (b % 64));
         }
         --near;
+        return slot;
+    }
+
+    /**
+     * Execute the first event of cycle @p when, the earliest pending
+     * one. The callback is moved out of its slot and the slot is
+     * recycled *before* invocation, because the callback may schedule
+     * new events (growing the slot pool) or recurse into run().
+     */
+    void
+    execAt(Cycles when)
+    {
+        advanceTo(when);
+        const uint32_t slot = popHead(when & MASK);
         Callback cb = std::move(slots[slot].cb);
         releaseSlot(slot);
         simStats.eventsExecuted++;
@@ -317,6 +386,8 @@ class EventQueue
     std::vector<HeapEntry> heap;
     std::vector<Slot> slots;
     uint32_t freeHead = NO_SLOT;
+    /** The innermost run() in progress, or nullptr (also in runOne()). */
+    RunFrame *active = nullptr;
     SimStats simStats;
 };
 

@@ -16,6 +16,14 @@ thread_local Fiber *currentFiber = nullptr;
 /** Handoff slot for the trampoline (makecontext takes no pointers). */
 thread_local Fiber *startingFiber = nullptr;
 
+/**
+ * The main context of the innermost dispatch() in progress: where a
+ * fiber that cannot hand the core to another fiber switches to. Each
+ * dispatch() saves and restores it, so a nested EventQueue::run() hands
+ * the core back to its own caller.
+ */
+thread_local ExecContext *mainCtx = nullptr;
+
 } // anonymous namespace
 
 Fiber::Fiber(EventQueue &eq, std::string name, Func fn)
@@ -37,12 +45,18 @@ Fiber::current()
 }
 
 void
+Fiber::Wake::operator()() const
+{
+    fiber->dispatch();
+}
+
+void
 Fiber::start()
 {
     if (state != State::Created)
         panic("fiber '%s' started twice", name.c_str());
     state = State::Ready;
-    eq.schedule(0, [this] { dispatch(); });
+    eq.schedule(0, Wake{this});
 }
 
 void
@@ -59,36 +73,58 @@ Fiber::trampoline()
     panic("finished fiber '%s' resumed", self->name.c_str());
 }
 
-void
-Fiber::dispatch()
+bool
+Fiber::enter()
 {
     if (killed)
-        return;
+        return false;
     if (parked) {
         // The VPE is descheduled: the core does not execute. Remember
         // the dispatch so unpark() can deliver it.
         dispatchPending = true;
-        return;
+        return false;
     }
     if (state == State::Finished)
         panic("dispatch of finished fiber '%s'", name.c_str());
     if (!contextInitialized) {
-        fiberCtx.init(stack.get(), stackSize, &Fiber::trampoline,
-                      &mainCtx);
+        fiberCtx.init(stack.get(), stackSize, &Fiber::trampoline);
         startingFiber = this;
         contextInitialized = true;
     }
-    Fiber *prev = currentFiber;
     currentFiber = this;
     state = State::Running;
-    mainCtx.switchTo(fiberCtx);
+    return true;
+}
+
+void
+Fiber::dispatch()
+{
+    Fiber *prev = currentFiber;
+    if (!enter())
+        return;
+    ExecContext main;
+    ExecContext *outer = mainCtx;
+    mainCtx = &main;
+    main.switchTo(fiberCtx);
+    mainCtx = outer;
     currentFiber = prev;
 }
 
 void
 Fiber::yieldToMain()
 {
-    fiberCtx.switchTo(mainCtx);
+    // Run the next event here if it is a wakeup: what the main loop
+    // would do next, minus the two switches through it.
+    Wake w;
+    while (eq.takeNext(w)) {
+        Fiber *next = w.fiber;
+        if (!next->enter())
+            continue;
+        if (next != this)
+            fiberCtx.switchTo(next->fiberCtx);
+        return;
+    }
+    fiberCtx.switchTo(*mainCtx);
 }
 
 void
@@ -97,7 +133,7 @@ Fiber::sleep(Cycles cycles)
     if (currentFiber != this)
         panic("sleep called from outside fiber '%s'", name.c_str());
     state = State::Ready;
-    eq.schedule(cycles, [this] { dispatch(); });
+    eq.schedule(cycles, Wake{this});
     yieldToMain();
 }
 
@@ -136,7 +172,7 @@ Fiber::unblock()
         return;
     if (state == State::Blocked) {
         state = State::Ready;
-        eq.schedule(0, [this] { dispatch(); });
+        eq.schedule(0, Wake{this});
     } else if (state != State::Finished) {
         // The fiber has not blocked yet; remember the wakeup.
         wakeupPending = true;
@@ -160,13 +196,13 @@ Fiber::unpark()
     if (dispatchPending) {
         dispatchPending = false;
         state = State::Ready;
-        eq.schedule(0, [this] { dispatch(); });
+        eq.schedule(0, Wake{this});
     } else if (state == State::Blocked) {
         // Spurious wakeup: whatever it was waiting on may have been torn
         // down during the switch (DTU waiter lists are cleared). All wait
         // loops re-check their condition and re-register.
         state = State::Ready;
-        eq.schedule(0, [this] { dispatch(); });
+        eq.schedule(0, Wake{this});
     } else {
         wakeupPending = true;
     }

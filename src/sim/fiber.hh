@@ -4,10 +4,16 @@
  *
  * Every PE program (the kernel, an application, an OS service) runs on one
  * Fiber. Fibers interleave under the control of the EventQueue: a fiber
- * only runs while the main context dispatches it, and it gives up control
- * by sleeping for simulated cycles or by blocking on a condition. Charging
- * simulated time is therefore explicit: compute(n) both accounts n cycles
- * and lets the rest of the platform make progress during them.
+ * only runs when its wakeup event (Fiber::Wake) executes, and it gives up
+ * control by sleeping for simulated cycles or by blocking on a condition.
+ * Charging simulated time is therefore explicit: compute(n) both accounts
+ * n cycles and lets the rest of the platform make progress during them.
+ *
+ * A fiber that gives up control executes the queue's next event itself
+ * if that event is a wakeup (EventQueue::takeNext): its own wakeup just
+ * returns, another fiber's switches straight into that fiber. Any other
+ * event sends it back to the main context, so every other callback runs
+ * on the main stack, in exactly the order run() would give it.
  */
 
 #ifndef M3_SIM_FIBER_HH
@@ -29,7 +35,7 @@ namespace m3
 /**
  * A cooperatively scheduled execution context tied to an EventQueue.
  *
- * Lifecycle: constructed -> start() schedules the first dispatch ->
+ * Lifecycle: constructed -> start() schedules the first wakeup ->
  * the body runs, interleaved with sleeps/blocks -> body returns ->
  * Finished (joiners are woken).
  */
@@ -41,7 +47,7 @@ class Fiber
     enum class State
     {
         Created,   //!< not yet started
-        Ready,     //!< a dispatch event is scheduled
+        Ready,     //!< a wakeup event is scheduled
         Running,   //!< currently executing on the fiber stack
         Blocked,   //!< waiting for unblock()
         Finished,  //!< body returned
@@ -58,7 +64,7 @@ class Fiber
     Fiber(const Fiber &) = delete;
     Fiber &operator=(const Fiber &) = delete;
 
-    /** Schedule the first dispatch at the current cycle. */
+    /** Schedule the first wakeup at the current cycle. */
     void start();
 
     /** @return the fiber currently executing, or nullptr in main context. */
@@ -169,12 +175,30 @@ class Fiber
     uint64_t reqCtx() const { return reqCtxVal; }
 
   private:
+    /** The wakeup event: dispatches `fiber` when it executes. */
+    struct Wake
+    {
+        Fiber *fiber = nullptr;
+        void operator()() const;
+    };
+
     static void trampoline();
+
+    /**
+     * Make this fiber the running one, unless it is killed (the wakeup
+     * is dropped) or parked (it is deferred until unpark()).
+     * @return true if the caller should now switch into the fiber.
+     */
+    bool enter();
 
     /** Main-context side: switch into the fiber. */
     void dispatch();
 
-    /** Fiber side: switch back to the main context. */
+    /**
+     * Fiber side: give up the core to the next wakeup's fiber, or to the
+     * main context if the next event is not a wakeup. Returns once this
+     * fiber is woken again.
+     */
     void yieldToMain();
 
     static constexpr size_t stackSize = 512 * KiB;
@@ -196,7 +220,6 @@ class Fiber
     std::unique_ptr<char[]> stack;
     bool contextInitialized = false;
     ExecContext fiberCtx;
-    ExecContext mainCtx;
 };
 
 } // namespace m3

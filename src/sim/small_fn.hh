@@ -10,8 +10,9 @@
  * frequent customers — the DTU send/reply closures in `src/dtu/dtu.cc`
  * (MessageHeader + payload vector + target pointers) and the external
  * config closures (two `std::function`s plus pointers) — with the NoC
- * delivery and fiber dispatch lambdas far below it. A dedicated test
- * asserts the fallback counter stays at 0 for the core DTU/NoC paths.
+ * delivery lambdas and the fiber wakeup (Fiber::Wake) far below it. A
+ * dedicated test asserts the fallback counter stays at 0 for the core
+ * DTU/NoC paths.
  *
  * Unlike `std::function`, SmallFn is move-only and therefore also
  * accepts non-copyable captures (e.g. a moved-in `std::unique_ptr`).
@@ -103,6 +104,19 @@ class SmallFn
     operator()()
     {
         ops->invoke(storage);
+    }
+
+    /**
+     * The held callable if it is an inline @p Fn, else nullptr; mirrors
+     * `std::function::target`.
+     */
+    template <typename Fn>
+    Fn *
+    target() noexcept
+    {
+        return ops == &inlineOps<Fn>
+                   ? std::launder(reinterpret_cast<Fn *>(storage))
+                   : nullptr;
     }
 
     /** True if the held callable lives on the heap (capture too big). */

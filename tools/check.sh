@@ -47,6 +47,19 @@ trap 'rm -rf "$obs"' EXIT
     --metrics "$obs/m.json" \
     --require dtu.msgs_sent,dtu.reply_latency.ep0,noc.packets,kernel.syscalls,sim.queue_depth
 
+# Host-profile smoke: sampling the host PC must leave the simulated
+# output byte-identical, and tools/hostprof.py must fold the samples
+# into top functions and layers.
+echo "=== host PC sampler (m3bench --host-profile, hostprof.py)"
+./build-release/tools/m3bench tar --instances 240 --kernels 4 \
+    --fs-instances 4 > "$obs/tar.txt"
+./build-release/tools/m3bench tar --instances 240 --kernels 4 \
+    --fs-instances 4 --host-profile="$obs/prof.txt" > "$obs/tar.prof.txt"
+cmp "$obs/tar.txt" "$obs/tar.prof.txt"
+python3 tools/hostprof.py build-release/tools/m3bench "$obs/prof.txt" \
+    --top 5 > "$obs/prof.out"
+grep -q '^layers' "$obs/prof.out"
+
 # Request-tracing gate: the open-loop serving driver must produce a
 # structurally valid request trace (every flow paired, spans nested), a
 # metrics dump carrying the per-class latency histograms with their
@@ -98,6 +111,18 @@ for b in fig3_syscall fig3_fileops fig4_fragmentation fig5_apps \
     fi
     echo "$b: $(grep -c '\[PASS\]' "$obs/$b.txt") verdicts pass"
 done
+
+# Byte-identity gate: the stdout of every figure, section and drill
+# bench, every example and two m3bench tar runs, plus the open-loop and
+# traced-tar trace/metrics/SLO files, must hash exactly as recorded in
+# tests/golden.sha256. A mismatch names each artifact that moved; an
+# intended change re-records the manifest (tools/golden.sh DIR --record).
+# Simulated results do not depend on the build configuration, so one
+# manifest holds for the release and the sanitized build (~1.5 s and
+# ~45 s).
+echo "=== golden artifacts (release + sanitized)"
+tools/golden.sh build-release
+tools/golden.sh build-asan
 
 # Multi-kernel gate: the sharded-control-plane table of fig6 must keep
 # both verdicts (two kernels remove most of the syscall bottleneck;

@@ -31,6 +31,8 @@
  *                      accepts "fig6" (= tar x8, the Fig. 6 setup)
  *   --trace=FILE       record a Chrome trace (open in Perfetto)
  *   --metrics=FILE     dump the metric registry as JSON
+ *   --host-profile=FILE sample the host PC every ms of CPU time and
+ *                      write the folded samples (tools/hostprof.py)
  */
 
 #include <cstdio>
@@ -38,6 +40,7 @@
 #include <cstring>
 #include <string>
 
+#include "host_profile.hh"
 #include "trace/metrics.hh"
 #include "trace/trace.hh"
 #include "workloads/generators.hh"
@@ -60,7 +63,8 @@ usage()
         "  --lx --lx-hit --arm --accel --instances N --fs-instances K\n"
         "  --stripes N --stripe-unit B --replicas R --io-chunk N --kernels K\n"
         "  --bytes N --buf N --append-blocks N --frag N --json\n"
-        "  --workload NAME --trace=FILE --metrics=FILE\n");
+        "  --workload NAME --trace=FILE --metrics=FILE\n"
+        "  --host-profile=FILE\n");
     std::exit(2);
 }
 
@@ -129,6 +133,7 @@ main(int argc, char **argv)
     MicroOpts micro;
     M3RunOpts m3opts;
     LxRunOpts lxopts;
+    std::string hostProfileFile;
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -185,6 +190,8 @@ main(int argc, char **argv)
             traceFile = arg.substr(8);
         } else if (arg.rfind("--metrics=", 0) == 0) {
             metricsFile = arg.substr(10);
+        } else if (arg.rfind("--host-profile=", 0) == 0) {
+            hostProfileFile = arg.substr(15);
         } else if (arg.rfind("--", 0) != 0 && workload.empty()) {
             workload = arg;
         } else {
@@ -194,6 +201,7 @@ main(int argc, char **argv)
     if (workload.empty())
         usage();
     micro.m3 = m3opts;
+    const HostProfile hostProfile(hostProfileFile);
 
     if (!traceFile.empty())
         trace::Tracer::enable();
