@@ -18,6 +18,7 @@
 
 #include "base/errors.hh"
 #include "base/types.hh"
+#include "kernel/kchannel.hh"
 
 namespace m3
 {
@@ -112,9 +113,10 @@ struct VpeRefObj : KObject
 struct ServObj : KObject
 {
     ServObj(std::string name, vpeid_t owner,
-            std::shared_ptr<RGateObj> rgate)
+            std::shared_ptr<RGateObj> rgate, KReplyTable &replies,
+            KChannel::Dispatch dispatch)
         : KObject(ObjType::Serv), name(std::move(name)), owner(owner),
-          rgate(std::move(rgate))
+          rgate(std::move(rgate)), chan(replies, 16, std::move(dispatch))
     {
     }
 
@@ -123,13 +125,13 @@ struct ServObj : KObject
     std::shared_ptr<RGateObj> rgate;
 
     /**
-     * Credits of the kernel's channel to the service (created at
-     * registration, Sec. 4.5.3). Bounding the kernel's in-flight
-     * requests keeps the service's ring from overflowing; excess
-     * requests queue in the kernel.
+     * The kernel's channel to the service, created at registration
+     * (Sec. 4.5.3). Its 16 credits bound the kernel's requests in
+     * flight, so the service's ring never overflows; excess requests
+     * queue in the kernel. Revoking the registration fails every
+     * request still pending on it.
      */
-    uint32_t kernelCredits = 16;
-    std::vector<std::pair<uint64_t, std::vector<uint8_t>>> sendQueue;
+    KChannel chan;
 
     /**
      * Set when the registration was revoked (server reclaimed or

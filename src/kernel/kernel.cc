@@ -81,8 +81,24 @@ Kernel::setDomain(DomainCfg cfg)
             peBusy[p] = true;
     peBusy.at(kernelPe) = true;
     freeEst = domain.ownedCounts;
-    ikCredits.assign(domain.count, kif::IK_CREDITS);
-    ikSendQueue.assign(domain.count, {});
+    for (uint32_t peer = 0; peer < domain.count; ++peer) {
+        ikChannels.emplace_back(
+            ikReplies, kif::IK_CREDITS,
+            [this, peer](const uint8_t *msg, uint32_t size, uint64_t id) {
+                SendEpCfg cfg;
+                cfg.targetNode =
+                    platform.nocIdOf(domain.kernelPes.at(peer));
+                cfg.targetEp = KEP_IK;
+                cfg.label = domain.id;
+                cfg.credits = CREDITS_UNLIMITED;  // bounded by the channel
+                cfg.maxMsgSize = kif::IK_MSG_SIZE;
+                Error e = sendRequest(KEP_IK_SEND, cfg, ikStage,
+                                      KEP_IK_REPLY, msg, size, id);
+                if (e == Error::None)
+                    kstats.ikRequestsSent++;
+                return e;
+            });
+    }
 }
 
 void
@@ -103,6 +119,18 @@ Kernel::vpe(vpeid_t id) const
 {
     auto it = vpes.find(id);
     return it == vpes.end() ? nullptr : it->second.get();
+}
+
+bool
+Kernel::channelsIdle() const
+{
+    for (const auto &[name, serv] : services)
+        if (!serv->chan.idle())
+            return false;
+    for (const KChannel &chan : ikChannels)
+        if (!chan.idle())
+            return false;
+    return srvReplies.pending() == 0 && ikReplies.pending() == 0;
 }
 
 Vpe *
@@ -139,8 +167,8 @@ Kernel::bootSetup()
 {
     Spm &spm = platform.pe(kernelPe).spm();
     syscRing = spm.alloc(kif::KSYSC_SLOTS * kif::MAX_SYSC_MSG);
-    // One reply slot per in-flight request on any service channel (the
-    // per-service kernelCredits bound the requests).
+    // One reply slot per in-flight request on any service channel (each
+    // service channel's credits bound its requests).
     srvRing = spm.alloc(16 * 512);
     stage = spm.alloc(kif::MAX_SYSC_MSG);
     srvStage = spm.alloc(kif::MAX_SYSC_MSG);
@@ -291,12 +319,14 @@ Kernel::run()
             kdtu().waitForMsgs(waitEps);
         int slot;
         while ((slot = kdtu().fetchMsg(KEP_SRV_REPLY)) >= 0)
-            handleServiceReply(static_cast<uint32_t>(slot));
+            handleReply(srvReplies, KEP_SRV_REPLY,
+                        static_cast<uint32_t>(slot));
         if (multiKernel()) {
             // Replies first: they refund peer credits and may dispatch
             // queued requests; then serve incoming peer requests.
             while ((slot = kdtu().fetchMsg(KEP_IK_REPLY)) >= 0)
-                handleIkReply(static_cast<uint32_t>(slot));
+                handleReply(ikReplies, KEP_IK_REPLY,
+                            static_cast<uint32_t>(slot));
             while ((slot = kdtu().fetchMsg(KEP_IK)) >= 0)
                 handleIkRequest(static_cast<uint32_t>(slot));
         }
@@ -334,16 +364,17 @@ Kernel::anyWatchedVpe() const
     return false;
 }
 
-void
+Vpe *
 Kernel::deferredReplySent(vpeid_t caller)
 {
     Vpe *v = vpeById(caller);
     if (!v)
-        return;
+        return nullptr;
     // The reply wakes the VPE; give it a full deadline to show life.
     v->lastActivity = platform.simulator().curCycle();
     if (v->pendingReplies)
         v->pendingReplies--;
+    return v;
 }
 
 void
@@ -594,19 +625,20 @@ Kernel::sysCreateVpe(Vpe &caller, Unmarshaller &um, uint32_t slot)
         return;
     if (multiKernel()) {
         // No free PE in this domain: place the child in the least-loaded
-        // peer domain. The reply stays deferred until the owning kernel
-        // answers (or all candidates declined).
-        PendingIkReq ik;
-        ik.op = kif::IkOp::CreateVpe;
-        ik.caller = req.caller;
-        ik.slot = req.slot;
-        ik.dstSel = req.dstSel;
-        ik.mgateSel = req.mgateSel;
-        ik.name = req.name;
-        ik.type = req.type;
-        ik.attr = req.attr;
-        if (tryRemoteCreateVpe(caller, std::move(ik))) {
+        // peer domain first (by the free-PE estimate, which self-corrects
+        // from every reply; domain id breaks ties). The reply stays
+        // deferred until the owning kernel answers (or all declined).
+        std::vector<uint32_t> cand;
+        for (uint32_t d = 0; d < domain.count; ++d)
+            if (d != domain.id && freeEst[d] > 0)
+                cand.push_back(d);
+        std::stable_sort(cand.begin(), cand.end(),
+                         [this](uint32_t a, uint32_t b) {
+                             return freeEst[a] > freeEst[b];
+                         });
+        if (!cand.empty()) {
             deferReply(caller);
+            tryRemoteCreateVpe(req, std::move(cand));
             return;
         }
     }
@@ -741,13 +773,13 @@ Kernel::sysVpeStart(Vpe &caller, Unmarshaller &um, uint32_t slot)
         uint8_t buf[64];
         Marshaller m(buf, sizeof(buf));
         m << kif::IkOp::VpeStart << static_cast<uint64_t>(childId);
-        PendingIkReq ik;
-        ik.op = kif::IkOp::VpeStart;
-        ik.caller = caller.id;
-        ik.slot = slot;
         deferReply(caller);
-        sendIk(kif::domainOfVpe(childId), buf,
-               static_cast<uint32_t>(m.size()), std::move(ik));
+        ikChannels[kif::domainOfVpe(childId)].send(
+            buf, static_cast<uint32_t>(m.size()),
+            [this, callerId = caller.id, slot](Error e, Unmarshaller &) {
+                if (deferredReplySent(callerId))
+                    replyOnEpError(slot, e);
+            });
         return;
     }
     Vpe *child = vpeById(childId);
@@ -788,13 +820,20 @@ Kernel::sysVpeWait(Vpe &caller, Unmarshaller &um, uint32_t slot)
         uint8_t buf[64];
         Marshaller m(buf, sizeof(buf));
         m << kif::IkOp::VpeWait << static_cast<uint64_t>(childId);
-        PendingIkReq ik;
-        ik.op = kif::IkOp::VpeWait;
-        ik.caller = caller.id;
-        ik.slot = slot;
         deferReply(caller);
-        sendIk(kif::domainOfVpe(childId), buf,
-               static_cast<uint32_t>(m.size()), std::move(ik));
+        ikChannels[kif::domainOfVpe(childId)].send(
+            buf, static_cast<uint32_t>(m.size()),
+            [this, callerId = caller.id, slot](Error e, Unmarshaller &um) {
+                if (!deferredReplySent(callerId))
+                    return;
+                uint8_t rbuf[64];
+                Marshaller rm(rbuf, sizeof(rbuf));
+                if (e == Error::None)
+                    rm << Error::None << um.pull<int64_t>();
+                else
+                    rm << e;
+                reply(slot, rbuf, static_cast<uint32_t>(rm.size()));
+            });
         return;
     }
     Vpe *child = vpeById(childId);
@@ -866,14 +905,7 @@ Kernel::finishVpe(Vpe &v, int exitCode)
             if (bIt != borrowedPes.end()) {
                 // The PE was leased from a peer kernel: hand it back
                 // instead of feeding it into the local allocator.
-                uint8_t buf[64];
-                Marshaller m(buf, sizeof(buf));
-                m << kif::IkOp::PeRelease
-                  << static_cast<uint64_t>(v.pe);
-                PendingIkReq ik;
-                ik.op = kif::IkOp::PeRelease;
-                sendIk(bIt->second, buf,
-                       static_cast<uint32_t>(m.size()), std::move(ik));
+                releaseBorrowedPe(bIt->second, v.pe);
                 borrowedPes.erase(bIt);
             } else if (!drained(v.pe)) {
                 platform.pe(v.pe).release();
@@ -1164,51 +1196,6 @@ Kernel::replyOnEpError(uint32_t slot, Error e)
 }
 
 void
-Kernel::failPendingSrvReqs(ServObj &serv)
-{
-    // The service registration is gone (server reclaimed or exited):
-    // every request already handed to it can never be answered. Fail
-    // the deferred callers with PeerGone so they unblock and re-open
-    // instead of hanging on a reply that will never come.
-    std::vector<std::pair<uint64_t, PendingSrvReq>> doomed;
-    for (auto it = pendingSrvReqs.begin(); it != pendingSrvReqs.end();) {
-        if (it->second.serv.get() == &serv) {
-            doomed.emplace_back(it->first, std::move(it->second));
-            it = pendingSrvReqs.erase(it);
-        } else {
-            ++it;
-        }
-    }
-    for (auto &[id, req] : doomed) {
-        (void)id;
-        uint8_t buf[kif::IK_MSG_SIZE];
-        Marshaller m(buf, sizeof(buf));
-        switch (req.kind) {
-          case PendingSrvReq::Kind::RemoteOpen:
-            m << Error::PeerGone;
-            replyOnEp(KEP_IK, req.slot, buf,
-                      static_cast<uint32_t>(m.size()));
-            break;
-          case PendingSrvReq::Kind::RemoteObtain:
-            m << Error::PeerGone << uint64_t{0} << uint64_t{0};
-            replyOnEp(KEP_IK, req.slot, buf,
-                      static_cast<uint32_t>(m.size()));
-            break;
-          case PendingSrvReq::Kind::Obtain:
-            deferredReplySent(req.caller);
-            m << Error::PeerGone << uint64_t{0};
-            replyOnEp(KEP_SYSC, req.slot, buf,
-                      static_cast<uint32_t>(m.size()));
-            break;
-          default:  // Open, Delegate: plain error replies
-            deferredReplySent(req.caller);
-            replyOnEpError(req.slot, Error::PeerGone);
-            break;
-        }
-    }
-}
-
-void
 Kernel::sysExchange(Vpe &caller, Unmarshaller &um, uint32_t slot)
 {
     auto vpeSel = um.pull<capsel_t>();
@@ -1245,13 +1232,13 @@ Kernel::sysExchange(Vpe &caller, Unmarshaller &um, uint32_t slot)
                     return;
                 }
             }
-            PendingIkReq ik;
-            ik.op = kif::IkOp::DelegateCaps;
-            ik.caller = caller.id;
-            ik.slot = slot;
             deferReply(caller);
-            sendIk(kif::domainOfVpe(otherId), buf,
-                   static_cast<uint32_t>(m.size()), std::move(ik));
+            ikChannels[kif::domainOfVpe(otherId)].send(
+                buf, static_cast<uint32_t>(m.size()),
+                [this, callerId = caller.id, slot](Error e, Unmarshaller &) {
+                    if (deferredReplySent(callerId))
+                        replyOnEpError(slot, e);
+                });
             return;
         }
         replyError(slot, op == kif::ExchangeOp::Obtain ? Error::NoPerm
@@ -1323,7 +1310,22 @@ Kernel::sysCreateSrv(Vpe &caller, Unmarshaller &um, uint32_t slot)
         replyError(slot, Error::CapExists);
         return;
     }
-    auto serv = std::make_shared<ServObj>(name, caller.id, rgate);
+    auto serv = std::make_shared<ServObj>(
+        name, caller.id, rgate, srvReplies,
+        [this, rg = rgate.get()](const uint8_t *msg, uint32_t size,
+                                 uint64_t id) {
+            SendEpCfg cfg;
+            cfg.targetNode = rg->node;
+            cfg.targetEp = rg->ep;
+            cfg.label = 0;
+            cfg.credits = CREDITS_UNLIMITED;  // bounded by the channel
+            cfg.maxMsgSize = rg->slotSize;
+            Error e = sendRequest(KEP_SRV_SEND, cfg, srvStage,
+                                  KEP_SRV_REPLY, msg, size, id);
+            if (e == Error::None)
+                kstats.serviceRequests++;
+            return e;
+        });
     services[name] = serv;
     caller.caps.put(dstSel, serv, rgCap);
     compute(costs.capOp);
@@ -1332,43 +1334,43 @@ Kernel::sysCreateSrv(Vpe &caller, Unmarshaller &um, uint32_t slot)
     replyError(slot, Error::None);
 }
 
-uint64_t
-Kernel::sendToService(ServObj &serv, const void *msg, uint32_t size)
+Error
+Kernel::sendRequest(epid_t sep, const SendEpCfg &cfg, spmaddr_t buf,
+                    epid_t replyEp, const uint8_t *msg, uint32_t size,
+                    uint64_t id)
 {
-    uint64_t id = nextSrvReqId++;
-    const uint8_t *bytes = static_cast<const uint8_t *>(msg);
-    if (serv.kernelCredits == 0) {
-        // Channel exhausted: queue until a reply returns a credit.
-        serv.sendQueue.emplace_back(
-            id, std::vector<uint8_t>(bytes, bytes + size));
-        return id;
-    }
-    serv.kernelCredits--;
-    dispatchToService(serv, bytes, size, id);
-    return id;
+    kdtu().configSend(sep, cfg);
+    platform.pe(kernelPe).spm().write(buf, msg, size);
+    compute(costs.epConfig + costs.marshal + costs.dtuCommand);
+    Error e = kdtu().startSend(sep, buf, size, replyEp, id);
+    if (e == Error::None)
+        kdtu().waitUntilIdle();
+    return e;
 }
 
 void
-Kernel::dispatchToService(ServObj &serv, const uint8_t *msg, uint32_t size,
-                          uint64_t id)
+Kernel::handleReply(KReplyTable &replies, epid_t ep, uint32_t slot)
 {
-    SendEpCfg cfg;
-    cfg.targetNode = serv.rgate->node;
-    cfg.targetEp = serv.rgate->ep;
-    cfg.label = 0;
-    cfg.credits = CREDITS_UNLIMITED;  // bounded by kernelCredits
-    cfg.maxMsgSize = serv.rgate->slotSize;
-    kdtu().configSend(KEP_SRV_SEND, cfg);
-
+    MessageHeader hdr = kdtu().msgHeader(ep, slot);
+    // Completing refunds the channel's credit and dispatches a queued
+    // request before the continuation runs.
+    KCont cont = replies.complete(hdr.label);
+    if (!cont) {
+        warn("kernel: reply on ep%u for unknown request %llu",
+             static_cast<unsigned>(ep),
+             static_cast<unsigned long long>(hdr.label));
+        kdtu().ackMsg(ep, slot);
+        return;
+    }
     Spm &spm = platform.pe(kernelPe).spm();
-    spm.write(srvStage, msg, size);
-    compute(costs.epConfig + costs.marshal + costs.dtuCommand);
-    Error e = kdtu().startSend(KEP_SRV_SEND, srvStage, size, KEP_SRV_REPLY,
-                               id);
-    if (e != Error::None)
-        panic("kernel -> service send failed: %s", errorName(e));
-    kdtu().waitUntilIdle();
-    kstats.serviceRequests++;
+    const uint8_t *payload = spm.ptr(
+        kdtu().msgAddr(ep, slot) + sizeof(MessageHeader), hdr.length);
+    Unmarshaller um(payload, hdr.length);
+    kdtu().ackMsg(ep, slot);
+    compute(costs.fetchMsg + costs.unmarshal);
+
+    auto e = um.pull<Error>();
+    cont(e, um);
 }
 
 void
@@ -1398,16 +1400,22 @@ Kernel::sysOpenSess(Vpe &caller, Unmarshaller &um, uint32_t slot)
                 uint8_t buf[kif::IK_MSG_SIZE];
                 Marshaller m(buf, sizeof(buf));
                 m << kif::IkOp::OpenSess << name << arg;
-                PendingIkReq ik;
-                ik.op = kif::IkOp::OpenSess;
-                ik.caller = caller.id;
-                ik.slot = slot;
-                ik.dstSel = dstSel;
-                ik.servName = name;
-                ik.servDomain = rit->second;
                 deferReply(caller);
-                sendIk(rit->second, buf, static_cast<uint32_t>(m.size()),
-                       std::move(ik));
+                ikChannels[rit->second].send(
+                    buf, static_cast<uint32_t>(m.size()),
+                    [this, callerId = caller.id, slot, dstSel, name,
+                     dom = rit->second](Error e, Unmarshaller &um) {
+                        Vpe *c = deferredReplySent(callerId);
+                        if (!c)
+                            return;
+                        if (e == Error::None) {
+                            c->caps.put(dstSel, std::make_shared<SessObj>(
+                                                    name, dom,
+                                                    um.pull<uint64_t>()));
+                            compute(costs.capOp);
+                        }
+                        replyOnEpError(slot, e);
+                    });
                 return;
             }
         }
@@ -1422,17 +1430,22 @@ Kernel::sysOpenSess(Vpe &caller, Unmarshaller &um, uint32_t slot)
     uint8_t buf[128];
     Marshaller m(buf, sizeof(buf));
     m << kif::ServiceOp::Open << arg;
-    uint64_t id = sendToService(*it->second, buf,
-                                static_cast<uint32_t>(m.size()));
-
-    PendingSrvReq req;
-    req.kind = PendingSrvReq::Kind::Open;
-    req.caller = caller.id;
-    req.slot = slot;
-    req.dstSel = dstSel;
-    req.serv = it->second;
     deferReply(caller);
-    pendingSrvReqs[id] = std::move(req);
+    auto serv = it->second;
+    serv->chan.send(
+        buf, static_cast<uint32_t>(m.size()),
+        [this, callerId = caller.id, slot, dstSel,
+         serv](Error e, Unmarshaller &um) {
+            Vpe *c = deferredReplySent(callerId);
+            if (!c)
+                return;  // the caller exited meanwhile
+            if (e == Error::None) {
+                c->caps.put(dstSel, std::make_shared<SessObj>(
+                                        serv, um.pull<uint64_t>()));
+                compute(costs.capOp);
+            }
+            replyOnEpError(slot, e);
+        });
 }
 
 void
@@ -1478,15 +1491,38 @@ Kernel::sysExchangeSess(Vpe &caller, Unmarshaller &um, uint32_t slot)
            << op << count << argc;
         for (uint64_t i = 0; i < argc; ++i)
             rm << args[i];
-        PendingIkReq ik;
-        ik.op = kif::IkOp::SessExchange;
-        ik.caller = caller.id;
-        ik.slot = slot;
-        ik.dstStart = dstStart;
-        ik.count = static_cast<uint32_t>(count);
         deferReply(caller);
-        sendIk(sess->remoteDomain, rbuf, static_cast<uint32_t>(rm.size()),
-               std::move(ik));
+        ikChannels[sess->remoteDomain].send(
+            rbuf, static_cast<uint32_t>(rm.size()),
+            [this, callerId = caller.id, slot, dstStart,
+             count](Error e, Unmarshaller &um) {
+                Vpe *c = deferredReplySent(callerId);
+                if (!c)
+                    return;
+                uint8_t buf[kif::MAX_SYSC_MSG];
+                Marshaller m(buf, sizeof(buf));
+                if (e != Error::None) {
+                    m << e << uint64_t{0};
+                    reply(slot, buf, static_cast<uint32_t>(m.size()));
+                    return;
+                }
+                auto numCaps = um.pull<uint64_t>();
+                Error xe =
+                    numCaps > count ? Error::InvalidArgs : Error::None;
+                for (uint64_t i = 0; xe == Error::None && i < numCaps; ++i) {
+                    xe = installSerializedCap(um, *c, dstStart + i);
+                    compute(costs.capOp);
+                }
+                if (xe == Error::None) {
+                    auto numArgs = um.pull<uint64_t>();
+                    m << Error::None << numArgs;
+                    for (uint64_t i = 0; i < numArgs; ++i)
+                        m << um.pull<uint64_t>();
+                } else {
+                    m << xe << uint64_t{0};
+                }
+                reply(slot, buf, static_cast<uint32_t>(m.size()));
+            });
         return;
     }
 
@@ -1497,212 +1533,96 @@ Kernel::sysExchangeSess(Vpe &caller, Unmarshaller &um, uint32_t slot)
       << sess->ident << count << argc;
     for (uint64_t i = 0; i < argc; ++i)
         m << args[i];
-    uint64_t id =
-        sendToService(*sess->serv, buf, static_cast<uint32_t>(m.size()));
-
-    PendingSrvReq req;
-    req.kind = op == kif::ExchangeOp::Obtain ? PendingSrvReq::Kind::Obtain
-                                             : PendingSrvReq::Kind::Delegate;
-    req.caller = caller.id;
-    req.slot = slot;
-    req.sess = sess;
-    req.serv = sess->serv;
-    req.dstStart = dstStart;
-    req.count = static_cast<uint32_t>(count);
-    if (req.kind == PendingSrvReq::Kind::Delegate) {
-        for (uint32_t i = 0; i < count; ++i)
-            req.srcSels.push_back(dstStart + i);
-    }
     deferReply(caller);
-    pendingSrvReqs[id] = std::move(req);
+    auto serv = sess->serv;
+    if (op == kif::ExchangeOp::Obtain) {
+        serv->chan.send(buf, static_cast<uint32_t>(m.size()),
+                        [this, callerId = caller.id, slot, serv, dstStart,
+                         count](Error e, Unmarshaller &um) {
+                            if (Vpe *c = deferredReplySent(callerId))
+                                obtainReply(*c, *serv, slot, dstStart,
+                                            count, e, um);
+                        });
+        return;
+    }
+    // Delegate: the caller's caps dstStart.. go to the service, which
+    // names the selectors to put them at.
+    serv->chan.send(
+        buf, static_cast<uint32_t>(m.size()),
+        [this, callerId = caller.id, slot, serv, dstStart,
+         count](Error e, Unmarshaller &um) {
+            Vpe *c = deferredReplySent(callerId);
+            if (!c)
+                return;
+            Error xe = e;
+            if (xe == Error::None) {
+                auto numCaps = um.pull<uint64_t>();
+                Vpe *srvVpe = vpeById(serv->owner);
+                if (numCaps > count || !srvVpe)
+                    xe = Error::InvalidArgs;
+                for (uint64_t i = 0; xe == Error::None && i < numCaps;
+                     ++i) {
+                    auto srvDstSel = um.pull<capsel_t>();
+                    Capability *src = c->caps.get(dstStart + i);
+                    if (!src) {
+                        xe = Error::NoSuchCap;
+                        break;
+                    }
+                    if (srvVpe->caps.get(srvDstSel)) {
+                        xe = Error::CapExists;
+                        break;
+                    }
+                    srvVpe->caps.put(srvDstSel, src->obj, src);
+                    kstats.capsDelegated++;
+                    compute(costs.capOp);
+                }
+            }
+            replyOnEpError(slot, xe);
+        });
 }
 
 void
-Kernel::handleServiceReply(uint32_t slot)
+Kernel::obtainReply(Vpe &caller, ServObj &serv, uint32_t slot,
+                    capsel_t dstStart, uint64_t count, Error e,
+                    Unmarshaller &um)
 {
-    MessageHeader hdr = kdtu().msgHeader(KEP_SRV_REPLY, slot);
-    auto it = pendingSrvReqs.find(hdr.label);
-    if (it == pendingSrvReqs.end()) {
-        warn("service reply for unknown request %llu",
-             static_cast<unsigned long long>(hdr.label));
-        kdtu().ackMsg(KEP_SRV_REPLY, slot);
-        return;
-    }
-    PendingSrvReq req = std::move(it->second);
-    pendingSrvReqs.erase(it);
-    deferredReplySent(req.caller);
-
-    // The reply returns the kernel's channel credit; dispatch a queued
-    // request if one is waiting.
-    if (req.serv) {
-        req.serv->kernelCredits++;
-        if (!req.serv->sendQueue.empty()) {
-            auto [qid, bytes] = std::move(req.serv->sendQueue.front());
-            req.serv->sendQueue.erase(req.serv->sendQueue.begin());
-            req.serv->kernelCredits--;
-            dispatchToService(*req.serv, bytes.data(),
-                              static_cast<uint32_t>(bytes.size()), qid);
-        }
-    }
-
-    Spm &spm = platform.pe(kernelPe).spm();
-    const uint8_t *payload = spm.ptr(
-        kdtu().msgAddr(KEP_SRV_REPLY, slot) + sizeof(MessageHeader),
-        hdr.length);
-    Unmarshaller um(payload, hdr.length);
-    kdtu().ackMsg(KEP_SRV_REPLY, slot);
-
-    compute(costs.fetchMsg + costs.unmarshal);
-
-    if (req.kind == PendingSrvReq::Kind::RemoteOpen ||
-        req.kind == PendingSrvReq::Kind::RemoteObtain) {
-        // The request came in over the IK channel on behalf of a remote
-        // kernel; relay the service's answer back onto that ring slot.
-        auto e = um.pull<Error>();
-        uint8_t buf[kif::IK_MSG_SIZE];
-        Marshaller m(buf, sizeof(buf));
-        if (req.kind == PendingSrvReq::Kind::RemoteOpen) {
-            if (e == Error::None)
-                m << Error::None << um.pull<uint64_t>();
-            else
-                m << e;
-            replyOnEp(KEP_IK, req.slot, buf,
-                      static_cast<uint32_t>(m.size()));
-            return;
-        }
-        if (e != Error::None) {
-            m << e << uint64_t{0} << uint64_t{0};
-            replyOnEp(KEP_IK, req.slot, buf,
-                      static_cast<uint32_t>(m.size()));
-            return;
-        }
+    uint8_t buf[kif::MAX_SYSC_MSG];
+    Marshaller m(buf, sizeof(buf));
+    // The service names its caps by selector. Check the whole list
+    // before installing any, so an error never leaves a partial
+    // exchange behind or payload unread in the wrong place.
+    std::vector<Capability *> srcs;
+    Error xe = e;
+    if (xe == Error::None) {
         auto numCaps = um.pull<uint64_t>();
-        Vpe *srvVpe = vpeById(req.serv->owner);
-        Error xe = (numCaps > req.count || !srvVpe) ? Error::InvalidArgs
-                                                    : Error::None;
-        // The service names its caps by selector; serialize them for the
-        // remote kernel to install as shadow caps. Validate first so the
-        // reply never carries a partial cap list.
-        std::vector<Capability *> srcs;
+        Vpe *srvVpe = vpeById(serv.owner);
+        if (numCaps > count || !srvVpe)
+            xe = Error::InvalidArgs;
         for (uint64_t i = 0; xe == Error::None && i < numCaps; ++i) {
-            auto srvSel = um.pull<capsel_t>();
-            Capability *src = srvVpe->caps.get(srvSel);
+            Capability *src = srvVpe->caps.get(um.pull<capsel_t>());
             if (!src)
                 xe = Error::NoSuchCap;
+            else if (caller.caps.get(dstStart + i))
+                xe = Error::CapExists;
             else
                 srcs.push_back(src);
         }
-        m << xe << static_cast<uint64_t>(xe == Error::None ? numCaps : 0);
-        if (xe == Error::None) {
-            for (Capability *src : srcs) {
-                Error se = serializeCap(m, *src);
-                if (se != Error::None) {
-                    // Undelegable object (receive gate / service):
-                    // restart the reply as a clean error.
-                    Marshaller em(buf, sizeof(buf));
-                    em << se << uint64_t{0} << uint64_t{0};
-                    replyOnEp(KEP_IK, req.slot, buf,
-                              static_cast<uint32_t>(em.size()));
-                    return;
-                }
-                compute(costs.capOp);
-            }
-            auto numArgs = um.pull<uint64_t>();
-            m << numArgs;
-            for (uint64_t i = 0; i < numArgs; ++i)
-                m << um.pull<uint64_t>();
-        } else {
-            m << uint64_t{0};
-        }
-        replyOnEp(KEP_IK, req.slot, buf, static_cast<uint32_t>(m.size()));
+    }
+    if (xe != Error::None) {
+        m << xe << uint64_t{0};
+        reply(slot, buf, static_cast<uint32_t>(m.size()));
         return;
     }
-
-    Vpe *caller = vpeById(req.caller);
-    if (!caller)
-        return;  // the caller exited meanwhile; drop the response
-
-    auto e = um.pull<Error>();
-
-    switch (req.kind) {
-      case PendingSrvReq::Kind::Open: {
-        if (e == Error::None) {
-            auto ident = um.pull<uint64_t>();
-            caller->caps.put(req.dstSel,
-                             std::make_shared<SessObj>(req.serv, ident));
-            compute(costs.capOp);
-        }
-        replyOnEpError(req.slot, e);
-        break;
-      }
-      case PendingSrvReq::Kind::Obtain: {
-        uint8_t buf[kif::MAX_SYSC_MSG];
-        Marshaller m(buf, sizeof(buf));
-        if (e != Error::None) {
-            m << e << uint64_t{0};
-            replyOnEp(KEP_SYSC, req.slot, buf,
-                      static_cast<uint32_t>(m.size()));
-            break;
-        }
-        auto numCaps = um.pull<uint64_t>();
-        Vpe *srvVpe = vpeById(req.serv->owner);
-        Error xe = Error::None;
-        if (numCaps > req.count || !srvVpe)
-            xe = Error::InvalidArgs;
-        for (uint64_t i = 0; xe == Error::None && i < numCaps; ++i) {
-            auto srvSel = um.pull<capsel_t>();
-            Capability *src = srvVpe->caps.get(srvSel);
-            if (!src) {
-                xe = Error::NoSuchCap;
-                break;
-            }
-            if (caller->caps.get(req.dstStart + i)) {
-                xe = Error::CapExists;
-                break;
-            }
-            caller->caps.put(req.dstStart + i, src->obj, src);
-            kstats.capsDelegated++;
-            compute(costs.capOp);
-        }
-        auto numArgs = um.pull<uint64_t>();
-        m << xe << numArgs;
-        for (uint64_t i = 0; i < numArgs; ++i)
-            m << um.pull<uint64_t>();
-        replyOnEp(KEP_SYSC, req.slot, buf,
-                  static_cast<uint32_t>(m.size()));
-        break;
-      }
-      case PendingSrvReq::Kind::Delegate: {
-        Error xe = e;
-        if (xe == Error::None) {
-            auto numCaps = um.pull<uint64_t>();
-            Vpe *srvVpe = vpeById(req.serv->owner);
-            if (numCaps > req.srcSels.size() || !srvVpe)
-                xe = Error::InvalidArgs;
-            for (uint64_t i = 0; xe == Error::None && i < numCaps; ++i) {
-                auto srvDstSel = um.pull<capsel_t>();
-                Capability *src = caller->caps.get(req.srcSels[i]);
-                if (!src) {
-                    xe = Error::NoSuchCap;
-                    break;
-                }
-                if (srvVpe->caps.get(srvDstSel)) {
-                    xe = Error::CapExists;
-                    break;
-                }
-                srvVpe->caps.put(srvDstSel, src->obj, src);
-                kstats.capsDelegated++;
-                compute(costs.capOp);
-            }
-        }
-        replyOnEpError(req.slot, xe);
-        break;
-      }
-      case PendingSrvReq::Kind::RemoteOpen:
-      case PendingSrvReq::Kind::RemoteObtain:
-        // Answered to the requesting kernel by the early return above.
-        break;
+    for (size_t i = 0; i < srcs.size(); ++i) {
+        caller.caps.put(dstStart + i, srcs[i]->obj, srcs[i]);
+        kstats.capsDelegated++;
+        compute(costs.capOp);
     }
+    auto numArgs = um.pull<uint64_t>();
+    m << Error::None << numArgs;
+    for (uint64_t i = 0; i < numArgs; ++i)
+        m << um.pull<uint64_t>();
+    reply(slot, buf, static_cast<uint32_t>(m.size()));
 }
 
 // ---------------------------------------------------------------------
@@ -1736,86 +1656,71 @@ Kernel::announceService(const std::string &name)
         Marshaller m(buf, sizeof(buf));
         m << kif::IkOp::AnnounceSrv << name
           << static_cast<uint64_t>(domain.id);
-        PendingIkReq req;
-        req.op = kif::IkOp::AnnounceSrv;
-        sendIk(d, buf, static_cast<uint32_t>(m.size()), std::move(req));
+        ikNotify(d, buf, m.size());
     }
 }
 
-bool
-Kernel::tryRemoteCreateVpe(Vpe &caller, PendingIkReq req)
+void
+Kernel::ikNotify(uint32_t peer, const void *msg, size_t size)
 {
-    if (!multiKernel())
+    ikChannels[peer].send(msg, static_cast<uint32_t>(size),
+                          [](Error, Unmarshaller &) {});
+}
+
+bool
+Kernel::tryRemoteCreateVpe(PendingVpeReq req,
+                           std::vector<uint32_t> candidates)
+{
+    if (candidates.empty())
         return false;
-    if (req.arg == 0) {
-        // First attempt: order the peer domains least-loaded first (by
-        // the free-PE estimate; domain id breaks ties). The estimate
-        // self-corrects from freePesAfter in every reply.
-        std::vector<uint32_t> cand;
-        for (uint32_t d = 0; d < domain.count; ++d)
-            if (d != domain.id && freeEst[d] > 0)
-                cand.push_back(d);
-        std::stable_sort(cand.begin(), cand.end(),
-                         [this](uint32_t a, uint32_t b) {
-                             return freeEst[a] > freeEst[b];
-                         });
-        req.candidates = std::move(cand);
-        req.arg = 1;  // candidates computed (even if empty)
-    }
-    if (req.candidates.empty())
-        return false;
-    uint32_t peer = req.candidates.front();
-    req.candidates.erase(req.candidates.begin());
+    uint32_t peer = candidates.front();
+    candidates.erase(candidates.begin());
 
     uint8_t buf[kif::IK_MSG_SIZE];
     Marshaller m(buf, sizeof(buf));
     m << kif::IkOp::CreateVpe << req.name << req.type << req.attr;
     logtrace("kernel%u: remote CreateVpe '%s' -> kernel%u (for vpe%u)",
-             domain.id, req.name.c_str(), peer, caller.id);
-    sendIk(peer, buf, static_cast<uint32_t>(m.size()), std::move(req));
+             domain.id, req.name.c_str(), peer, req.caller);
+    ikChannels[peer].send(
+        buf, static_cast<uint32_t>(m.size()),
+        [this, req = std::move(req), candidates = std::move(candidates),
+         peer](Error e, Unmarshaller &um) mutable {
+            if (e != Error::None) {
+                // The peer declined (it filled up since our estimate);
+                // walk the remaining candidates before giving up.
+                freeEst.at(peer) = 0;
+                if (!vpeById(req.caller))
+                    return;  // requester exited; drop
+                if (e == Error::NoFreePe &&
+                    tryRemoteCreateVpe(std::move(req),
+                                       std::move(candidates)))
+                    return;  // forwarded onwards, reply still deferred
+                deferredReplySent(req.caller);
+                replyOnEpError(req.slot, e);
+                return;
+            }
+            auto childId = static_cast<vpeid_t>(um.pull<uint64_t>());
+            auto childPe = static_cast<peid_t>(um.pull<uint64_t>());
+            freeEst.at(peer) = static_cast<uint32_t>(um.pull<uint64_t>());
+            Vpe *caller = vpeById(req.caller);
+            if (!caller)
+                return;  // requester exited; the remote child is orphaned
+            caller->caps.put(req.dstSel,
+                             std::make_shared<VpeRefObj>(childId));
+            uint64_t spmSize = platform.pe(childPe).desc().spmDataSize;
+            caller->caps.put(req.mgateSel,
+                             std::make_shared<MemObj>(
+                                 platform.nocIdOf(childPe), 0, spmSize,
+                                 MEM_RW));
+            compute(2 * costs.capOp);
+            deferredReplySent(req.caller);
+            uint8_t rbuf[64];
+            Marshaller rm(rbuf, sizeof(rbuf));
+            rm << Error::None << static_cast<uint64_t>(childId)
+               << static_cast<uint64_t>(childPe);
+            reply(req.slot, rbuf, static_cast<uint32_t>(rm.size()));
+        });
     return true;
-}
-
-uint64_t
-Kernel::sendIk(uint32_t peer, const void *msg, uint32_t size,
-               PendingIkReq req)
-{
-    uint64_t id = nextIkReqId++;
-    req.domain = peer;
-    const uint8_t *bytes = static_cast<const uint8_t *>(msg);
-    if (ikCredits.at(peer) == 0) {
-        // Peer's ring budget exhausted: queue until a reply refunds.
-        ikSendQueue[peer].emplace_back(
-            id, std::vector<uint8_t>(bytes, bytes + size));
-        pendingIkReqs[id] = std::move(req);
-        return id;
-    }
-    ikCredits[peer]--;
-    pendingIkReqs[id] = std::move(req);
-    dispatchIk(peer, bytes, size, id);
-    return id;
-}
-
-void
-Kernel::dispatchIk(uint32_t peer, const uint8_t *msg, uint32_t size,
-                   uint64_t id)
-{
-    SendEpCfg cfg;
-    cfg.targetNode = platform.nocIdOf(domain.kernelPes.at(peer));
-    cfg.targetEp = KEP_IK;
-    cfg.label = domain.id;
-    cfg.credits = CREDITS_UNLIMITED;  // bounded by ikCredits
-    cfg.maxMsgSize = kif::IK_MSG_SIZE;
-    kdtu().configSend(KEP_IK_SEND, cfg);
-
-    Spm &spm = platform.pe(kernelPe).spm();
-    spm.write(ikStage, msg, size);
-    compute(costs.epConfig + costs.marshal + costs.dtuCommand);
-    Error e = kdtu().startSend(KEP_IK_SEND, ikStage, size, KEP_IK_REPLY, id);
-    if (e != Error::None)
-        panic("kernel -> kernel send failed: %s", errorName(e));
-    kdtu().waitUntilIdle();
-    kstats.ikRequestsSent++;
 }
 
 void
@@ -2000,18 +1905,22 @@ Kernel::ikOpenSess(Unmarshaller &um, uint32_t slot)
         ikReplyError(slot, Error::NoSuchService);
         return;
     }
+    // The request came in over the IK channel on behalf of a remote
+    // kernel; relay the service's answer back onto that ring slot.
     uint8_t buf[128];
     Marshaller m(buf, sizeof(buf));
     m << kif::ServiceOp::Open << arg;
-    uint64_t id = sendToService(*it->second, buf,
-                                static_cast<uint32_t>(m.size()));
-
-    PendingSrvReq req;
-    req.kind = PendingSrvReq::Kind::RemoteOpen;
-    req.caller = INVALID_VPE;
-    req.slot = slot;
-    req.serv = it->second;
-    pendingSrvReqs[id] = std::move(req);
+    it->second->chan.send(buf, static_cast<uint32_t>(m.size()),
+                          [this, slot](Error e, Unmarshaller &um) {
+                              uint8_t rbuf[kif::IK_MSG_SIZE];
+                              Marshaller rm(rbuf, sizeof(rbuf));
+                              if (e == Error::None)
+                                  rm << Error::None << um.pull<uint64_t>();
+                              else
+                                  rm << e;
+                              ikReply(slot, rbuf,
+                                      static_cast<uint32_t>(rm.size()));
+                          });
 }
 
 void
@@ -2044,16 +1953,62 @@ Kernel::ikSessExchange(Unmarshaller &um, uint32_t slot)
     m << kif::ServiceOp::Obtain << ident << count << argc;
     for (uint64_t i = 0; i < argc; ++i)
         m << args[i];
-    uint64_t id = sendToService(*it->second, buf,
-                                static_cast<uint32_t>(m.size()));
+    auto serv = it->second;
+    serv->chan.send(buf, static_cast<uint32_t>(m.size()),
+                    [this, slot, serv, count](Error e, Unmarshaller &um) {
+                        remoteObtainReply(*serv, slot, count, e, um);
+                    });
+}
 
-    PendingSrvReq req;
-    req.kind = PendingSrvReq::Kind::RemoteObtain;
-    req.caller = INVALID_VPE;
-    req.slot = slot;
-    req.serv = it->second;
-    req.count = static_cast<uint32_t>(count);
-    pendingSrvReqs[id] = std::move(req);
+void
+Kernel::remoteObtainReply(ServObj &serv, uint32_t slot, uint64_t count,
+                          Error e, Unmarshaller &um)
+{
+    uint8_t buf[kif::IK_MSG_SIZE];
+    Marshaller m(buf, sizeof(buf));
+    if (e != Error::None) {
+        m << e << uint64_t{0} << uint64_t{0};
+        ikReply(slot, buf, static_cast<uint32_t>(m.size()));
+        return;
+    }
+    auto numCaps = um.pull<uint64_t>();
+    Vpe *srvVpe = vpeById(serv.owner);
+    Error xe =
+        (numCaps > count || !srvVpe) ? Error::InvalidArgs : Error::None;
+    // The service names its caps by selector; serialize them for the
+    // remote kernel to install as shadow caps. Validate first so the
+    // reply never carries a partial cap list.
+    std::vector<Capability *> srcs;
+    for (uint64_t i = 0; xe == Error::None && i < numCaps; ++i) {
+        Capability *src = srvVpe->caps.get(um.pull<capsel_t>());
+        if (!src)
+            xe = Error::NoSuchCap;
+        else
+            srcs.push_back(src);
+    }
+    m << xe << static_cast<uint64_t>(xe == Error::None ? numCaps : 0);
+    if (xe != Error::None) {
+        m << uint64_t{0};
+        ikReply(slot, buf, static_cast<uint32_t>(m.size()));
+        return;
+    }
+    for (Capability *src : srcs) {
+        Error se = serializeCap(m, *src);
+        if (se != Error::None) {
+            // Undelegable object (receive gate / service): restart the
+            // reply as a clean error.
+            Marshaller em(buf, sizeof(buf));
+            em << se << uint64_t{0} << uint64_t{0};
+            ikReply(slot, buf, static_cast<uint32_t>(em.size()));
+            return;
+        }
+        compute(costs.capOp);
+    }
+    auto numArgs = um.pull<uint64_t>();
+    m << numArgs;
+    for (uint64_t i = 0; i < numArgs; ++i)
+        m << um.pull<uint64_t>();
+    ikReply(slot, buf, static_cast<uint32_t>(m.size()));
 }
 
 void
@@ -2280,189 +2235,6 @@ Kernel::installSerializedCap(Unmarshaller &um, Vpe &target, capsel_t sel)
 }
 
 void
-Kernel::handleIkReply(uint32_t slot)
-{
-    MessageHeader hdr = kdtu().msgHeader(KEP_IK_REPLY, slot);
-    auto it = pendingIkReqs.find(hdr.label);
-    if (it == pendingIkReqs.end()) {
-        warn("inter-kernel reply for unknown request %llu",
-             static_cast<unsigned long long>(hdr.label));
-        kdtu().ackMsg(KEP_IK_REPLY, slot);
-        return;
-    }
-    PendingIkReq req = std::move(it->second);
-    pendingIkReqs.erase(it);
-
-    // Refund the peer's credit; dispatch a queued request if waiting.
-    ikCredits.at(req.domain)++;
-    if (!ikSendQueue[req.domain].empty()) {
-        auto [qid, bytes] = std::move(ikSendQueue[req.domain].front());
-        ikSendQueue[req.domain].erase(ikSendQueue[req.domain].begin());
-        ikCredits[req.domain]--;
-        dispatchIk(req.domain, bytes.data(),
-                   static_cast<uint32_t>(bytes.size()), qid);
-    }
-
-    Spm &spm = platform.pe(kernelPe).spm();
-    const uint8_t *payload = spm.ptr(
-        kdtu().msgAddr(KEP_IK_REPLY, slot) + sizeof(MessageHeader),
-        hdr.length);
-    Unmarshaller um(payload, hdr.length);
-    kdtu().ackMsg(KEP_IK_REPLY, slot);
-    compute(costs.fetchMsg + costs.unmarshal);
-
-    auto e = um.pull<Error>();
-
-    switch (req.op) {
-      case kif::IkOp::AnnounceSrv:
-        break;  // fire-and-acknowledge
-      case kif::IkOp::CreateVpe: {
-        if (e != Error::None) {
-            // The peer declined (it filled up since our estimate); walk
-            // the remaining candidates before giving up.
-            freeEst.at(req.domain) = 0;
-            Vpe *caller = vpeById(req.caller);
-            if (!caller)
-                break;  // requester exited; drop
-            if (e == Error::NoFreePe &&
-                tryRemoteCreateVpe(*caller, std::move(req)))
-                break;  // forwarded onwards, reply still deferred
-            deferredReplySent(req.caller);
-            replyOnEpError(req.slot, e);
-            break;
-        }
-        auto childId = static_cast<vpeid_t>(um.pull<uint64_t>());
-        auto childPe = static_cast<peid_t>(um.pull<uint64_t>());
-        auto freeAfter = um.pull<uint64_t>();
-        freeEst.at(req.domain) = static_cast<uint32_t>(freeAfter);
-        Vpe *caller = vpeById(req.caller);
-        if (!caller)
-            break;  // requester exited; the remote child is orphaned
-        caller->caps.put(req.dstSel,
-                         std::make_shared<VpeRefObj>(childId));
-        uint64_t spmSize = platform.pe(childPe).desc().spmDataSize;
-        caller->caps.put(req.mgateSel, std::make_shared<MemObj>(
-                                           platform.nocIdOf(childPe), 0,
-                                           spmSize, MEM_RW));
-        compute(2 * costs.capOp);
-        deferredReplySent(req.caller);
-        uint8_t buf[64];
-        Marshaller m(buf, sizeof(buf));
-        m << Error::None << static_cast<uint64_t>(childId)
-          << static_cast<uint64_t>(childPe);
-        replyOnEp(KEP_SYSC, req.slot, buf,
-                  static_cast<uint32_t>(m.size()));
-        break;
-      }
-      case kif::IkOp::VpeStart:
-      case kif::IkOp::DelegateCaps: {
-        deferredReplySent(req.caller);
-        if (!vpeById(req.caller))
-            break;
-        replyOnEpError(req.slot, e);
-        break;
-      }
-      case kif::IkOp::VpeWait: {
-        deferredReplySent(req.caller);
-        if (!vpeById(req.caller))
-            break;
-        uint8_t buf[64];
-        Marshaller m(buf, sizeof(buf));
-        if (e == Error::None)
-            m << Error::None << um.pull<int64_t>();
-        else
-            m << e;
-        replyOnEp(KEP_SYSC, req.slot, buf,
-                  static_cast<uint32_t>(m.size()));
-        break;
-      }
-      case kif::IkOp::OpenSess: {
-        deferredReplySent(req.caller);
-        Vpe *caller = vpeById(req.caller);
-        if (!caller)
-            break;
-        if (e == Error::None) {
-            auto ident = um.pull<uint64_t>();
-            caller->caps.put(req.dstSel,
-                             std::make_shared<SessObj>(req.servName,
-                                                       req.servDomain,
-                                                       ident));
-            compute(costs.capOp);
-        }
-        replyOnEpError(req.slot, e);
-        break;
-      }
-      case kif::IkOp::SessExchange: {
-        deferredReplySent(req.caller);
-        Vpe *caller = vpeById(req.caller);
-        if (!caller)
-            break;
-        uint8_t buf[kif::MAX_SYSC_MSG];
-        Marshaller m(buf, sizeof(buf));
-        if (e != Error::None) {
-            m << e << uint64_t{0};
-            replyOnEp(KEP_SYSC, req.slot, buf,
-                      static_cast<uint32_t>(m.size()));
-            break;
-        }
-        auto numCaps = um.pull<uint64_t>();
-        Error xe = numCaps > req.count ? Error::InvalidArgs : Error::None;
-        for (uint64_t i = 0; xe == Error::None && i < numCaps; ++i) {
-            xe = installSerializedCap(um, *caller, req.dstStart + i);
-            compute(costs.capOp);
-        }
-        if (xe == Error::None) {
-            auto numArgs = um.pull<uint64_t>();
-            m << Error::None << numArgs;
-            for (uint64_t i = 0; i < numArgs; ++i)
-                m << um.pull<uint64_t>();
-        } else {
-            m << xe << uint64_t{0};
-        }
-        replyOnEp(KEP_SYSC, req.slot, buf,
-                  static_cast<uint32_t>(m.size()));
-        break;
-      }
-      case kif::IkOp::PeRelease:
-      case kif::IkOp::CapsRehome:
-        break;  // fire-and-acknowledge
-      case kif::IkOp::PeLease: {
-        auto drainSrc = static_cast<peid_t>(req.arg);
-        Vpe *v = vpeById(req.migrVpe);
-        if (e != Error::None) {
-            // This peer had nothing free; walk remaining candidates.
-            if (v && v->state == Vpe::State::Running &&
-                requestPeLease(*v, std::move(req)))
-                break;
-            kstats.migrationsAborted++;
-            warn("kernel%u: no peer can host vpe%u, evacuation aborted",
-                 domain.id, static_cast<unsigned>(req.migrVpe));
-            finishDrainStep(drainSrc);
-            break;
-        }
-        auto pe = static_cast<peid_t>(um.pull<uint64_t>());
-        if (!v || v->state != Vpe::State::Running) {
-            // The VPE exited while the lease was in flight: hand the
-            // PE straight back unused.
-            uint8_t buf[64];
-            Marshaller m(buf, sizeof(buf));
-            m << kif::IkOp::PeRelease << static_cast<uint64_t>(pe);
-            PendingIkReq rel;
-            rel.op = kif::IkOp::PeRelease;
-            sendIk(req.domain, buf, static_cast<uint32_t>(m.size()),
-                   std::move(rel));
-            finishDrainStep(drainSrc);
-            break;
-        }
-        borrowedPes[pe] = req.domain;
-        migrateVpe(*v, pe);
-        finishDrainStep(drainSrc);
-        break;
-      }
-    }
-}
-
-void
 Kernel::sysRevoke(Vpe &caller, Unmarshaller &um, uint32_t slot)
 {
     auto capSel = um.pull<capsel_t>();
@@ -2517,7 +2289,9 @@ Kernel::revokeRec(Capability *cap)
         auto &serv = static_cast<ServObj &>(*cap->obj);
         serv.dead = true;
         services.erase(serv.name);
-        failPendingSrvReqs(serv);
+        // Its server can never answer: fail every request still pending
+        // with PeerGone so the callers unblock instead of hanging.
+        serv.chan.failAll(Error::PeerGone);
         break;
       }
       case ObjType::RGate: {
@@ -2930,13 +2704,7 @@ Kernel::migrateVpe(Vpe &v, peid_t dst)
         kdtu().extReset(platform.nocIdOf(src));
         auto bIt = borrowedPes.find(src);
         if (bIt != borrowedPes.end()) {
-            uint8_t buf[64];
-            Marshaller m(buf, sizeof(buf));
-            m << kif::IkOp::PeRelease << static_cast<uint64_t>(src);
-            PendingIkReq ik;
-            ik.op = kif::IkOp::PeRelease;
-            sendIk(bIt->second, buf, static_cast<uint32_t>(m.size()),
-                   std::move(ik));
+            releaseBorrowedPe(bIt->second, src);
             borrowedPes.erase(bIt);
         } else if (!drained(src)) {
             srcPe.release();
@@ -3037,22 +2805,19 @@ Kernel::broadcastCapsRehome(uint32_t oldNode, uint32_t gen,
     Marshaller m(buf, sizeof(buf));
     m << kif::IkOp::CapsRehome << static_cast<uint64_t>(oldNode)
       << static_cast<uint64_t>(gen) << static_cast<uint64_t>(newNode);
-    for (uint32_t d = 0; d < domain.count; ++d) {
-        if (d == domain.id)
-            continue;
-        PendingIkReq ik;
-        ik.op = kif::IkOp::CapsRehome;
-        sendIk(d, buf, static_cast<uint32_t>(m.size()), std::move(ik));
-    }
+    for (uint32_t d = 0; d < domain.count; ++d)
+        if (d != domain.id)
+            ikNotify(d, buf, m.size());
 }
 
 bool
-Kernel::requestPeLease(Vpe &v, PendingIkReq req)
+Kernel::requestPeLease(Vpe &v, peid_t drainSrc,
+                       std::vector<uint32_t> candidates)
 {
-    if (req.candidates.empty())
+    if (candidates.empty())
         return false;
-    uint32_t peer = req.candidates.front();
-    req.candidates.erase(req.candidates.begin());
+    uint32_t peer = candidates.front();
+    candidates.erase(candidates.begin());
     const PeDesc &want = platform.pe(v.pe).desc();
     kif::PeTypeReq t = want.type == PeType::Accelerator
                            ? kif::PeTypeReq::Accelerator
@@ -3060,8 +2825,45 @@ Kernel::requestPeLease(Vpe &v, PendingIkReq req)
     uint8_t buf[kif::IK_MSG_SIZE];
     Marshaller m(buf, sizeof(buf));
     m << kif::IkOp::PeLease << t << want.attr;
-    sendIk(peer, buf, static_cast<uint32_t>(m.size()), std::move(req));
+    ikChannels[peer].send(
+        buf, static_cast<uint32_t>(m.size()),
+        [this, vpeId = v.id, drainSrc, peer,
+         candidates = std::move(candidates)](Error e,
+                                             Unmarshaller &um) mutable {
+            Vpe *v = vpeById(vpeId);
+            if (e != Error::None) {
+                // This peer had nothing free; walk remaining candidates.
+                if (v && v->state == Vpe::State::Running &&
+                    requestPeLease(*v, drainSrc, std::move(candidates)))
+                    return;
+                kstats.migrationsAborted++;
+                warn("kernel%u: no peer can host vpe%u, evacuation aborted",
+                     domain.id, static_cast<unsigned>(vpeId));
+                finishDrainStep(drainSrc);
+                return;
+            }
+            auto pe = static_cast<peid_t>(um.pull<uint64_t>());
+            if (!v || v->state != Vpe::State::Running) {
+                // The VPE exited while the lease was in flight: hand the
+                // PE straight back unused.
+                releaseBorrowedPe(peer, pe);
+                finishDrainStep(drainSrc);
+                return;
+            }
+            borrowedPes[pe] = peer;
+            migrateVpe(*v, pe);
+            finishDrainStep(drainSrc);
+        });
     return true;
+}
+
+void
+Kernel::releaseBorrowedPe(uint32_t lender, peid_t pe)
+{
+    uint8_t buf[64];
+    Marshaller m(buf, sizeof(buf));
+    m << kif::IkOp::PeRelease << static_cast<uint64_t>(pe);
+    ikNotify(lender, buf, m.size());
 }
 
 void
@@ -3100,14 +2902,11 @@ Kernel::drainPe(peid_t pe)
             // No room in this domain: borrow a free PE from a peer
             // kernel. The evacuation completes when the lease reply
             // arrives; the drain stays open until then.
-            PendingIkReq ik;
-            ik.op = kif::IkOp::PeLease;
-            ik.migrVpe = v->id;
-            ik.arg = pe;  // the draining PE, for finishDrainStep
+            std::vector<uint32_t> cand;
             for (uint32_t d = 0; d < domain.count; ++d)
                 if (d != domain.id)
-                    ik.candidates.push_back(d);
-            if (requestPeLease(*v, std::move(ik))) {
+                    cand.push_back(d);
+            if (requestPeLease(*v, pe, std::move(cand))) {
                 run.outstanding++;
                 continue;
             }

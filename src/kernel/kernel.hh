@@ -13,17 +13,18 @@
 #ifndef M3_KERNEL_KERNEL_HH
 #define M3_KERNEL_KERNEL_HH
 
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "base/cost_model.hh"
 #include "base/errors.hh"
 #include "base/marshal.hh"
 #include "kernel/caps.hh"
+#include "kernel/kchannel.hh"
 #include "kernel/kif.hh"
 #include "pe/platform.hh"
 
@@ -296,6 +297,13 @@ class Kernel
     /** Introspection for tests: VPE state by id (nullptr if unknown). */
     const Vpe *vpe(vpeid_t id) const;
 
+    /**
+     * Introspection for tests: every kernel channel (to each service and
+     * each peer kernel) has no request in flight or queued and all of
+     * its credits home.
+     */
+    bool channelsIdle() const;
+
     /** Kernel-internal endpoint assignment. */
     static constexpr epid_t KEP_SYSC = 0;  //!< syscall receive ring
     static constexpr epid_t KEP_SRV_REPLY = 1; //!< service replies
@@ -338,50 +346,24 @@ class Kernel
     void sysHeartbeat(Vpe &vpe, Unmarshaller &um, uint32_t slot);
     void sysYield(Vpe &vpe, Unmarshaller &um, uint32_t slot);
     void sysQuerySrv(Vpe &vpe, Unmarshaller &um, uint32_t slot);
+    /** A service answered a client's Obtain: install the named caps. */
+    void obtainReply(Vpe &caller, ServObj &serv, uint32_t slot,
+                     capsel_t dstStart, uint64_t count, Error e,
+                     Unmarshaller &um);
 
-    /** Fail every pending request against @p serv with PeerGone (the
-     *  service was revoked; its server can never answer). */
-    void failPendingSrvReqs(ServObj &serv);
-
-    // --- service interaction -----------------------------------------
-    void handleServiceReply(uint32_t slot);
-    uint64_t sendToService(ServObj &serv, const void *msg, uint32_t size);
-    void dispatchToService(ServObj &serv, const uint8_t *msg,
-                           uint32_t size, uint64_t id);
+    // --- kernel channels (to services and peer kernels) ---------------
+    /** A reply on ring @p ep arrived: complete its request. */
+    void handleReply(KReplyTable &replies, epid_t ep, uint32_t slot);
+    /** One channel request: configure @p sep, stage @p msg, send. */
+    Error sendRequest(epid_t sep, const SendEpCfg &cfg, spmaddr_t buf,
+                      epid_t replyEp, const uint8_t *msg, uint32_t size,
+                      uint64_t id);
 
     // --- inter-kernel protocol (multi-kernel machines only) ----------
-    /** Pending request to a peer kernel; continuation state. */
-    struct PendingIkReq
-    {
-        kif::IkOp op;
-        uint32_t domain = 0;        //!< the peer the request went to
-        vpeid_t caller = INVALID_VPE;
-        uint32_t slot = 0;          //!< caller's syscall ring slot
-        // CreateVpe: the original request plus remaining candidates.
-        capsel_t dstSel = 0;
-        capsel_t mgateSel = 0;
-        std::string name;
-        kif::PeTypeReq type = kif::PeTypeReq::General;
-        std::string attr;
-        std::vector<uint32_t> candidates;  //!< remaining domains to try
-        // OpenSess / SessExchange: cap installation at the caller.
-        uint32_t dstStart = 0;
-        uint32_t count = 0;
-        uint64_t arg = 0;
-        std::string servName;
-        uint32_t servDomain = 0;
-        // PeLease: the VPE waiting to migrate onto the leased PE.
-        vpeid_t migrVpe = INVALID_VPE;
-    };
-
     bool multiKernel() const { return domain.count > 1; }
-    /** Send an IK request to @p peer; returns the request id. */
-    uint64_t sendIk(uint32_t peer, const void *msg, uint32_t size,
-                    PendingIkReq req);
-    void dispatchIk(uint32_t peer, const uint8_t *msg, uint32_t size,
-                    uint64_t id);
+    /** A request whose peer only acknowledges it. */
+    void ikNotify(uint32_t peer, const void *msg, size_t size);
     void handleIkRequest(uint32_t slot);
-    void handleIkReply(uint32_t slot);
     void ikReply(uint32_t slot, const void *msg, uint32_t size);
     void ikReplyError(uint32_t slot, Error e);
 
@@ -395,11 +377,12 @@ class Kernel
     void ikPeLease(Unmarshaller &um, uint32_t slot);
     void ikPeRelease(Unmarshaller &um, uint32_t slot);
     void ikCapsRehome(Unmarshaller &um, uint32_t slot);
+    /** A service answered a peer kernel's Obtain: relay its caps. */
+    void remoteObtainReply(ServObj &serv, uint32_t slot, uint64_t count,
+                           Error e, Unmarshaller &um);
 
     /** Free owned PEs right now (IK CreateVpe replies report this). */
     uint32_t freeOwnedPes() const;
-    /** Forward a CreateVpe to the best remote domain; false = none left. */
-    bool tryRemoteCreateVpe(Vpe &caller, PendingIkReq req);
     /** Serialize one capability for cross-domain transport. */
     Error serializeCap(Marshaller &m, Capability &cap);
     /** Install a serialized capability into @p target at @p sel. */
@@ -424,7 +407,8 @@ class Kernel
 
     /** Bookkeeping for deferred syscall replies (watchdog liveness). */
     void deferReply(Vpe &caller) { caller.pendingReplies++; }
-    void deferredReplySent(vpeid_t caller);
+    /** The deferred reply to @p caller is due; nullptr if it is gone. */
+    Vpe *deferredReplySent(vpeid_t caller);
     void flushPendingActivations(RGateObj *rgate);
 
     uint32_t nodeOf(const Vpe &vpe) const;
@@ -448,15 +432,14 @@ class Kernel
     DomainCfg domain;
     /** Estimated free PEs per peer domain (self-correcting via replies). */
     std::vector<uint32_t> freeEst;
-    /** Per-peer software credits for the IK request channel. */
-    std::vector<uint32_t> ikCredits;
-    /** Requests queued while a peer's credits are exhausted. */
-    std::vector<std::vector<std::pair<uint64_t, std::vector<uint8_t>>>>
-        ikSendQueue;
     /** Services registered at peer kernels: name -> owning domain. */
     std::map<std::string, uint32_t> remoteServices;
-    std::unordered_map<uint64_t, PendingIkReq> pendingIkReqs;
-    uint64_t nextIkReqId = 1;
+
+    /** Requests awaiting their reply, per reply ring. */
+    KReplyTable srvReplies;
+    KReplyTable ikReplies;
+    /** The request channel to each peer kernel (indexed by domain). */
+    std::deque<KChannel> ikChannels;
 
     // Service registry.
     std::map<std::string, std::shared_ptr<ServObj>> services;
@@ -546,6 +529,10 @@ class Kernel
 
     /** Try to satisfy @p req now. @return false if no PE is free. */
     bool tryCreateVpe(Vpe &caller, const PendingVpeReq &req);
+    /** Forward a CreateVpe to the first of @p candidates; false = none
+     *  left. The reply stays deferred until a peer places the child. */
+    bool tryRemoteCreateVpe(PendingVpeReq req,
+                            std::vector<uint32_t> candidates);
     void flushPendingVpes();
 
     // --- live migration, drain and failover ----------------------------
@@ -557,8 +544,12 @@ class Kernel
      * through the generation filter and the gate retry path.
      */
     Error migrateVpe(Vpe &v, peid_t dst);
-    /** Send a PeLease to the next candidate peer (false: none left). */
-    bool requestPeLease(Vpe &v, PendingIkReq req);
+    /** Ask the first of @p candidates to lend a PE for @p v, evacuated
+     *  by the drain of @p drainSrc (false: no candidate left). */
+    bool requestPeLease(Vpe &v, peid_t drainSrc,
+                        std::vector<uint32_t> candidates);
+    /** Hand the PE borrowed from @p lender back. */
+    void releaseBorrowedPe(uint32_t lender, peid_t pe);
     /** Evacuate every running VPE off @p pe; refuse new placements. */
     void drainPe(peid_t pe);
     /** Fire due drains (run loop). */
@@ -599,25 +590,6 @@ class Kernel
     std::map<peid_t, DrainRun> activeDrains;
     /** PEs borrowed from peer kernels (pe -> lender domain). */
     std::map<peid_t, uint32_t> borrowedPes;
-
-    struct PendingSrvReq
-    {
-        /** Remote* variants answer an IK slot for a peer kernel's
-         *  client instead of a local syscall slot. */
-        enum class Kind { Open, Obtain, Delegate, RemoteOpen,
-                          RemoteObtain };
-        Kind kind;
-        vpeid_t caller;
-        uint32_t slot;        //!< syscall (or IK) ring slot to reply to
-        capsel_t dstSel = 0;  //!< OpenSess: where the session cap goes
-        std::shared_ptr<ServObj> serv;
-        std::shared_ptr<SessObj> sess;
-        uint32_t dstStart = 0;  //!< Obtain: caller cap range
-        uint32_t count = 0;
-        std::vector<capsel_t> srcSels;  //!< Delegate: caller's caps
-    };
-    std::unordered_map<uint64_t, PendingSrvReq> pendingSrvReqs;
-    uint64_t nextSrvReqId = 1;
 
     // Programs queued for loading at boot.
     std::vector<BootProgram> bootQueue;

@@ -9,7 +9,9 @@
  *  (c) DTU message conservation: sent == received + dropped (clean),
  *      with NoC-level drops bounding the gap under fault injection;
  *  (d) credit safety: no send endpoint ever ends above its ceiling;
- *  (e) DTU quiescence: no command left in flight.
+ *  (e) DTU quiescence: no command left in flight;
+ *  (f) kernel channel quiescence (clean): no request to a service or a
+ *      peer kernel pending or queued, every channel credit home.
  */
 
 #include <gtest/gtest.h>
@@ -76,6 +78,14 @@ checkCommonInvariants(M3System &sys)
             }
         }
     }
+}
+
+/** (f): every kernel's channels are idle. */
+void
+checkChannelsIdle(M3System &sys)
+{
+    for (uint32_t k = 0; k < sys.numKernels(); ++k)
+        EXPECT_TRUE(sys.kernelInstance(k).channelsIdle()) << "kernel" << k;
 }
 
 /**
@@ -200,6 +210,7 @@ TEST(Invariants, CleanMultiplexedWorkloads)
         // parked, nothing unaccounted.
         Totals t = dtuTotals(sys);
         EXPECT_EQ(t.sent, t.received + t.dropped);
+        checkChannelsIdle(sys);
         EXPECT_GE(sys.kernelInstance().stats().ctxSwitches, 1u);
     }
 }
@@ -283,6 +294,7 @@ TEST(Invariants, MultiKernelWorkloads)
         // (c) exact message conservation, inter-kernel traffic included.
         Totals t = dtuTotals(sys);
         EXPECT_EQ(t.sent, t.received + t.dropped);
+        checkChannelsIdle(sys);
         // The kernels actually talked to each other: the root's domain
         // owns fewer free PEs than there are children.
         uint64_t ik = 0, placed = 0;
@@ -376,6 +388,7 @@ TEST(Invariants, StripedWorkloads)
         // replies and transfer-slot traffic all accounted for.
         Totals t = dtuTotals(sys);
         EXPECT_EQ(t.sent, t.received + t.dropped);
+        checkChannelsIdle(sys);
     }
 }
 

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <map>
 
 #include "libm3/m3system.hh"
@@ -30,18 +32,22 @@ enum class KvXchg : uint64_t
 {
     GetChannel,  //!< obtain the session's send gate
     GetStore,    //!< obtain a memory capability to the raw store
+    BadCapList,  //!< a malformed answer: two caps the service never had
 };
 
 constexpr uint32_t KV_MSG = 256;
 
-/** The service program: run as a boot VPE next to the kernel. */
+/**
+ * The service program: run as a boot VPE next to the kernel. Its
+ * receive gate has 16 slots of @p slotSize bytes.
+ */
 int
-kvServiceMain()
+kvServiceMain(uint32_t slotSize = KV_MSG)
 {
     Env &env = Env::cur();
     env.acct().push(Category::Os);
 
-    RecvGate rgate(env, 16, KV_MSG);
+    RecvGate rgate(env, 16, slotSize);
     capsel_t srvSel = env.allocSels();
     if (env.createSrv(srvSel, rgate.capSel(), "kvstore") != Error::None)
         return 1;
@@ -87,6 +93,14 @@ kvServiceMain()
                     m << e << uint64_t{1} << sel << uint64_t{1}
                       << uint64_t{64 * KiB};
                     is.replyStreamSend(m);
+                } else if (static_cast<KvXchg>(arg0) ==
+                           KvXchg::BadCapList) {
+                    // More caps than asked for, at selectors this VPE
+                    // does not hold, then no args.
+                    Marshaller m = is.replyStream();
+                    m << Error::None << uint64_t{2} << capsel_t{1000}
+                      << capsel_t{1001} << uint64_t{0};
+                    is.replyStreamSend(m);
                 } else {
                     Marshaller m = is.replyStream();
                     m << Error::InvalidArgs << uint64_t{0};
@@ -127,45 +141,59 @@ kvServiceMain()
     }
 }
 
+/**
+ * A machine without m3fs whose service runs as a boot VPE on the PE
+ * after the root's: PE2 with one kernel, PE3 (kernel domain 1) with two.
+ */
 struct KvFixture
 {
-    KvFixture()
+    explicit KvFixture(std::function<int()> service = [] {
+        return kvServiceMain();
+    }, uint32_t appPes = 3, uint32_t kernels = 1)
     {
         M3SystemCfg cfg;
-        cfg.appPes = 3;
+        cfg.appPes = appPes;
         cfg.withFs = false;
+        cfg.numKernels = kernels;
         sys = std::make_unique<M3System>(std::move(cfg));
         kernel::Kernel::BootProgram prog;
-        prog.pe = 2;  // PE1 is the root (no fs); the service takes PE2
-        prog.name = "kvstore";
+        prog.pe = sys->rootPe() + 1;
+        prog.name = "service";
         Platform *plat = &sys->platform();
-        prog.main = [plat](vpeid_t id) {
-            Env env(*plat, 2, id);
-            kvServiceMain();
+        prog.main = [plat, pe = prog.pe, service](vpeid_t id) {
+            Env env(*plat, pe, id);
+            service();
             env.vpeExit(0);
         };
         // Install before runRoot starts the kernel.
-        sys->kernelInstance().addBootProgram(std::move(prog));
+        sys->kernelInstance(sys->domainOfPe(prog.pe))
+            .addBootProgram(std::move(prog));
     }
 
     std::unique_ptr<M3System> sys;
 };
+
+/** Open a session, retrying while the service is still booting. */
+Error
+openRetrying(Env &env, capsel_t sess, const char *name)
+{
+    Error e = Error::None;
+    for (int i = 0; i < 1000; ++i) {
+        e = env.openSess(sess, name, 0);
+        if (e != Error::NoSuchService)
+            break;
+        Fiber::current()->sleep(500);
+    }
+    return e;
+}
 
 TEST(Service, SessionChannelAndRequests)
 {
     KvFixture fx;
     fx.sys->runRoot("client", [&] {
         Env &env = Env::cur();
-        // Open a session (with boot-race retry like the fs client).
         capsel_t sess = env.allocSels();
-        Error e = Error::None;
-        for (int i = 0; i < 1000; ++i) {
-            e = env.openSess(sess, "kvstore", 0);
-            if (e != Error::NoSuchService)
-                break;
-            Fiber::current()->sleep(500);
-        }
-        if (e != Error::None)
+        if (openRetrying(env, sess, "kvstore") != Error::None)
             return 1;
 
         // Obtain the channel send gate.
@@ -211,14 +239,7 @@ TEST(Service, MemoryCapabilityExchange)
     fx.sys->runRoot("client", [&] {
         Env &env = Env::cur();
         capsel_t sess = env.allocSels();
-        Error e = Error::None;
-        for (int i = 0; i < 1000; ++i) {
-            e = env.openSess(sess, "kvstore", 0);
-            if (e != Error::NoSuchService)
-                break;
-            Fiber::current()->sleep(500);
-        }
-        if (e != Error::None)
+        if (openRetrying(env, sess, "kvstore") != Error::None)
             return 1;
         capsel_t sgateSel = env.allocSels();
         std::vector<uint64_t> ret;
@@ -255,6 +276,219 @@ TEST(Service, MemoryCapabilityExchange)
     });
     ASSERT_TRUE(fx.sys->simulate());
     EXPECT_EQ(fx.sys->rootExitCode(), 0);
+}
+
+TEST(Service, ObtainWithBadCapListFailsCleanly)
+{
+    // A service that names more caps than asked for, or caps it does
+    // not hold, gets its answer refused as a whole: the client sees the
+    // error, no cap is installed, and the kernel keeps running.
+    KvFixture fx;
+    fx.sys->runRoot("client", [&] {
+        Env &env = Env::cur();
+        capsel_t sess = env.allocSels();
+        if (openRetrying(env, sess, "kvstore") != Error::None)
+            return 1;
+        const capsel_t dst = env.allocSels(2);
+        const uint64_t bad = static_cast<uint64_t>(KvXchg::BadCapList);
+        // Two caps answered to a one-cap request.
+        if (env.exchangeSess(sess, kif::ExchangeOp::Obtain, dst, 1,
+                             {bad}) != Error::InvalidArgs)
+            return 2;
+        // Two caps, but the service holds neither selector.
+        if (env.exchangeSess(sess, kif::ExchangeOp::Obtain, dst, 2,
+                             {bad}) != Error::NoSuchCap)
+            return 3;
+        // Nothing was installed: the selectors still take a real cap.
+        std::vector<uint64_t> ret;
+        if (env.exchangeSess(sess, kif::ExchangeOp::Obtain, dst, 1,
+                             {static_cast<uint64_t>(KvXchg::GetChannel)},
+                             &ret) != Error::None)
+            return 4;
+        return 0;
+    });
+    ASSERT_TRUE(fx.sys->simulate());
+    EXPECT_EQ(fx.sys->rootExitCode(), 0);
+}
+
+TEST(Service, OversizedRequestToSmallSlotServiceFails)
+{
+    // The service's ring has 64-byte slots: an Obtain carrying 8 args
+    // does not fit. The kernel's send fails; the client gets the DTU's
+    // error and the kernel keeps serving.
+    KvFixture fx([] { return kvServiceMain(64); });
+    fx.sys->runRoot("client", [&] {
+        Env &env = Env::cur();
+        capsel_t sess = env.allocSels();
+        if (openRetrying(env, sess, "kvstore") != Error::None)
+            return 1;
+        std::vector<uint64_t> args(kif::MAX_EXCHG_ARGS, 0);
+        if (env.exchangeSess(sess, kif::ExchangeOp::Obtain,
+                             env.allocSels(), 1,
+                             args) != Error::MsgTooBig)
+            return 2;
+        // A request that fits still goes through.
+        return env.openSess(env.allocSels(), "kvstore", 0) == Error::None
+                   ? 0
+                   : 3;
+    });
+    ASSERT_TRUE(fx.sys->simulate());
+    EXPECT_EQ(fx.sys->rootExitCode(), 0);
+}
+
+/** What the holding service saw, in simulated cycles. */
+struct HoldLog
+{
+    std::vector<Cycles> arrivals;  //!< each kernel request
+    Cycles firstReply = 0;
+};
+
+/**
+ * A service that answers nothing until @p hold Open requests wait in its
+ * ring, then sleeps long enough for every client to issue its request
+ * and answers them all (and every later one at once). With @p die it
+ * instead revokes its registration after the sleep and exits with all
+ * of them unanswered.
+ */
+int
+holdServiceMain(uint32_t hold, bool die, HoldLog &log)
+{
+    Env &env = Env::cur();
+    RecvGate rgate(env, 16, KV_MSG);
+    capsel_t srvSel = env.allocSels();
+    if (env.createSrv(srvSel, rgate.capSel(), "holder") != Error::None)
+        return 1;
+    std::vector<GateIStream> held;
+    uint64_t ident = 1;
+    for (;;) {
+        held.push_back(rgate.receive());
+        log.arrivals.push_back(env.platform.simulator().curCycle());
+        if (log.firstReply == 0 && held.size() < hold)
+            continue;
+        if (log.firstReply == 0) {
+            Fiber::current()->sleep(1000000);
+            if (die)
+                return env.revoke(srvSel, true) == Error::None ? 0 : 2;
+            log.firstReply = env.platform.simulator().curCycle();
+        }
+        for (GateIStream &is : held) {
+            Marshaller m = is.replyStream();
+            m << Error::None << ident++;
+            is.replyStreamSend(m);
+        }
+        held.clear();
+    }
+}
+
+/**
+ * @p clients children of the root open the holding service at once.
+ * Returns each client's result, the cycle it issued its OpenSess, and
+ * the result of one more open by the root once all of them exited.
+ */
+void
+openConcurrently(M3System &sys, uint32_t clients,
+                 std::vector<Error> &results, std::vector<Cycles> &issued,
+                 Error &lateOpen)
+{
+    results.assign(clients, Error::InvalidArgs);
+    issued.assign(clients, 0);
+    sys.runRoot("root", [&] {
+        Env &env = Env::cur();
+        std::vector<std::unique_ptr<VPE>> children;
+        for (uint32_t i = 0; i < clients; ++i) {
+            auto v = std::make_unique<VPE>(
+                env, std::string("c").append(std::to_string(i)));
+            if (v->err() != Error::None)
+                return 1;
+            if (sys.domainOfPe(v->peId()) != sys.domainOfPe(sys.rootPe()))
+                return 2;
+            Error run = v->run([&results, &issued, i] {
+                Env &cenv = Env::cur();
+                capsel_t sess = cenv.allocSels();
+                // Retry while the service is still booting.
+                for (int t = 0; t < 1000; ++t) {
+                    issued[i] = cenv.platform.simulator().curCycle();
+                    results[i] = cenv.openSess(sess, "holder", 0);
+                    if (results[i] != Error::NoSuchService)
+                        break;
+                    Fiber::current()->sleep(500);
+                }
+                return 0;
+            });
+            if (run != Error::None)
+                return 3;
+            children.push_back(std::move(v));
+        }
+        for (auto &v : children)
+            if (v->wait() != 0)
+                return 4;
+        lateOpen = env.openSess(env.allocSels(), "holder", 0);
+        return 0;
+    });
+    ASSERT_TRUE(sys.simulate());
+    ASSERT_EQ(sys.rootExitCode(), 0);
+}
+
+TEST(Service, KernelChannelQueuesBeyondCredits)
+{
+    // 20 opens against a service channel of 16 credits: 16 go out, 4
+    // wait in the kernel until the first reply returns a credit.
+    HoldLog log;
+    KvFixture fx([&log] { return holdServiceMain(16, false, log); }, 22);
+    std::vector<Error> results;
+    std::vector<Cycles> issued;
+    Error late = Error::InvalidArgs;
+    openConcurrently(*fx.sys, 20, results, issued, late);
+    for (Error e : results)
+        EXPECT_EQ(e, Error::None);
+    EXPECT_EQ(late, Error::None);
+    ASSERT_EQ(log.arrivals.size(), 21u);  // plus the root's late open
+    EXPECT_LT(*std::max_element(issued.begin(), issued.end()),
+              log.firstReply);
+    EXPECT_GT(log.arrivals[16], log.firstReply);
+    EXPECT_TRUE(fx.sys->kernelInstance().channelsIdle());
+}
+
+TEST(Service, IkChannelQueuesBeyondCredits)
+{
+    // Two kernels: 10 domain-0 clients open a domain-1 service. Their
+    // kernel holds 8 inter-kernel credits to domain 1, so the 9th and
+    // 10th open wait in domain 0 until the first reply comes back.
+    HoldLog log;
+    KvFixture fx(
+        [&log] { return holdServiceMain(kif::IK_CREDITS, false, log); },
+        21, 2);
+    std::vector<Error> results;
+    std::vector<Cycles> issued;
+    Error late = Error::InvalidArgs;
+    openConcurrently(*fx.sys, 10, results, issued, late);
+    for (Error e : results)
+        EXPECT_EQ(e, Error::None);
+    EXPECT_EQ(late, Error::None);
+    ASSERT_EQ(log.arrivals.size(), 11u);  // plus the root's late open
+    EXPECT_LT(*std::max_element(issued.begin(), issued.end()),
+              log.firstReply);
+    EXPECT_GT(log.arrivals[kif::IK_CREDITS], log.firstReply);
+    for (uint32_t k = 0; k < 2; ++k)
+        EXPECT_TRUE(fx.sys->kernelInstance(k).channelsIdle()) << k;
+}
+
+TEST(Service, DeadServiceFailsInFlightAndQueuedRequests)
+{
+    // 20 opens: 16 reach the service, 4 wait in the kernel. The service
+    // then revokes its registration and exits without answering any.
+    // Every client gets PeerGone, nothing hangs, and the name is gone.
+    HoldLog log;
+    KvFixture fx([&log] { return holdServiceMain(16, true, log); }, 22);
+    std::vector<Error> results;
+    std::vector<Cycles> issued;
+    Error late = Error::InvalidArgs;
+    openConcurrently(*fx.sys, 20, results, issued, late);
+    for (Error e : results)
+        EXPECT_EQ(e, Error::PeerGone);
+    EXPECT_EQ(late, Error::NoSuchService);
+    EXPECT_EQ(log.arrivals.size(), 16u);
+    EXPECT_TRUE(fx.sys->kernelInstance().channelsIdle());
 }
 
 } // anonymous namespace

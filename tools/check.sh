@@ -157,6 +157,19 @@ echo "=== pipe teardown robustness (sanitized)"
     2>&1 | tee "$obs/pipe_teardown.log"
 grep -q '\[  PASSED  \] 1 test' "$obs/pipe_teardown.log"
 
+# Kernel-channel gate, named explicitly so a test relabel cannot drop
+# it: the kernel's request channels to services and peer kernels must
+# queue beyond their credits, fail a refused send, refuse a malformed
+# Obtain answer and fail every pending request of a dead service, all
+# under ASan+UBSan. The reply continuations capture service and
+# session objects and run after the service's revocation — exactly
+# where lifetime bugs hide.
+echo "=== kernel channel queue and failure paths (sanitized)"
+./build-asan/tests/test_service \
+    --gtest_filter='Service.ObtainWithBadCapListFailsCleanly:Service.OversizedRequestToSmallSlotServiceFails:Service.KernelChannelQueuesBeyondCredits:Service.IkChannelQueuesBeyondCredits:Service.DeadServiceFailsInFlightAndQueuedRequests' \
+    2>&1 | tee "$obs/kchannel.log"
+grep -q '\[  PASSED  \] 5 tests' "$obs/kchannel.log"
+
 # Rolling-restart gate: drain + kill every compute PE once under a
 # fig6-class request workload; the run must finish with byte-identical
 # application output, zero lost in-flight work and no aborted
