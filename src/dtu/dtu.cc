@@ -908,19 +908,21 @@ Dtu::startRead(epid_t id, spmaddr_t dstAddr, goff_t off, uint64_t size)
     uint32_t tnode = r.mem.targetNode;
 
     // Request packet (header only) -> target latency -> data response.
+    // The data travel as Bytes: shared bytes stay slices from the memory
+    // to the SPM and on to the next write, so a file copied through the
+    // SPM stays a reference (MemTarget::read, MemTarget::write).
     noc.send(nocId, tnode, 0, [this, mem, gaddr, size, dstAddr, tnode,
                                seq] {
         eq.schedule(mem->accessLatency(), [this, mem, gaddr, size, dstAddr,
                                            tnode, seq] {
-            auto data = std::make_shared_for_overwrite<uint8_t[]>(size);
-            mem->read(gaddr, data.get(), size);
+            auto data = std::make_shared<const Bytes>(mem->read(gaddr, size));
             noc.send(tnode, nocId, static_cast<uint32_t>(size),
                      [this, data, size, dstAddr, seq] {
                          // The SPM write must not happen for an aborted
                          // command: the PE may have a new owner.
                          if (!busy || seq != cmdSeq)
                              return;
-                         spm.write(dstAddr, data.get(), size);
+                         spm.write(dstAddr, *data);
                          completeCommand(seq, Error::None);
                      });
         });
@@ -955,15 +957,13 @@ Dtu::startWrite(epid_t id, spmaddr_t srcAddr, goff_t off, uint64_t size)
     goff_t gaddr = r.mem.offset + off;
     uint32_t tnode = r.mem.targetNode;
 
-    auto data = std::make_shared_for_overwrite<uint8_t[]>(size);
-    if (size)
-        spm.read(srcAddr, data.get(), size);
+    auto data = std::make_shared<const Bytes>(spm.read(srcAddr, size));
 
     noc.send(nocId, tnode, static_cast<uint32_t>(size),
              [this, mem, gaddr, data, size, tnode, seq] {
                  eq.schedule(mem->accessLatency(), [this, mem, gaddr, data,
                                                     size, tnode, seq] {
-                     mem->write(gaddr, data.get(), size);
+                     mem->write(gaddr, *data);
                      // Completion ack back to the initiator.
                      noc.send(tnode, nocId, 0, [this, seq] {
                          completeCommand(seq, Error::None);
@@ -1017,8 +1017,7 @@ Dtu::startReadX(uint32_t slot, epid_t id, spmaddr_t dstAddr, goff_t off,
                                slot, seq] {
         eq.schedule(mem->accessLatency(), [this, mem, gaddr, size, dstAddr,
                                            tnode, slot, seq] {
-            auto data = std::make_shared_for_overwrite<uint8_t[]>(size);
-            mem->read(gaddr, data.get(), size);
+            auto data = std::make_shared<const Bytes>(mem->read(gaddr, size));
             noc.send(tnode, nocId, static_cast<uint32_t>(size),
                      [this, data, size, dstAddr, slot, seq] {
                          XferSlot &x = xferSlots[slot];
@@ -1026,7 +1025,7 @@ Dtu::startReadX(uint32_t slot, epid_t id, spmaddr_t dstAddr, goff_t off,
                          // completion: the PE may have a new owner.
                          if (!x.busy || seq != x.seq)
                              return;
-                         spm.write(dstAddr, data.get(), size);
+                         spm.write(dstAddr, *data);
                          completeXfer(slot, seq, Error::None);
                      });
         });
@@ -1066,15 +1065,13 @@ Dtu::startWriteX(uint32_t slot, epid_t id, spmaddr_t srcAddr, goff_t off,
     goff_t gaddr = r.mem.offset + off;
     uint32_t tnode = r.mem.targetNode;
 
-    auto data = std::make_shared_for_overwrite<uint8_t[]>(size);
-    if (size)
-        spm.read(srcAddr, data.get(), size);
+    auto data = std::make_shared<const Bytes>(spm.read(srcAddr, size));
 
     noc.send(nocId, tnode, static_cast<uint32_t>(size),
              [this, mem, gaddr, data, size, tnode, slot, seq] {
                  eq.schedule(mem->accessLatency(), [this, mem, gaddr, data,
                                                     size, tnode, slot, seq] {
-                     mem->write(gaddr, data.get(), size);
+                     mem->write(gaddr, *data);
                      // Completion ack back to the initiator.
                      noc.send(tnode, nocId, 0, [this, slot, seq] {
                          completeXfer(slot, seq, Error::None);

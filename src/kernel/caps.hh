@@ -128,8 +128,10 @@ struct ServObj : KObject
      * The kernel's channel to the service, created at registration
      * (Sec. 4.5.3). Its 16 credits bound the kernel's requests in
      * flight, so the service's ring never overflows; excess requests
-     * queue in the kernel. Revoking the registration fails every
-     * request still pending on it.
+     * queue in the kernel, as do requests while the kernel's reply ring,
+     * which all services share, has no free slot. Revoking the
+     * registration, or the exit of its server, fails every request
+     * still pending on it.
      */
     KChannel chan;
 

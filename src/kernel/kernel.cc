@@ -130,7 +130,7 @@ Kernel::channelsIdle() const
     for (const KChannel &chan : ikChannels)
         if (!chan.idle())
             return false;
-    return srvReplies.pending() == 0 && ikReplies.pending() == 0;
+    return srvReplies.idle() && ikReplies.idle();
 }
 
 Vpe *
@@ -167,9 +167,9 @@ Kernel::bootSetup()
 {
     Spm &spm = platform.pe(kernelPe).spm();
     syscRing = spm.alloc(kif::KSYSC_SLOTS * kif::MAX_SYSC_MSG);
-    // One reply slot per in-flight request on any service channel (each
-    // service channel's credits bound its requests).
-    srvRing = spm.alloc(16 * 512);
+    // One reply slot per in-flight request on any service channel (the
+    // reply table holds a request back while no slot is free).
+    srvRing = spm.alloc(srvReplies.slots() * 512);
     stage = spm.alloc(kif::MAX_SYSC_MSG);
     srvStage = spm.alloc(kif::MAX_SYSC_MSG);
     // The SPM spill/fill staging buffer exists only when multiplexing
@@ -187,7 +187,7 @@ Kernel::bootSetup()
 
     RecvEpCfg srv;
     srv.bufAddr = srvRing;
-    srv.slotCount = 16;
+    srv.slotCount = srvReplies.slots();
     srv.slotSize = 512;
     kdtu().configRecv(KEP_SRV_REPLY, srv);
 
@@ -914,6 +914,14 @@ Kernel::finishVpe(Vpe &v, int exitCode)
         }
     }
 
+    // Its services die with it.
+    std::vector<std::shared_ptr<ServObj>> served;
+    for (const auto &[name, serv] : services)
+        if (serv->owner == v.id)
+            served.push_back(serv);
+    for (const auto &serv : served)
+        retireService(*serv);
+
     for (auto [ep, slot, waitingVpe] : v.waiters) {
         deferredReplySent(waitingVpe);
         uint8_t buf[64];
@@ -926,6 +934,18 @@ Kernel::finishVpe(Vpe &v, int exitCode)
     // A PE was released: satisfy queued VPE creations (Sec. 3.3).
     if (queueVpes)
         flushPendingVpes();
+}
+
+void
+Kernel::retireService(ServObj &serv)
+{
+    if (serv.dead)
+        return;
+    serv.dead = true;
+    services.erase(serv.name);
+    // Its server can never answer: fail every request still pending
+    // with PeerGone so the callers unblock instead of hanging.
+    serv.chan.failAll(Error::PeerGone);
 }
 
 void
@@ -2285,15 +2305,9 @@ Kernel::revokeRec(Capability *cap)
             finishVpe(*v, -1);
         break;
       }
-      case ObjType::Serv: {
-        auto &serv = static_cast<ServObj &>(*cap->obj);
-        serv.dead = true;
-        services.erase(serv.name);
-        // Its server can never answer: fail every request still pending
-        // with PeerGone so the callers unblock instead of hanging.
-        serv.chan.failAll(Error::PeerGone);
+      case ObjType::Serv:
+        retireService(static_cast<ServObj &>(*cap->obj));
         break;
-      }
       case ObjType::RGate: {
         auto &rg = static_cast<RGateObj &>(*cap->obj);
         auto it = pendingActs.find(&rg);

@@ -300,7 +300,7 @@ class Kernel
     /**
      * Introspection for tests: every kernel channel (to each service and
      * each peer kernel) has no request in flight or queued and all of
-     * its credits home.
+     * its credits home, and every slot of both reply rings is free.
      */
     bool channelsIdle() const;
 
@@ -397,6 +397,9 @@ class Kernel
     Error doActivate(Vpe &vpe, Capability *cap, epid_t ep,
                      spmaddr_t bufAddr);
     void finishVpe(Vpe &vpe, int exitCode);
+    /** The service's registration is gone (revoked, or its server
+     *  exited): drop its name and fail its pending requests. */
+    void retireService(ServObj &serv);
     void revokeRec(Capability *cap);
     void checkWatchdog();
     void reclaimVpe(Vpe &vpe, int exitCode);
@@ -435,9 +438,10 @@ class Kernel
     /** Services registered at peer kernels: name -> owning domain. */
     std::map<std::string, uint32_t> remoteServices;
 
-    /** Requests awaiting their reply, per reply ring. */
-    KReplyTable srvReplies;
-    KReplyTable ikReplies;
+    /** Requests awaiting their reply, per reply ring. The service reply
+     *  ring's 16 slots are shared by every service channel. */
+    KReplyTable srvReplies{16};
+    KReplyTable ikReplies{kif::IK_SLOTS};
     /** The request channel to each peer kernel (indexed by domain). */
     std::deque<KChannel> ikChannels;
 

@@ -411,34 +411,48 @@ spinDuration(Env &env, const MemEpCfg &cfg, size_t len)
                            static_cast<uint32_t>(len));
 }
 
-} // anonymous namespace
-
+/**
+ * The loop of every MemGate read and write, in XFER_BUF_SIZE chunks.
+ * @p data moves the bytes of one chunk: on the spin path with
+ * spin(mem, addr, done, chunk) against the memory itself; on the DTU
+ * path through the transfer buffer at @p at in the SPM, with
+ * toSpm(spm, at, done, chunk) before a write and fromSpm(spm, at, done,
+ * chunk) after a read.
+ */
+template <class Data>
 Error
-MemGate::read(void *dst, size_t len, goff_t off)
+transfer(MemGate &gate, size_t len, goff_t off, Data &data)
 {
-    trace::ScopedSpan span(env.peId, "mem:read");
-    epid_t e = acquire();
-    uint8_t *out = static_cast<uint8_t *>(dst);
+    constexpr bool write = Data::WRITE;
+    Env &env = gate.environment();
+    trace::ScopedSpan span(env.peId, write ? "mem:write" : "mem:read");
+    epid_t e = gate.acquire();
     size_t done = 0;
     while (done < len) {
         size_t chunk = std::min(len - done, XFER_BUF_SIZE);
         env.compute(env.cm.m3.dtuCommand);
         if (env.cm.spinDataTransfers) {
             const MemEpCfg &cfg = env.dtu().ep(e).mem;
-            if (!(cfg.perms & MEM_R))
+            if (!(cfg.perms & (write ? MEM_W : MEM_R)))
                 return Error::NoPerm;
             if (off + done > cfg.size || chunk > cfg.size - (off + done))
                 return Error::OutOfBounds;
-            targetOf(env, cfg)->read(cfg.offset + off + done, out + done,
-                                     chunk);
+            data.spin(*targetOf(env, cfg), cfg.offset + off + done, done,
+                      chunk);
             Cycles dur = spinDuration(env, cfg, chunk);
             env.acct().chargeTo(Category::Xfer, dur);
             env.fiber.sleep(dur);
             done += chunk;
             continue;
         }
-        Error err = env.dtu().startRead(e, env.xferBuf(), off + done,
-                                        chunk);
+        // The app buffer conceptually lives in the SPM; moving bytes
+        // between them is aliasing, not a modelled transfer.
+        if constexpr (write)
+            data.toSpm(env.spm(), env.xferBuf(), done, chunk);
+        Error err = write ? env.dtu().startWrite(e, env.xferBuf(),
+                                                 off + done, chunk)
+                          : env.dtu().startRead(e, env.xferBuf(),
+                                                off + done, chunk);
         if (err != Error::None)
             return err;
         Cycles t0 = env.platform.simulator().curCycle();
@@ -446,61 +460,122 @@ MemGate::read(void *dst, size_t len, goff_t off)
         env.acct().chargeTo(Category::Xfer,
                             env.platform.simulator().curCycle() - t0);
         if (w == Error::VpeMoved) {
-            // Migrated mid-transfer: the context fetch aborted the read
-            // before it touched the SPM, so re-issue this chunk against
-            // the new home's DTU.
+            // Migrated mid-transfer: re-issue this chunk against the new
+            // home's DTU. The context fetch aborted a read before it
+            // touched the SPM; an aborted write may or may not have
+            // reached the memory, and re-issuing it is idempotent (same
+            // bytes, same offset).
             continue;
         }
-        // The app buffer conceptually lives in the SPM; the copy is an
-        // alias, not a modelled transfer.
-        std::memcpy(out + done, env.spm().ptr(env.xferBuf(), chunk), chunk);
+        if constexpr (!write)
+            data.fromSpm(env.spm(), env.xferBuf(), done, chunk);
         done += chunk;
     }
     return Error::None;
 }
 
+/** A read into a host buffer. */
+struct ToBuffer
+{
+    static constexpr bool WRITE = false;
+    uint8_t *out;
+
+    void
+    spin(MemTarget &mem, goff_t addr, size_t done, size_t chunk)
+    {
+        mem.read(addr, out + done, chunk);
+    }
+    void
+    fromSpm(Spm &spm, spmaddr_t at, size_t done, size_t chunk)
+    {
+        std::memcpy(out + done, spm.ptr(at, chunk), chunk);
+    }
+};
+
+/** A read into a Bytes value: shared bytes stay slices. */
+struct ToBytes
+{
+    static constexpr bool WRITE = false;
+    Bytes out;
+
+    void
+    spin(MemTarget &mem, goff_t addr, size_t, size_t chunk)
+    {
+        out += mem.read(addr, chunk);
+    }
+    void
+    fromSpm(Spm &spm, spmaddr_t at, size_t, size_t chunk)
+    {
+        out += spm.read(at, chunk);
+    }
+};
+
+/** A write from a host buffer. */
+struct FromBuffer
+{
+    static constexpr bool WRITE = true;
+    const uint8_t *in;
+
+    void
+    spin(MemTarget &mem, goff_t addr, size_t done, size_t chunk)
+    {
+        mem.write(addr, in + done, chunk);
+    }
+    void
+    toSpm(Spm &spm, spmaddr_t at, size_t done, size_t chunk)
+    {
+        std::memcpy(spm.ptr(at, chunk), in + done, chunk);
+    }
+};
+
+/** A write from a Bytes value: shared bytes stay slices. */
+struct FromBytes
+{
+    static constexpr bool WRITE = true;
+    const Bytes &in;
+
+    void
+    spin(MemTarget &mem, goff_t addr, size_t done, size_t chunk)
+    {
+        mem.write(addr, in.sub(done, chunk));
+    }
+    void
+    toSpm(Spm &spm, spmaddr_t at, size_t done, size_t chunk)
+    {
+        spm.write(at, in.sub(done, chunk));
+    }
+};
+
+} // anonymous namespace
+
+Error
+MemGate::read(void *dst, size_t len, goff_t off)
+{
+    ToBuffer data{static_cast<uint8_t *>(dst)};
+    return transfer(*this, len, off, data);
+}
+
+Error
+MemGate::read(Bytes &dst, size_t len, goff_t off)
+{
+    ToBytes data;
+    Error e = transfer(*this, len, off, data);
+    dst = std::move(data.out);
+    return e;
+}
+
 Error
 MemGate::write(const void *src, size_t len, goff_t off)
 {
-    trace::ScopedSpan span(env.peId, "mem:write");
-    epid_t e = acquire();
-    const uint8_t *in = static_cast<const uint8_t *>(src);
-    size_t done = 0;
-    while (done < len) {
-        size_t chunk = std::min(len - done, XFER_BUF_SIZE);
-        env.compute(env.cm.m3.dtuCommand);
-        if (env.cm.spinDataTransfers) {
-            const MemEpCfg &cfg = env.dtu().ep(e).mem;
-            if (!(cfg.perms & MEM_W))
-                return Error::NoPerm;
-            if (off + done > cfg.size || chunk > cfg.size - (off + done))
-                return Error::OutOfBounds;
-            targetOf(env, cfg)->write(cfg.offset + off + done, in + done,
-                                      chunk);
-            Cycles dur = spinDuration(env, cfg, chunk);
-            env.acct().chargeTo(Category::Xfer, dur);
-            env.fiber.sleep(dur);
-            done += chunk;
-            continue;
-        }
-        std::memcpy(env.spm().ptr(env.xferBuf(), chunk), in + done, chunk);
-        Error err = env.dtu().startWrite(e, env.xferBuf(), off + done,
-                                         chunk);
-        if (err != Error::None)
-            return err;
-        Cycles t0 = env.platform.simulator().curCycle();
-        Error w = env.dtu().waitUntilIdle();
-        env.acct().chargeTo(Category::Xfer,
-                            env.platform.simulator().curCycle() - t0);
-        if (w == Error::VpeMoved) {
-            // Migrated mid-transfer: an aborted write may or may not
-            // have reached the memory; re-issuing it is idempotent
-            // (same bytes, same offset).
-            continue;
-        }
-        done += chunk;
-    }
-    return Error::None;
+    FromBuffer data{static_cast<const uint8_t *>(src)};
+    return transfer(*this, len, off, data);
+}
+
+Error
+MemGate::write(const Bytes &src, goff_t off)
+{
+    FromBytes data{src};
+    return transfer(*this, src.size(), off, data);
 }
 
 Error

@@ -10,6 +10,7 @@
 
 #include <cstring>
 
+#include "base/bytes.hh"
 #include "base/errors.hh"
 #include "base/marshal.hh"
 #include "libm3/env.hh"
@@ -254,8 +255,19 @@ class MemGate : public Gate
      */
     Error read(void *dst, size_t len, goff_t off);
 
+    /**
+     * Read @p len bytes at offset @p off as @p dst: shared bytes stay
+     * slices, on the spin path (Sec. 5.7) and through the DTU's
+     * transfer buffer alike, so nothing is copied. On an error, @p dst
+     * holds the chunks read before it.
+     */
+    Error read(Bytes &dst, size_t len, goff_t off);
+
     /** Write @p len bytes from @p src to offset @p off. */
     Error write(const void *src, size_t len, goff_t off);
+
+    /** Write @p src to offset @p off; shared bytes stay slices. */
+    Error write(const Bytes &src, goff_t off);
 
     /** Ask the memory to zero [off, off+len) in the background. */
     Error zero(size_t len, goff_t off);

@@ -5,6 +5,24 @@
 namespace m3
 {
 
+ssize_t
+File::read(Bytes &buf, size_t len)
+{
+    std::vector<uint8_t> host(len);
+    ssize_t n = read(host.data(), len);
+    buf = n > 0 ? Bytes::copyOf(host.data(), static_cast<size_t>(n))
+                : Bytes();
+    return n;
+}
+
+ssize_t
+File::write(const Bytes &buf)
+{
+    std::vector<uint8_t> host(buf.size());
+    buf.copyTo(host.data());
+    return write(host.data(), host.size());
+}
+
 Error
 Vfs::mount(const std::string &prefix, std::shared_ptr<FileSystem> fs)
 {

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "base/bytes.hh"
 #include "base/errors.hh"
 #include "base/types.hh"
 
@@ -77,6 +78,18 @@ class File
 
     /** Write @p len bytes. @return bytes written or negative -Error. */
     virtual ssize_t write(const void *buf, size_t len) = 0;
+
+    /**
+     * Read up to @p len bytes as @p buf, for a program that moves the
+     * bytes without looking at them. The default reads through a host
+     * buffer; a file whose data a memory gate moves reads shared bytes
+     * by reference. @return as read(void *, size_t).
+     */
+    virtual ssize_t read(Bytes &buf, size_t len);
+
+    /** Write @p buf; by reference where read(Bytes &) is. @return as
+     *  write(const void *, size_t). */
+    virtual ssize_t write(const Bytes &buf);
 
     /** Move the file position. @return new position or negative. */
     virtual ssize_t seek(ssize_t off, SeekMode whence) = 0;

@@ -398,8 +398,9 @@ M3fsFile::locate(uint64_t at, Error &err)
     return locate(at, err);
 }
 
+template <class Move>
 ssize_t
-M3fsFile::read(void *buf, size_t len)
+M3fsFile::readLoop(size_t len, Move &&move)
 {
     Env &env = fs->env;
     ScopedCategory os(env.acct(), Category::Os);
@@ -407,7 +408,6 @@ M3fsFile::read(void *buf, size_t len)
         return -static_cast<ssize_t>(Error::NoPerm);
     env.compute(env.cm.m3.fileOpPath);
 
-    uint8_t *out = static_cast<uint8_t *>(buf);
     size_t total = 0;
     while (total < len && pos < size) {
         env.compute(env.cm.m3.fileLocate);
@@ -420,7 +420,7 @@ M3fsFile::read(void *buf, size_t len)
         size_t chunk = static_cast<size_t>(
             std::min<uint64_t>(len - total,
                                std::min(loc->len - inLoc, size - pos)));
-        err = loc->gate->read(out + total, chunk, inLoc);
+        err = move(*loc->gate, inLoc, total, chunk);
         if (err != Error::None)
             return -static_cast<ssize_t>(err);
         pos += chunk;
@@ -430,7 +430,33 @@ M3fsFile::read(void *buf, size_t len)
 }
 
 ssize_t
-M3fsFile::write(const void *buf, size_t len)
+M3fsFile::read(void *buf, size_t len)
+{
+    uint8_t *out = static_cast<uint8_t *>(buf);
+    return readLoop(len, [out](MemGate &gate, uint64_t inLoc, size_t total,
+                               size_t chunk) {
+        return gate.read(out + total, chunk, inLoc);
+    });
+}
+
+ssize_t
+M3fsFile::read(Bytes &buf, size_t len)
+{
+    Bytes got;
+    ssize_t n = readLoop(len, [&got](MemGate &gate, uint64_t inLoc, size_t,
+                                     size_t chunk) {
+        Bytes run;
+        Error e = gate.read(run, chunk, inLoc);
+        got += std::move(run);
+        return e;
+    });
+    buf = std::move(got);
+    return n;
+}
+
+template <class Move>
+ssize_t
+M3fsFile::writeLoop(size_t len, Move &&move)
 {
     Env &env = fs->env;
     ScopedCategory os(env.acct(), Category::Os);
@@ -438,7 +464,6 @@ M3fsFile::write(const void *buf, size_t len)
         return -static_cast<ssize_t>(Error::NoPerm);
     env.compute(env.cm.m3.fileOpPath);
 
-    const uint8_t *in = static_cast<const uint8_t *>(buf);
     size_t total = 0;
     while (total < len) {
         env.compute(env.cm.m3.fileLocate);
@@ -461,7 +486,7 @@ M3fsFile::write(const void *buf, size_t len)
         uint64_t inLoc = pos - loc->fileOff;
         size_t chunk = static_cast<size_t>(
             std::min<uint64_t>(len - total, loc->len - inLoc));
-        err = loc->gate->write(in + total, chunk, inLoc);
+        err = move(*loc->gate, inLoc, total, chunk);
         if (err != Error::None)
             return -static_cast<ssize_t>(err);
         pos += chunk;
@@ -470,6 +495,25 @@ M3fsFile::write(const void *buf, size_t len)
             size = pos;
     }
     return static_cast<ssize_t>(total);
+}
+
+ssize_t
+M3fsFile::write(const void *buf, size_t len)
+{
+    const uint8_t *in = static_cast<const uint8_t *>(buf);
+    return writeLoop(len, [in](MemGate &gate, uint64_t inLoc, size_t total,
+                               size_t chunk) {
+        return gate.write(in + total, chunk, inLoc);
+    });
+}
+
+ssize_t
+M3fsFile::write(const Bytes &buf)
+{
+    return writeLoop(buf.size(), [&buf](MemGate &gate, uint64_t inLoc,
+                                        size_t total, size_t chunk) {
+        return gate.write(buf.sub(total, chunk), inLoc);
+    });
 }
 
 ssize_t

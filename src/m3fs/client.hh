@@ -165,6 +165,10 @@ class M3fsFile : public File
 
     ssize_t read(void *buf, size_t len) override;
     ssize_t write(const void *buf, size_t len) override;
+    /** By reference: the runs of the file's extents move as
+     *  MemGate::read(Bytes &) and MemGate::write(const Bytes &). */
+    ssize_t read(Bytes &buf, size_t len) override;
+    ssize_t write(const Bytes &buf) override;
     ssize_t seek(ssize_t off, SeekMode whence) override;
     Error stat(FileInfo &info) override;
 
@@ -211,6 +215,19 @@ class M3fsFile : public File
         uint64_t fileOff;
         uint64_t len;
     };
+
+    /**
+     * The loop of both reads: @p move(gate, gateOff, done, n) moves the
+     * @p n bytes at @p gateOff of one extent's gate, the file's bytes
+     * from @p done on in this call.
+     */
+    template <class Move>
+    ssize_t readLoop(size_t len, Move &&move);
+
+    /** The loop of both writes, appending as needed; @p move as in
+     *  readLoop(). */
+    template <class Move>
+    ssize_t writeLoop(size_t len, Move &&move);
 
     /** Find (or fetch) the location covering @p pos; nullptr at end. */
     Loc *locate(uint64_t pos, Error &err);

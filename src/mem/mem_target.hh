@@ -3,26 +3,24 @@
  * The memory that can be the target of a DTU memory endpoint: the
  * platform's DRAM module, or another PE's scratchpad (used e.g. for
  * application loading, Sec. 4.5.5). Both are one bounds-checked byte
- * array. Three host-side behaviours keep a large memory cheap, and none
+ * array. Two host-side behaviours keep a large memory cheap, and none
  * of them is visible in a byte the simulation reads:
  *
  * - Lazy zeroing: the storage comes from calloc, so a multi-GiB DRAM of
  *   which a run uses a few hundred MiB pays only for the pages it
  *   touches. zero() clears only the pages the store has written; the
  *   others still hold calloc's zeros.
- * - Shared ranges: share() lets a range refer to read-only bytes that
- *   the host already holds (an m3fs image's file contents, which many
- *   images and files have in common). Reads copy from those bytes; a
- *   write or zero over part of a range cuts that part out and leaves
- *   the rest a reference; only a raw pointer into a range copies the
- *   bytes it covers into the store. A directory of one word per 4 KiB
- *   page, also from calloc, names the first range on the page, so
- *   finding the ranges of an access looks at its own pages only.
- * - Copies by reference: read() remembers, per destination buffer, the
- *   shared bytes it was served from. A later write() from that buffer
- *   whose bytes still equal them (memcmp) becomes a shared range instead
- *   of a copy, so a file copied through a host buffer (tar) stays a
- *   reference and never pages in its destination.
+ * - Shared ranges: a range can refer to read-only bytes that the host
+ *   already holds (an m3fs image's file contents, which many images and
+ *   files have in common). read() into a host buffer copies from them;
+ *   read() as Bytes hands out slices of them, and write() of such a
+ *   slice makes a range of its own, so a file copied as Bytes (tar)
+ *   stays a reference and never pages in its destination. A write or
+ *   zero over part of a range cuts that part out and leaves the rest a
+ *   reference; only a raw pointer into a range copies the bytes it
+ *   covers into the store. A directory of one word per 4 KiB page, also
+ *   from calloc, names the first range on the page, so finding the
+ *   ranges of an access looks at its own pages only.
  */
 
 #ifndef M3_MEM_MEM_TARGET_HH
@@ -34,9 +32,9 @@
 #include <cstring>
 #include <memory>
 #include <new>
-#include <unordered_map>
 #include <vector>
 
+#include "base/bytes.hh"
 #include "base/logging.hh"
 #include "base/types.hh"
 
@@ -70,51 +68,76 @@ class MemTarget
     /** Capacity in bytes. */
     size_t size() const { return bytes; }
 
-    /**
-     * Copy @p len bytes at @p off into @p dst. Bounds-checked. A read
-     * served wholly from one shared range is remembered for @p dst (see
-     * write()).
-     */
+    /** Copy @p len bytes at @p off into @p dst. Bounds-checked. */
     void
     read(goff_t off, void *dst, size_t len)
     {
-        const uint8_t *src = at(off, len);
-        const uint32_t r = firstIn(off, len);
-        if (r == NONE) {
-            std::memcpy(dst, src, len);
-            return;
-        }
-        const Range &g = ranges[r];
-        if (g.start <= off && g.end() >= off + len) {
-            const size_t srcOff = g.srcOff + (off - g.start);
-            std::memcpy(dst, g.src->data() + srcOff, len);
-            remember(dst, g.src, srcOff, len);
-            return;
-        }
-        readShared(off, static_cast<uint8_t *>(dst), len, r);
+        uint8_t *out = static_cast<uint8_t *>(dst);
+        pieces(
+            off, len,
+            [&](goff_t at, size_t n) {
+                std::memcpy(out + (at - off), data.get() + at, n);
+            },
+            [&](goff_t at, const Range &g, size_t n) {
+                std::memcpy(out + (at - off),
+                            g.src->data() + g.srcOff + (at - g.start), n);
+            });
     }
 
     /**
-     * Copy @p len bytes from @p src to @p off. Bounds-checked. If @p src
-     * was the destination of a read() from shared bytes and still holds
-     * them, the bytes at @p off become a reference to those shared
-     * bytes instead of a copy.
+     * The @p len bytes at @p off. Bounds-checked. The bytes of shared
+     * ranges are slices of their shared bytes, those the store holds
+     * are copied.
      */
+    Bytes
+    read(goff_t off, size_t len)
+    {
+        Bytes b;
+        pieces(
+            off, len,
+            [&](goff_t at, size_t n) {
+                b += Bytes::copyOf(data.get() + at, n);
+            },
+            [&](goff_t at, const Range &g, size_t n) {
+                b += Bytes(g.src, g.srcOff + (at - g.start), n);
+            });
+        return b;
+    }
+
+    /** Copy @p len bytes from @p src to @p off. Bounds-checked. */
     void
     write(goff_t off, const void *src, size_t len)
     {
         uint8_t *dst = at(off, len);
         if (len == 0)
             return;
-        if (const Ref *r = recalled(src, len)) {
-            const SharedBytes from = r->src;
-            cut(off, len);
-            addRange(off, from, r->srcOff, len);
-            return;
-        }
         cut(off, len);
         std::memcpy(dst, src, len);
         markWritten(off, len);
+    }
+
+    /**
+     * Let the bytes at @p off read as @p src. Bounds-checked. A slice of
+     * shared bytes becomes a shared range (continuing the range before
+     * it if that one ends in its source just where the slice begins);
+     * a copied slice is copied into the store.
+     */
+    void
+    write(goff_t off, const Bytes &src)
+    {
+        at(off, src.size());
+        if (src.empty())
+            return;
+        cut(off, src.size());
+        for (const Bytes::Slice &s : src.slices()) {
+            if (s.copied) {
+                std::memcpy(data.get() + off, s.data(), s.len);
+                markWritten(off, s.len);
+            } else {
+                addRange(off, s.src, s.off, s.len);
+            }
+            off += s.len;
+        }
     }
 
     /**
@@ -147,21 +170,16 @@ class MemTarget
     /**
      * Let the @p len bytes at @p off read as @p src[srcOff, srcOff+len)
      * without copying them: the memory keeps a reference to @p src,
-     * whose bytes must not change while it does. Any shared range
-     * already overlapping the target is cut out of it, so the bytes
-     * around it keep their values. Bounds-checked on both sides.
+     * whose bytes must not change while it does. Bounds-checked on both
+     * sides.
      */
     void
     share(goff_t off, SharedBytes src, size_t srcOff, size_t len)
     {
-        at(off, len);
         if (!src || srcOff > src->size() || len > src->size() - srcOff)
             panic("%s share source out of bounds: %zu + %zu", kind, srcOff,
                   len);
-        if (len == 0)
-            return;
-        cut(off, len);
-        addRange(off, std::move(src), srcOff, len);
+        write(off, Bytes(std::move(src), srcOff, len));
     }
 
     /** Fixed access latency per request, in cycles. */
@@ -192,10 +210,13 @@ class MemTarget
         uint8_t *p = at(off, len);
         if (len == 0)
             return p;
-        if (const uint32_t r = firstIn(off, len); r != NONE) {
-            copyIn(off, len, r);
-            cut(off, len);
-        }
+        pieces(
+            off, len, [](goff_t, size_t) {},
+            [&](goff_t at, const Range &g, size_t n) {
+                std::memcpy(data.get() + at,
+                            g.src->data() + g.srcOff + (at - g.start), n);
+            });
+        cut(off, len);
         markWritten(off, len);
         return p;
     }
@@ -218,9 +239,6 @@ class MemTarget
     static constexpr uint32_t WRITTEN = 1;
     /** No range. */
     static constexpr uint32_t NONE = ~uint32_t(0);
-    /** Entries per generation of the read-source table: far above the
-     *  number of buffers copying at once (240 on the largest machine). */
-    static constexpr size_t REF_GENERATION = 4096;
 
     /**
      * A range [start, start+len) whose bytes live in a shared buffer.
@@ -238,14 +256,6 @@ class MemTarget
 
         goff_t end() const { return start + len; }
         size_t lastPage() const { return (start + len - 1) / PAGE; }
-    };
-
-    /** What a read() from one shared range left in its destination. */
-    struct Ref
-    {
-        SharedBytes src;
-        size_t srcOff;
-        size_t len;
     };
 
     struct Free
@@ -354,44 +364,35 @@ class MemTarget
         freeRange = r;
     }
 
-    /** read() over pages with shared ranges, the first being @p r:
-     *  never touches the store under a shared range, which would fault
-     *  in zero pages. */
+    /**
+     * Visit bounds-checked [off, off+len) in order, as the pieces the
+     * store holds, store(at, n), and the pieces of shared ranges,
+     * shared(at, range, n). Never touches the store under a shared
+     * range, which would fault in zero pages.
+     */
+    template <class Store, class Shared>
     void
-    readShared(goff_t off, uint8_t *dst, size_t len, uint32_t r)
+    pieces(goff_t off, size_t len, Store &&store, Shared &&shared) const
     {
+        at(off, len);
+        if (len == 0)
+            return;
         const goff_t end = off + len;
         const size_t last = (end - 1) / PAGE;
-        size_t done = 0;
-        for (; r != NONE && ranges[r].start < end; r = after(r, last)) {
+        goff_t done = off;
+        for (uint32_t r = firstIn(off, len); r != NONE && ranges[r].start < end;
+             r = after(r, last)) {
             const Range &g = ranges[r];
-            if (g.start > off + done) {
-                const size_t gap = g.start - (off + done);
-                std::memcpy(dst + done, data.get() + off + done, gap);
-                done += gap;
+            if (g.start > done) {
+                store(done, g.start - done);
+                done = g.start;
             }
-            const size_t into = off + done - g.start;
-            const size_t n = std::min(len - done, g.len - into);
-            std::memcpy(dst + done, g.src->data() + g.srcOff + into, n);
+            const size_t n = std::min(end, g.end()) - done;
+            shared(done, g, n);
             done += n;
         }
-        std::memcpy(dst + done, data.get() + off + done, len - done);
-    }
-
-    /** Copy the shared bytes of [off, off+len), whose first range is
-     *  @p r, into the store. */
-    void
-    copyIn(goff_t off, size_t len, uint32_t r)
-    {
-        const goff_t end = off + len;
-        const size_t last = (end - 1) / PAGE;
-        for (; r != NONE && ranges[r].start < end; r = after(r, last)) {
-            const Range &g = ranges[r];
-            const goff_t lo = std::max<goff_t>(off, g.start);
-            const goff_t hi = std::min<goff_t>(end, g.end());
-            std::memcpy(data.get() + lo,
-                        g.src->data() + g.srcOff + (lo - g.start), hi - lo);
-        }
+        if (done < end)
+            store(done, end - done);
     }
 
     /**
@@ -507,39 +508,6 @@ class MemTarget
         }
     }
 
-    /** Record that @p dst now holds @p src[srcOff, srcOff+len). */
-    void
-    remember(const void *dst, const SharedBytes &src, size_t srcOff,
-             size_t len)
-    {
-        if (refs.size() >= REF_GENERATION) {
-            oldRefs = std::move(refs);
-            refs.clear();
-        }
-        refs.insert_or_assign(dst, Ref{src, srcOff, len});
-    }
-
-    /** The shared bytes that the @p len bytes at @p src still equal, or
-     *  nullptr: the memcmp makes a stale entry harmless. */
-    const Ref *
-    recalled(const void *src, size_t len) const
-    {
-        // The current generation is empty only until the first remember().
-        if (refs.empty())
-            return nullptr;
-        for (const auto *table : {&refs, &oldRefs}) {
-            auto it = table->find(src);
-            if (it == table->end())
-                continue;
-            const Ref &r = it->second;
-            if (r.len >= len &&
-                std::memcmp(src, r.src->data() + r.srcOff, len) == 0)
-                return &r;
-            return nullptr;
-        }
-        return nullptr;
-    }
-
     size_t bytes;
     Cycles latency;
     const char *kind;
@@ -553,13 +521,6 @@ class MemTarget
     uint32_t freeRange = NONE;
     /** Ranges in use. */
     size_t live = 0;
-    /**
-     * Destination buffer -> the shared bytes the last read() from one
-     * range copied into it. Two generations of at most REF_GENERATION
-     * entries each: when the current one fills it becomes the old one,
-     * so the newest entries always survive.
-     */
-    std::unordered_map<const void *, Ref> refs, oldRefs;
 };
 
 } // namespace m3

@@ -47,12 +47,34 @@ applySetupToVfs(Env &env, const FsSetup &setup)
     return 0;
 }
 
+namespace
+{
+
+/** Read up to @p len bytes of @p f over the front of @p buf, as a read
+ *  into a host buffer overwrites its first bytes. */
+ssize_t
+readFront(File &f, Bytes &buf, size_t len)
+{
+    Bytes got;
+    ssize_t n = f.read(got, len);
+    if (n > 0)
+        buf = std::move(got) + buf.suffix(static_cast<size_t>(n));
+    return n;
+}
+
+} // anonymous namespace
+
 int
 replayTraceM3(Env &env, const Trace &trace)
 {
     Vfs &vfs = env.vfs();
     std::array<std::unique_ptr<File>, 8> slots;
-    std::vector<uint8_t> buf(largestChunk(trace));
+    // The replay never looks at the bytes it moves, so its buffer is a
+    // Bytes value: file data stays a reference to the file's bytes. It
+    // starts as zeros the replay made itself (a copied slice), which a
+    // write stores like bytes from a host buffer.
+    const std::vector<uint8_t> zeros(largestChunk(trace));
+    Bytes buf = Bytes::copyOf(zeros.data(), zeros.size());
 
     for (size_t step = 0; step < trace.size(); ++step) {
         const TraceOp &op = trace[step];
@@ -71,7 +93,7 @@ replayTraceM3(Env &env, const Trace &trace)
             while (done < op.len) {
                 size_t chunk = std::min<uint64_t>(op.chunkSize,
                                                   op.len - done);
-                ssize_t n = slots[op.fdSlot]->read(buf.data(), chunk);
+                ssize_t n = readFront(*slots[op.fdSlot], buf, chunk);
                 if (n < 0)
                     return static_cast<int>(step) + 1;
                 if (n == 0)
@@ -85,7 +107,7 @@ replayTraceM3(Env &env, const Trace &trace)
             while (done < op.len) {
                 size_t chunk = std::min<uint64_t>(op.chunkSize,
                                                   op.len - done);
-                ssize_t n = slots[op.fdSlot]->write(buf.data(), chunk);
+                ssize_t n = slots[op.fdSlot]->write(buf.prefix(chunk));
                 if (n <= 0)
                     return static_cast<int>(step) + 1;
                 done += static_cast<uint64_t>(n);
@@ -103,13 +125,13 @@ replayTraceM3(Env &env, const Trace &trace)
             while (done < op.len) {
                 size_t chunk = std::min<uint64_t>(op.chunkSize,
                                                   op.len - done);
-                ssize_t n = slots[op.fdSlot2]->read(buf.data(), chunk);
+                ssize_t n = readFront(*slots[op.fdSlot2], buf, chunk);
                 if (n < 0)
                     return static_cast<int>(step) + 1;
                 if (n == 0)
                     break;
-                if (slots[op.fdSlot]->write(buf.data(),
-                                            static_cast<size_t>(n)) != n)
+                if (slots[op.fdSlot]->write(
+                        buf.prefix(static_cast<size_t>(n))) != n)
                     return static_cast<int>(step) + 1;
                 done += static_cast<uint64_t>(n);
             }

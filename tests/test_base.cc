@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "base/accounting.hh"
+#include "base/bytes.hh"
 #include "base/errors.hh"
 #include "base/logging.hh"
 #include "base/marshal.hh"
@@ -79,6 +81,66 @@ TEST(Marshal, EnumsRoundTrip)
     Unmarshaller u(buf, m.size());
     EXPECT_EQ(u.pull<E>(), E::B);
     EXPECT_EQ(u.pull<Error>(), Error::NoCredits);
+}
+
+/** The bytes of @p b, copied out. */
+std::vector<uint8_t>
+flat(const Bytes &b)
+{
+    std::vector<uint8_t> out(b.size());
+    b.copyTo(out.data());
+    return out;
+}
+
+TEST(Bytes, SlicesConcatenateAndCut)
+{
+    std::vector<uint8_t> v(100);
+    for (size_t i = 0; i < v.size(); ++i)
+        v[i] = static_cast<uint8_t>(i);
+    const SharedBytes src =
+        std::make_shared<const std::vector<uint8_t>>(v);
+
+    // Slices that continue each other in their source become one.
+    const Bytes a(src, 10, 20);
+    Bytes ab = a + Bytes(src, 30, 5);
+    ASSERT_EQ(ab.slices().size(), 1u);
+    EXPECT_EQ(ab.slices()[0].off, 10u);
+    EXPECT_EQ(ab.size(), 25u);
+    EXPECT_FALSE(ab.slices()[0].copied);
+
+    // A copy is a slice of its own, marked copied, and never continues
+    // a shared one.
+    const uint8_t raw[3] = {7, 8, 9};
+    ab += Bytes::copyOf(raw, sizeof(raw));
+    ab += Bytes(src, 35, 5);
+    ASSERT_EQ(ab.slices().size(), 3u);
+    EXPECT_TRUE(ab.slices()[1].copied);
+    std::vector<uint8_t> want(v.begin() + 10, v.begin() + 35);
+    want.insert(want.end(), raw, raw + 3);
+    want.insert(want.end(), v.begin() + 35, v.begin() + 40);
+    EXPECT_EQ(flat(ab), want);
+
+    // sub(), prefix() and suffix() across slice edges.
+    for (size_t from = 0; from <= ab.size(); ++from) {
+        for (size_t len = 0; from + len <= ab.size(); ++len) {
+            const Bytes s = ab.sub(from, len);
+            EXPECT_EQ(s.size(), len);
+            EXPECT_EQ(flat(s), std::vector<uint8_t>(
+                                   want.begin() + from,
+                                   want.begin() + from + len));
+        }
+        EXPECT_EQ(flat(ab.prefix(from) + ab.suffix(from)), want);
+    }
+    EXPECT_TRUE(ab.suffix(ab.size()).empty());
+    EXPECT_TRUE(Bytes(src, 100, 0).slices().empty());
+}
+
+TEST(BytesDeathTest, OutOfBoundsPanics)
+{
+    const SharedBytes src =
+        std::make_shared<const std::vector<uint8_t>>(16, 0);
+    EXPECT_DEATH(Bytes(src, 10, 7), "Bytes out of bounds");
+    EXPECT_DEATH(Bytes(src, 0, 16).sub(8, 9), "Bytes::sub out of bounds");
 }
 
 TEST(Random, DeterministicForSameSeed)

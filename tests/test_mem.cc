@@ -3,8 +3,8 @@
  * Unit tests for the simulated memories: DRAM and SPM start zeroed, the
  * host pays for DRAM pages only on first touch and zero() leaves
  * untouched pages alone, shared ranges read as their source bytes and
- * are cut or copied in on modification, copies of shared bytes through
- * a host buffer stay references, every access matches a plain byte
+ * are cut or copied in on modification, copies of shared bytes as Bytes
+ * stay references, every access matches a plain byte
  * vector and the shared ranges match a reference bookkeeping, and
  * out-of-bounds accesses panic with the memory's name.
  */
@@ -24,6 +24,7 @@
 
 #include <unistd.h>
 
+#include "base/bytes.hh"
 #include "mem/dram.hh"
 #include "mem/spm.hh"
 
@@ -206,51 +207,81 @@ randomBytes(size_t len, std::mt19937_64 &rng)
 
 /**
  * The shared-range bookkeeping MemTarget must reproduce, kept simple: an
- * ordered map of ranges, the read-source table and the written pages.
- * It follows the same rules (cut, coalescing, copies by reference), so
- * its range and page counts must equal the memory's after every step.
+ * ordered map of ranges and the written pages. It follows the same rules
+ * (cut, coalescing, Bytes slices as references), so its range and page
+ * counts must equal the memory's after every step.
  */
 class ReferenceRanges
 {
   public:
-    /** read() of [off, off+len) into @p dst. */
-    void
-    read(goff_t off, const void *dst, size_t len)
+    /** One piece of a Bytes value: shared bytes, or copied ones
+     *  (src null). */
+    struct Piece
     {
-        if (len == 0)
-            return;
-        auto it = firstOverlap(off);
-        if (it != shared.end() && it->first <= off &&
-            it->first + it->second.len >= off + len) {
-            const Shared &s = it->second;
-            refs[dst] = Shared{len, s.src, s.srcOff + (off - it->first)};
+        size_t len;
+        SharedBytes src;
+        size_t srcOff;
+    };
+    using Pieces = std::vector<Piece>;
+
+    /** The pieces a Bytes read of [off, off+len) hands out: a slice per
+     *  range, a copy per gap. */
+    Pieces
+    read(goff_t off, size_t len)
+    {
+        Pieces out;
+        const goff_t end = off + len;
+        goff_t at = off;
+        for (auto it = firstOverlap(off);
+             it != shared.end() && it->first < end; ++it) {
+            if (it->first > at) {
+                out.push_back({it->first - at, nullptr, 0});
+                at = it->first;
+            }
+            const size_t n =
+                std::min<goff_t>(end, it->first + it->second.len) - at;
+            out.push_back({n, it->second.src,
+                           it->second.srcOff + (at - it->first)});
+            at += n;
         }
+        if (at < end)
+            out.push_back({end - at, nullptr, 0});
+        return out;
     }
 
-    /** write() of @p len bytes from @p src to @p off. */
+    /** write() of @p len bytes from a host buffer to @p off. */
     void
-    write(goff_t off, const void *src, size_t len)
+    write(goff_t off, size_t len)
     {
         if (len == 0)
             return;
         cut(off, len);
-        auto it = refs.find(src);
-        if (it != refs.end() && it->second.len >= len &&
-            std::memcmp(src, it->second.src->data() + it->second.srcOff,
-                        len) == 0) {
-            addRange(off, it->second.src, it->second.srcOff, len);
-            return;
-        }
         markWritten(off, len);
+    }
+
+    /** write() of a Bytes value made of @p pieces to @p off. */
+    void
+    write(goff_t off, const Pieces &pieces)
+    {
+        size_t len = 0;
+        for (const Piece &p : pieces)
+            len += p.len;
+        if (len == 0)
+            return;
+        cut(off, len);
+        for (const Piece &p : pieces) {
+            if (p.src)
+                addRange(off, p.src, p.srcOff, p.len);
+            else if (p.len > 0)
+                markWritten(off, p.len);
+            off += p.len;
+        }
     }
 
     void
     share(goff_t off, const SharedBytes &src, size_t srcOff, size_t len)
     {
-        if (len == 0)
-            return;
-        cut(off, len);
-        addRange(off, src, srcOff, len);
+        write(off, Pieces{{len, src, srcOff}});
     }
 
     void
@@ -264,10 +295,7 @@ class ReferenceRanges
     void
     own(goff_t off, size_t len)
     {
-        if (len == 0)
-            return;
-        cut(off, len);
-        markWritten(off, len);
+        write(off, len);
     }
 
     size_t ranges() const { return shared.size(); }
@@ -334,6 +362,8 @@ class ReferenceRanges
     void
     addRange(goff_t off, const SharedBytes &src, size_t srcOff, size_t len)
     {
+        if (len == 0)
+            return;
         auto next = shared.lower_bound(off);
         auto prev = next == shared.begin() ? shared.end() : std::prev(next);
         if (prev != shared.end() && prev->first + prev->second.len == off &&
@@ -345,8 +375,43 @@ class ReferenceRanges
     }
 
     std::map<goff_t, Shared> shared;
-    std::map<const void *, Shared> refs;
     std::set<size_t> written;
+};
+
+/** A Bytes value beside the pieces the reference expects it to hold. */
+struct ModelBytes
+{
+    Bytes bytes;
+    ReferenceRanges::Pieces pieces;
+
+    /** The @p len bytes at @p from, of both. */
+    ModelBytes
+    sub(size_t from, size_t len) const
+    {
+        ModelBytes out{bytes.sub(from, len), {}};
+        for (const ReferenceRanges::Piece &p : pieces) {
+            if (from >= p.len) {
+                from -= p.len;
+                continue;
+            }
+            const size_t n = std::min(len, p.len - from);
+            if (n == 0)
+                break;
+            out.pieces.push_back(
+                {n, p.src, p.src ? p.srcOff + from : 0});
+            from = 0;
+            len -= n;
+        }
+        return out;
+    }
+
+    ModelBytes &
+    operator+=(const ModelBytes &o)
+    {
+        bytes += o.bytes;
+        pieces.insert(pieces.end(), o.pieces.begin(), o.pieces.end());
+        return *this;
+    }
 };
 
 /**
@@ -363,7 +428,7 @@ class MemModel
     write(goff_t off, const std::vector<uint8_t> &src, size_t len)
     {
         mem.write(off, src.data(), len);
-        ref.write(off, src.data(), len);
+        ref.write(off, len);
         std::copy_n(src.begin(), len, model.begin() + off);
     }
 
@@ -388,10 +453,31 @@ class MemModel
     read(goff_t off, std::vector<uint8_t> &buf, size_t len)
     {
         mem.read(off, buf.data(), len);
-        ref.read(off, buf.data(), len);
         EXPECT_TRUE(std::equal(buf.begin(), buf.begin() + len,
                                model.begin() + off))
             << "read " << off << " + " << len;
+    }
+
+    /** read() as Bytes, checked against the model. */
+    ModelBytes
+    readBytes(goff_t off, size_t len)
+    {
+        ModelBytes b{mem.read(off, len), ref.read(off, len)};
+        EXPECT_EQ(b.bytes.size(), len);
+        std::vector<uint8_t> got(len);
+        b.bytes.copyTo(got.data());
+        EXPECT_TRUE(std::equal(got.begin(), got.end(), model.begin() + off))
+            << "read as Bytes " << off << " + " << len;
+        return b;
+    }
+
+    /** write() of a Bytes value. */
+    void
+    write(goff_t off, const ModelBytes &b)
+    {
+        mem.write(off, b.bytes);
+        ref.write(off, b.pieces);
+        b.bytes.copyTo(model.data() + off);
     }
 
     /** The raw pointer @p p that @p raw handed out for [off, off+len),
@@ -403,15 +489,22 @@ class MemModel
         return std::equal(p, p + len, model.begin() + off);
     }
 
-    /** Copy [from, from+len) to @p to through @p buf, as a gate's
-     *  read() and write() do; @p flip changes one byte in between. */
+    /**
+     * Copy [from, from+len) to @p to as a gate's read() and write() as
+     * Bytes do. With @p flip the program changes one byte in between,
+     * so it must hold the bytes itself: they go through @p buf.
+     */
     void
     copy(goff_t from, goff_t to, size_t len, std::vector<uint8_t> &buf,
          bool flip)
     {
-        read(from, buf, len);
-        if (flip)
-            buf[len / 2] ^= 0x5a;
+        ModelBytes b = readBytes(from, len);
+        if (!flip) {
+            write(to, b);
+            return;
+        }
+        b.bytes.copyTo(buf.data());
+        buf[len / 2] ^= 0x5a;
         write(to, buf, len);
     }
 
@@ -492,8 +585,8 @@ TEST(Mem, CopiesOfSharedBytesStayReferences)
 }
 
 /**
- * Seeded random write, copy, zero, share, read and raw-pointer steps on
- * a DRAM and an SPM, checked against a byte vector and the reference
+ * Seeded random write, copy, zero, share, read, raw-pointer and spliced
+ * Bytes steps on a DRAM and an SPM, checked against a byte vector and the reference
  * bookkeeping after every step. Offsets cluster around page edges and
  * the edges of recent shares. Three steps build the shapes the page
  * directory must get right: many sub-page ranges at 512-byte offsets on
@@ -539,7 +632,7 @@ runMemModel(MemTarget &mem, uint64_t seed,
     for (int step = 0; step < 3000; ++step) {
         const goff_t off = pick();
         const size_t len = length(off);
-        switch (below(10)) {
+        switch (below(11)) {
           case 0:
             for (size_t i = 0; i < len; ++i)
                 fresh[i] = static_cast<uint8_t>(rng());
@@ -625,6 +718,23 @@ runMemModel(MemTarget &mem, uint64_t seed,
             }
             break;
           }
+          case 10: {
+            // A Bytes value spliced from up to three reads, each cut
+            // with sub(), written elsewhere: slices of several ranges,
+            // sources and gaps, continuing each other or not.
+            ModelBytes b;
+            for (size_t k = 1 + below(3); k > 0; --k) {
+                const goff_t at = pick();
+                const size_t n = length(at);
+                const ModelBytes part = m.readBytes(at, n);
+                const size_t from = below(n + 1);
+                b += part.sub(from, below(n - from + 1));
+            }
+            const goff_t to = pick();
+            m.write(to, b.sub(0, std::min<size_t>(b.bytes.size(),
+                                                  mem.size() - to)));
+            break;
+          }
         }
         ASSERT_TRUE(m.matches()) << "seed " << seed << " step " << step;
         ASSERT_TRUE(m.countsMatch())
@@ -659,10 +769,8 @@ TEST(Mem, CopiedFileStaysNonResident)
     const size_t rss0 = residentBytes();
     const goff_t to = 128 * MiB;
     dram.zero(to, file->size());
-    for (goff_t off = 0; off < file->size(); off += buf.size()) {
-        dram.read(off, buf.data(), buf.size());
-        dram.write(to + off, buf.data(), buf.size());
-    }
+    for (goff_t off = 0; off < file->size(); off += buf.size())
+        dram.write(to + off, dram.read(off, buf.size()));
     bool same = true;
     for (goff_t off = 0; off < file->size(); off += buf.size()) {
         dram.read(to + off, buf.data(), buf.size());

@@ -156,17 +156,24 @@ struct KvFixture
         cfg.withFs = false;
         cfg.numKernels = kernels;
         sys = std::make_unique<M3System>(std::move(cfg));
+        addService(std::move(service), sys->rootPe() + 1);
+    }
+
+    /** Run @p service as a boot VPE on @p pe; before runRoot. */
+    void
+    addService(std::function<int()> service, peid_t pe)
+    {
         kernel::Kernel::BootProgram prog;
-        prog.pe = sys->rootPe() + 1;
+        prog.pe = pe;
         prog.name = "service";
         Platform *plat = &sys->platform();
-        prog.main = [plat, pe = prog.pe, service](vpeid_t id) {
+        prog.main = [plat, pe, service](vpeid_t id) {
             Env env(*plat, pe, id);
             service();
             env.vpeExit(0);
         };
         // Install before runRoot starts the kernel.
-        sys->kernelInstance(sys->domainOfPe(prog.pe))
+        sys->kernelInstance(sys->domainOfPe(pe))
             .addBootProgram(std::move(prog));
     }
 
@@ -341,34 +348,58 @@ struct HoldLog
 {
     std::vector<Cycles> arrivals;  //!< each kernel request
     Cycles firstReply = 0;
+    /** If set, the hold ends at this cycle, not 1M cycles after the
+     *  hold-th request arrived: several services answer at once. */
+    Cycles holdUntil = 0;
+};
+
+/** How a holding service ends its hold. */
+enum class HoldEnd
+{
+    Answer,  //!< answer the held requests, and every later one at once
+    Revoke,  //!< revoke its registration and exit, answering none
+    Exit,    //!< exit without revoking, answering none
 };
 
 /**
- * A service that answers nothing until @p hold Open requests wait in its
- * ring, then sleeps long enough for every client to issue its request
- * and answers them all (and every later one at once). With @p die it
- * instead revokes its registration after the sleep and exits with all
- * of them unanswered.
+ * A service named @p name that answers nothing until @p hold Open
+ * requests wait in its ring, then sleeps long enough for every client
+ * to issue its request (or until log.holdUntil), takes what reached its
+ * ring meanwhile and ends its hold as @p end says.
  */
 int
-holdServiceMain(uint32_t hold, bool die, HoldLog &log)
+holdServiceMain(uint32_t hold, HoldEnd end, HoldLog &log,
+                const char *name = "holder")
 {
     Env &env = Env::cur();
     RecvGate rgate(env, 16, KV_MSG);
     capsel_t srvSel = env.allocSels();
-    if (env.createSrv(srvSel, rgate.capSel(), "holder") != Error::None)
+    if (env.createSrv(srvSel, rgate.capSel(), name) != Error::None)
         return 1;
     std::vector<GateIStream> held;
     uint64_t ident = 1;
-    for (;;) {
-        held.push_back(rgate.receive());
+    auto arrived = [&](GateIStream is) {
+        held.push_back(std::move(is));
         log.arrivals.push_back(env.platform.simulator().curCycle());
+    };
+    for (;;) {
+        arrived(rgate.receive());
         if (log.firstReply == 0 && held.size() < hold)
             continue;
         if (log.firstReply == 0) {
-            Fiber::current()->sleep(1000000);
-            if (die)
+            const Cycles now = env.platform.simulator().curCycle();
+            Fiber::current()->sleep(
+                log.holdUntil > now ? log.holdUntil - now : 1000000);
+            for (;;) {
+                GateIStream is = rgate.tryReceive();
+                if (!is.valid())
+                    break;
+                arrived(std::move(is));
+            }
+            if (end == HoldEnd::Revoke)
                 return env.revoke(srvSel, true) == Error::None ? 0 : 2;
+            if (end == HoldEnd::Exit)
+                return 0;
             log.firstReply = env.platform.simulator().curCycle();
         }
         for (GateIStream &is : held) {
@@ -381,14 +412,16 @@ holdServiceMain(uint32_t hold, bool die, HoldLog &log)
 }
 
 /**
- * @p clients children of the root open the holding service at once.
- * Returns each client's result, the cycle it issued its OpenSess, and
- * the result of one more open by the root once all of them exited.
+ * @p clients children of the root open the holding service at once,
+ * client i the one named names[i % names.size()]. Returns each client's
+ * result, the cycle it issued its OpenSess, and the result of one more
+ * open of names[0] by the root once all of them exited.
  */
 void
 openConcurrently(M3System &sys, uint32_t clients,
                  std::vector<Error> &results, std::vector<Cycles> &issued,
-                 Error &lateOpen)
+                 Error &lateOpen,
+                 const std::vector<std::string> &names = {"holder"})
 {
     results.assign(clients, Error::InvalidArgs);
     issued.assign(clients, 0);
@@ -402,13 +435,14 @@ openConcurrently(M3System &sys, uint32_t clients,
                 return 1;
             if (sys.domainOfPe(v->peId()) != sys.domainOfPe(sys.rootPe()))
                 return 2;
-            Error run = v->run([&results, &issued, i] {
+            const std::string &name = names[i % names.size()];
+            Error run = v->run([&results, &issued, &name, i] {
                 Env &cenv = Env::cur();
                 capsel_t sess = cenv.allocSels();
                 // Retry while the service is still booting.
                 for (int t = 0; t < 1000; ++t) {
                     issued[i] = cenv.platform.simulator().curCycle();
-                    results[i] = cenv.openSess(sess, "holder", 0);
+                    results[i] = cenv.openSess(sess, name, 0);
                     if (results[i] != Error::NoSuchService)
                         break;
                     Fiber::current()->sleep(500);
@@ -422,7 +456,7 @@ openConcurrently(M3System &sys, uint32_t clients,
         for (auto &v : children)
             if (v->wait() != 0)
                 return 4;
-        lateOpen = env.openSess(env.allocSels(), "holder", 0);
+        lateOpen = env.openSess(env.allocSels(), names[0], 0);
         return 0;
     });
     ASSERT_TRUE(sys.simulate());
@@ -434,7 +468,7 @@ TEST(Service, KernelChannelQueuesBeyondCredits)
     // 20 opens against a service channel of 16 credits: 16 go out, 4
     // wait in the kernel until the first reply returns a credit.
     HoldLog log;
-    KvFixture fx([&log] { return holdServiceMain(16, false, log); }, 22);
+    KvFixture fx([&log] { return holdServiceMain(16, HoldEnd::Answer, log); }, 22);
     std::vector<Error> results;
     std::vector<Cycles> issued;
     Error late = Error::InvalidArgs;
@@ -456,7 +490,7 @@ TEST(Service, IkChannelQueuesBeyondCredits)
     // 10th open wait in domain 0 until the first reply comes back.
     HoldLog log;
     KvFixture fx(
-        [&log] { return holdServiceMain(kif::IK_CREDITS, false, log); },
+        [&log] { return holdServiceMain(kif::IK_CREDITS, HoldEnd::Answer, log); },
         21, 2);
     std::vector<Error> results;
     std::vector<Cycles> issued;
@@ -479,7 +513,7 @@ TEST(Service, DeadServiceFailsInFlightAndQueuedRequests)
     // then revokes its registration and exits without answering any.
     // Every client gets PeerGone, nothing hangs, and the name is gone.
     HoldLog log;
-    KvFixture fx([&log] { return holdServiceMain(16, true, log); }, 22);
+    KvFixture fx([&log] { return holdServiceMain(16, HoldEnd::Revoke, log); }, 22);
     std::vector<Error> results;
     std::vector<Cycles> issued;
     Error late = Error::InvalidArgs;
@@ -488,6 +522,57 @@ TEST(Service, DeadServiceFailsInFlightAndQueuedRequests)
         EXPECT_EQ(e, Error::PeerGone);
     EXPECT_EQ(late, Error::NoSuchService);
     EXPECT_EQ(log.arrivals.size(), 16u);
+    EXPECT_TRUE(fx.sys->kernelInstance().channelsIdle());
+}
+
+TEST(Service, ExitingServiceFailsItsRequests)
+{
+    // As above, but the service exits without revoking anything: its
+    // exit retires the registration all the same.
+    HoldLog log;
+    KvFixture fx([&log] { return holdServiceMain(16, HoldEnd::Exit, log); },
+                 22);
+    std::vector<Error> results;
+    std::vector<Cycles> issued;
+    Error late = Error::InvalidArgs;
+    openConcurrently(*fx.sys, 20, results, issued, late);
+    for (Error e : results)
+        EXPECT_EQ(e, Error::PeerGone);
+    EXPECT_EQ(late, Error::NoSuchService);
+    EXPECT_EQ(log.arrivals.size(), 16u);
+    EXPECT_TRUE(fx.sys->kernelInstance().channelsIdle());
+}
+
+TEST(Service, TwoServicesShareTheReplyRing)
+{
+    // 32 opens, 16 per service: both services hold their requests
+    // until every client has issued its open, then answer all that
+    // reached them at the same cycle. Both channels have 16 credits,
+    // but the kernel's reply ring has 16 slots for both, so at most 16
+    // requests may be in flight between them, or replies are dropped.
+    HoldLog logA, logB;
+    logA.holdUntil = logB.holdUntil = 3000000;
+    KvFixture fx(
+        [&logA] { return holdServiceMain(1, HoldEnd::Answer, logA, "a"); },
+        35);
+    fx.addService(
+        [&logB] { return holdServiceMain(1, HoldEnd::Answer, logB, "b"); },
+        fx.sys->rootPe() + 2);
+    std::vector<Error> results;
+    std::vector<Cycles> issued;
+    Error late = Error::InvalidArgs;
+    openConcurrently(*fx.sys, 32, results, issued, late, {"a", "b"});
+    for (Error e : results)
+        EXPECT_EQ(e, Error::None);
+    EXPECT_EQ(late, Error::None);
+    EXPECT_EQ(logA.arrivals.size() + logB.arrivals.size(), 33u);
+    EXPECT_LT(*std::max_element(issued.begin(), issued.end()),
+              logA.holdUntil);
+    EXPECT_EQ(logA.firstReply, logB.firstReply);
+    uint64_t dropped = 0;
+    for (peid_t p = 0; p < fx.sys->platform().peCount(); ++p)
+        dropped += fx.sys->platform().pe(p).dtu().stats().msgsDropped;
+    EXPECT_EQ(dropped, 0u);
     EXPECT_TRUE(fx.sys->kernelInstance().channelsIdle());
 }
 

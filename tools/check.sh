@@ -159,16 +159,31 @@ grep -q '\[  PASSED  \] 1 test' "$obs/pipe_teardown.log"
 
 # Kernel-channel gate, named explicitly so a test relabel cannot drop
 # it: the kernel's request channels to services and peer kernels must
-# queue beyond their credits, fail a refused send, refuse a malformed
-# Obtain answer and fail every pending request of a dead service, all
-# under ASan+UBSan. The reply continuations capture service and
-# session objects and run after the service's revocation — exactly
-# where lifetime bugs hide.
+# queue beyond their credits and beyond the free slots of the reply
+# ring they share, fail a refused send, refuse a malformed Obtain
+# answer and fail every pending request of a service that is revoked
+# or exits, all under ASan+UBSan. The reply continuations capture
+# service and session objects and run after the service's revocation —
+# exactly where lifetime bugs hide.
 echo "=== kernel channel queue and failure paths (sanitized)"
 ./build-asan/tests/test_service \
-    --gtest_filter='Service.ObtainWithBadCapListFailsCleanly:Service.OversizedRequestToSmallSlotServiceFails:Service.KernelChannelQueuesBeyondCredits:Service.IkChannelQueuesBeyondCredits:Service.DeadServiceFailsInFlightAndQueuedRequests' \
+    --gtest_filter='Service.ObtainWithBadCapListFailsCleanly:Service.OversizedRequestToSmallSlotServiceFails:Service.KernelChannelQueuesBeyondCredits:Service.IkChannelQueuesBeyondCredits:Service.DeadServiceFailsInFlightAndQueuedRequests:Service.ExitingServiceFailsItsRequests:Service.TwoServicesShareTheReplyRing' \
     2>&1 | tee "$obs/kchannel.log"
-grep -q '\[  PASSED  \] 5 tests' "$obs/kchannel.log"
+grep -q '\[  PASSED  \] 7 tests' "$obs/kchannel.log"
+
+# Bytes gate, named explicitly so a test relabel cannot drop it: file
+# data moved as Bytes must read back exactly, against a plain byte
+# vector and as a whole tar archive, under ASan+UBSan. Bytes slices hold
+# shared file bytes across fiber sleeps, after the memory that handed
+# them out has cut or dropped its ranges — exactly where lifetime bugs
+# hide.
+echo "=== file bytes by reference (sanitized)"
+./build-asan/tests/test_mem --gtest_filter='Mem.*' 2>&1 | tee "$obs/bytes.log"
+grep -q '\[  PASSED  \] 7 tests' "$obs/bytes.log"
+./build-asan/tests/test_workloads \
+    --gtest_filter='Scalability.TarArchive*:Scalability.TarHostFootprintIsPinned' \
+    2>&1 | tee "$obs/bytes.log"
+grep -q '\[  PASSED  \] 2 tests' "$obs/bytes.log"
 
 # Rolling-restart gate: drain + kill every compute PE once under a
 # fig6-class request workload; the run must finish with byte-identical

@@ -8,6 +8,9 @@ and BINARY is the m3bench executable that wrote it. The samples of all
 files are summed. PCs in the executable are resolved with one addr2line
 run over the unique PCs; PCs in shared objects keep the symbol the
 sampler found for them (libc's string functions often have none).
+Link statically (-DCMAKE_EXE_LINKER_FLAGS=-static) to tell them apart:
+the executable then carries libc, and its routines (memcpy, memcmp,
+malloc, ...) fold into the libc layer under their own names.
 
 Top functions are keyed by the innermost inlined function at the PC. The
 layer of a sample is the src/<dir>/ of its innermost inlined frame that
@@ -27,6 +30,11 @@ import sys
 from collections import Counter
 
 ADDR = re.compile(r"^0x[0-9a-f]+$")
+# libc routines, as a statically linked executable names them.
+LIBC_ROUTINE = re.compile(
+    r"^(__(mem|str|stp|wmem|wcs|libc_)\w*|_int_\w+|mem(cpy|move|set|cmp|chr)"
+    r"|str[a-z]+|malloc\w*|free|cfree|calloc|realloc|unlink_chunk"
+    r"|tcache_\w+|__munmap|__mmap|munmap|mmap)$")
 
 
 def read_samples(paths):
@@ -78,6 +86,8 @@ def resolve(binary, offsets):
 def layer_of(chain):
     if chain[0][0] == "m3CtxSwap":
         return "sim"
+    if LIBC_ROUTINE.match(chain[0][0]) and "/src/" not in chain[0][1]:
+        return "libc"
     for _, loc in chain:
         at = loc.rfind("/src/")
         if at >= 0:
