@@ -6,7 +6,6 @@
 
 #include "base/logging.hh"
 #include "sim/fault_plan.hh"
-#include "trace/metrics.hh"
 #include "trace/reqtrace.hh"
 #include "trace/trace.hh"
 
@@ -138,11 +137,6 @@ Dtu::sendExt(uint32_t targetNode, std::function<Error(Dtu &)> apply,
                              trace::Tracer::instant(
                                  trace::dtuTrack(targetNode),
                                  "fault:extack");
-                         if (M3_METRICS_ON) {
-                             static trace::Counter &fi =
-                                 trace::Metrics::counter("faults_injected");
-                             fi.inc();
-                         }
                          logtrace("node%u: fault: ext ack from node%u "
                                   "refused", nocId, targetNode);
                          return;
@@ -627,11 +621,6 @@ Dtu::startSend(epid_t id, spmaddr_t msgAddr, uint32_t size, epid_t replyEp,
             if (M3_TRACE_ON)
                 trace::Tracer::instant(trace::dtuTrack(nocId),
                                        "fault:corrupt");
-            if (M3_METRICS_ON) {
-                static trace::Counter &fi =
-                    trace::Metrics::counter("faults_injected");
-                fi.inc();
-            }
         }
     }
 
@@ -726,11 +715,6 @@ Dtu::startReply(epid_t id, uint32_t slot, spmaddr_t msgAddr, uint32_t size)
             if (M3_TRACE_ON)
                 trace::Tracer::instant(trace::dtuTrack(nocId),
                                        "fault:corrupt");
-            if (M3_METRICS_ON) {
-                static trace::Counter &fi =
-                    trace::Metrics::counter("faults_injected");
-                fi.inc();
-            }
         }
     }
 

@@ -52,7 +52,24 @@ struct DtuStats
     uint64_t extConfigs = 0;
     uint64_t msgsParked = 0;    //!< buffered for a descheduled generation
     uint64_t msgsUnparked = 0;  //!< re-injected when that VPE came back
+
+    /** The metrics schema (trace::StatField): every member once. */
+    static constexpr trace::StatField<DtuStats> FIELDS[] = {
+        {"msgs_sent", &DtuStats::msgsSent},
+        {"msgs_received", &DtuStats::msgsReceived},
+        {"msgs_dropped", &DtuStats::msgsDropped},
+        {"msgs_corrupted", &DtuStats::msgsCorrupted},
+        {"credit_denials", &DtuStats::creditDenials},
+        {"mem_reads", &DtuStats::memReads},
+        {"mem_writes", &DtuStats::memWrites},
+        {"bytes_read", &DtuStats::bytesRead},
+        {"bytes_written", &DtuStats::bytesWritten},
+        {"ext_configs", &DtuStats::extConfigs},
+        {"msgs_parked", &DtuStats::msgsParked},
+        {"msgs_unparked", &DtuStats::msgsUnparked},
+    };
 };
+static_assert(trace::statsTableCoversAll<DtuStats>());
 
 /**
  * One DTU instance, attached to one PE. The platform wires all DTUs

@@ -576,11 +576,19 @@ Kernel::handleSyscall(uint32_t slot)
     if (traced)
         trace::Tracer::spanEnd(kernelPe);
     if (M3_METRICS_ON) {
-        std::string base =
-            std::string("kernel.syscall.") + kif::syscallName(opcode);
-        trace::Metrics::counter(base + ".count").inc();
-        trace::Metrics::histogram(base + ".cycles")
-            .observe(platform.simulator().curCycle() - sysStart);
+        // Resolved on first use; unknown opcodes share the last entry.
+        static std::pair<trace::Counter *, trace::Histogram *>
+            handles[size_t(Syscall::COUNT) + 1];
+        auto &[count, cycles] =
+            handles[std::min(size_t(opcode), size_t(Syscall::COUNT))];
+        if (!count) {
+            std::string base =
+                std::string("kernel.syscall.") + kif::syscallName(opcode);
+            count = &trace::Metrics::counter(base + ".count");
+            cycles = &trace::Metrics::histogram(base + ".cycles");
+        }
+        count->inc();
+        cycles->observe(platform.simulator().curCycle() - sysStart);
     }
 }
 
@@ -1815,9 +1823,14 @@ Kernel::handleIkRequest(uint32_t slot)
     if (traced)
         trace::Tracer::spanEnd(kernelPe);
     if (M3_METRICS_ON) {
-        trace::Metrics::counter(std::string("kernel.ik.") +
-                                kif::ikOpName(op) + ".count")
-            .inc();
+        // Resolved once per opcode, like the syscall handles.
+        static trace::Counter *counts[size_t(kif::IkOp::COUNT) + 1];
+        trace::Counter *&c =
+            counts[std::min(size_t(op), size_t(kif::IkOp::COUNT))];
+        if (!c)
+            c = &trace::Metrics::counter(std::string("kernel.ik.") +
+                                         kif::ikOpName(op) + ".count");
+        c->inc();
     }
 }
 

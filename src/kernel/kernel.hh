@@ -124,7 +124,37 @@ struct KernelStats
     uint64_t failovers = 0;           //!< VPEs restarted after PE death
     uint64_t drains = 0;              //!< PEs drained
     uint64_t pesLeased = 0;           //!< PEs lent to peer kernels
+
+    /** The metrics schema (trace::StatField): every member once. Only
+     *  machines with migration or several kernels export those fields. */
+    static constexpr trace::StatField<KernelStats> FIELDS[] = {
+        {"syscalls", &KernelStats::syscalls, trace::STAT_PER_INSTANCE},
+        {"vpes_created", &KernelStats::vpesCreated, trace::STAT_PER_INSTANCE},
+        {"caps_delegated", &KernelStats::capsDelegated},
+        {"caps_revoked", &KernelStats::capsRevoked},
+        {"service_requests", &KernelStats::serviceRequests},
+        {"heartbeats", &KernelStats::heartbeats},
+        {"watchdog_reclaims", &KernelStats::watchdogReclaims},
+        {"ctx_switches", &KernelStats::ctxSwitches},
+        {"yields", &KernelStats::yields},
+        {"ik_requests_sent", &KernelStats::ikRequestsSent,
+         trace::STAT_MULTI_KERNEL | trace::STAT_PER_INSTANCE},
+        {"ik_requests_handled", &KernelStats::ikRequestsHandled,
+         trace::STAT_MULTI_KERNEL | trace::STAT_PER_INSTANCE},
+        {"remote_vpes_placed", &KernelStats::remoteVpesPlaced,
+         trace::STAT_MULTI_KERNEL | trace::STAT_PER_INSTANCE},
+        {"migrations_started", &KernelStats::migrationsStarted,
+         trace::STAT_MIGRATION},
+        {"migrations_completed", &KernelStats::migrationsCompleted,
+         trace::STAT_MIGRATION},
+        {"migrations_aborted", &KernelStats::migrationsAborted,
+         trace::STAT_MIGRATION},
+        {"failovers", &KernelStats::failovers, trace::STAT_MIGRATION},
+        {"drains", &KernelStats::drains, trace::STAT_MIGRATION},
+        {"pes_leased", &KernelStats::pesLeased, trace::STAT_MIGRATION},
+    };
 };
+static_assert(trace::statsTableCoversAll<KernelStats>());
 
 /**
  * The kernel. Construct it, queue boot programs, call start(), then run

@@ -195,6 +195,7 @@ enum class IkOp : uint64_t
     PeRelease,   //!< { pe } -> { Error } (return a leased PE)
     CapsRehome,  //!< { oldNode, gen, newNode } -> { Error } (a VPE moved:
                  //!< repoint shadow rgates that matched its old home)
+    COUNT,
 };
 
 /** Stable name for an inter-kernel opcode (trace/metric labels). */

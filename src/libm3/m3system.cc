@@ -261,133 +261,30 @@ M3System::~M3System()
 void
 M3System::exportMetrics()
 {
-    using trace::Metrics;
-
-    const SimStats &ss = sim.queue().stats();
-    Metrics::counter("sim.events_scheduled").add(ss.eventsScheduled);
-    Metrics::counter("sim.events_executed").add(ss.eventsExecuted);
-    Metrics::gauge("sim.peak_pending").setMax(ss.peakPending);
-    Metrics::counter("sim.callback_heap_fallbacks")
-        .add(ss.callbackHeapFallbacks);
-
-    // Aggregate across all kernel instances so the "kernel.*" schema is
-    // the same regardless of numKernels.
-    kernel::KernelStats ks;
-    for (const auto &k : kerns) {
-        const kernel::KernelStats &s = k->stats();
-        ks.syscalls += s.syscalls;
-        ks.vpesCreated += s.vpesCreated;
-        ks.capsDelegated += s.capsDelegated;
-        ks.capsRevoked += s.capsRevoked;
-        ks.serviceRequests += s.serviceRequests;
-        ks.heartbeats += s.heartbeats;
-        ks.watchdogReclaims += s.watchdogReclaims;
-        ks.ctxSwitches += s.ctxSwitches;
-        ks.yields += s.yields;
-        ks.ikRequestsSent += s.ikRequestsSent;
-        ks.ikRequestsHandled += s.ikRequestsHandled;
-        ks.remoteVpesPlaced += s.remoteVpesPlaced;
-        ks.migrationsStarted += s.migrationsStarted;
-        ks.migrationsCompleted += s.migrationsCompleted;
-        ks.migrationsAborted += s.migrationsAborted;
-        ks.failovers += s.failovers;
-        ks.drains += s.drains;
-        ks.pesLeased += s.pesLeased;
+    using trace::exportStats;
+    const uint32_t groups =
+        (cfg.migration || cfg.failover ? trace::STAT_MIGRATION : 0) |
+        (kerns.size() > 1 ? trace::STAT_MULTI_KERNEL : 0);
+    exportStats("sim.", sim.queue().stats(), groups);
+    // Instances fold in the registry (counters add), so the "kernel.*"
+    // and "dtu.*" keys are machine totals whatever the instance count;
+    // multi-kernel machines add the per-kernel breakdown. The drain
+    // histogram (kernel.drain.cycles) is observed live by the kernel.
+    for (size_t k = 0; k < kerns.size(); ++k) {
+        exportStats("kernel.", kerns[k]->stats(), groups);
+        if (kerns.size() > 1)
+            exportStats("kernel.k" + std::to_string(k) + ".",
+                        kerns[k]->stats(), groups, trace::STAT_PER_INSTANCE);
     }
-    Metrics::counter("kernel.syscalls").add(ks.syscalls);
-    Metrics::counter("kernel.vpes_created").add(ks.vpesCreated);
-    Metrics::counter("kernel.caps_delegated").add(ks.capsDelegated);
-    Metrics::counter("kernel.caps_revoked").add(ks.capsRevoked);
-    Metrics::counter("kernel.service_requests").add(ks.serviceRequests);
-    Metrics::counter("kernel.heartbeats").add(ks.heartbeats);
-    Metrics::counter("kernel.watchdog_reclaims").add(ks.watchdogReclaims);
-    Metrics::counter("kernel.ctx_switches").add(ks.ctxSwitches);
-    Metrics::counter("kernel.yields").add(ks.yields);
-    if (cfg.migration || cfg.failover) {
-        // Migration keys exist only on machines that enable the
-        // feature, keeping the seed's metric key set untouched. The
-        // drain-duration histogram (kernel.drain.cycles) is observed
-        // directly by the kernel as drains complete.
-        Metrics::counter("kernel.migrations_started")
-            .add(ks.migrationsStarted);
-        Metrics::counter("kernel.migrations_completed")
-            .add(ks.migrationsCompleted);
-        Metrics::counter("kernel.migrations_aborted")
-            .add(ks.migrationsAborted);
-        Metrics::counter("kernel.failovers").add(ks.failovers);
-        Metrics::counter("kernel.drains").add(ks.drains);
-        Metrics::counter("kernel.pes_leased").add(ks.pesLeased);
-    }
-    if (kerns.size() > 1) {
-        // Per-instance breakdown plus the IK totals, only registered on
-        // multi-kernel machines (a single kernel keeps the seed's exact
-        // metric key set).
-        Metrics::counter("kernel.ik_requests_sent").add(ks.ikRequestsSent);
-        Metrics::counter("kernel.ik_requests_handled")
-            .add(ks.ikRequestsHandled);
-        Metrics::counter("kernel.remote_vpes_placed")
-            .add(ks.remoteVpesPlaced);
-        for (size_t k = 0; k < kerns.size(); ++k) {
-            const kernel::KernelStats &s = kerns[k]->stats();
-            std::string p = "kernel.k" + std::to_string(k) + ".";
-            Metrics::counter(p + "syscalls").add(s.syscalls);
-            Metrics::counter(p + "vpes_created").add(s.vpesCreated);
-            Metrics::counter(p + "ik_requests_sent").add(s.ikRequestsSent);
-            Metrics::counter(p + "ik_requests_handled")
-                .add(s.ikRequestsHandled);
-            Metrics::counter(p + "remote_vpes_placed")
-                .add(s.remoteVpesPlaced);
-        }
-    }
-
-    DtuStats agg;
-    for (peid_t p = 0; p < plat->peCount(); ++p) {
-        const DtuStats &ds = plat->pe(p).dtu().stats();
-        agg.msgsSent += ds.msgsSent;
-        agg.msgsReceived += ds.msgsReceived;
-        agg.msgsDropped += ds.msgsDropped;
-        agg.msgsCorrupted += ds.msgsCorrupted;
-        agg.creditDenials += ds.creditDenials;
-        agg.memReads += ds.memReads;
-        agg.memWrites += ds.memWrites;
-        agg.bytesRead += ds.bytesRead;
-        agg.bytesWritten += ds.bytesWritten;
-        agg.extConfigs += ds.extConfigs;
-        agg.msgsParked += ds.msgsParked;
-        agg.msgsUnparked += ds.msgsUnparked;
-    }
-    Metrics::counter("dtu.msgs_sent").add(agg.msgsSent);
-    Metrics::counter("dtu.msgs_received").add(agg.msgsReceived);
-    Metrics::counter("dtu.msgs_dropped").add(agg.msgsDropped);
-    Metrics::counter("dtu.msgs_corrupted").add(agg.msgsCorrupted);
-    Metrics::counter("dtu.credit_denials").add(agg.creditDenials);
-    Metrics::counter("dtu.mem_reads").add(agg.memReads);
-    Metrics::counter("dtu.mem_writes").add(agg.memWrites);
-    Metrics::counter("dtu.bytes_read").add(agg.bytesRead);
-    Metrics::counter("dtu.bytes_written").add(agg.bytesWritten);
-    Metrics::counter("dtu.ext_configs").add(agg.extConfigs);
-    Metrics::counter("dtu.msgs_parked").add(agg.msgsParked);
-    Metrics::counter("dtu.msgs_unparked").add(agg.msgsUnparked);
-
-    const NocStats &ns = plat->noc().stats();
-    Metrics::counter("noc.packets").add(ns.packets);
-    Metrics::counter("noc.payload_bytes").add(ns.payloadBytes);
-    Metrics::counter("noc.contention_stalls").add(ns.contentionStalls);
-    Metrics::counter("noc.packets_dropped").add(ns.packetsDropped);
-    Metrics::counter("noc.packets_delayed").add(ns.packetsDelayed);
-    Metrics::counter("noc.packets_delivered").add(ns.packetsDelivered);
+    for (peid_t p = 0; p < plat->peCount(); ++p)
+        exportStats("dtu.", plat->pe(p).dtu().stats(), groups);
+    exportStats("noc.", plat->noc().stats(), groups);
     plat->noc().exportMetrics(sim.curCycle());
 
     if (faults) {
-        const FaultStats &fs = faults->stats();
-        Metrics::counter("faults.packets_seen").add(fs.packetsSeen);
-        Metrics::counter("faults.packets_dropped").add(fs.packetsDropped);
-        Metrics::counter("faults.packets_delayed").add(fs.packetsDelayed);
-        Metrics::counter("faults.delay_injected").add(fs.delayInjected);
-        Metrics::counter("faults.payloads_corrupted")
-            .add(fs.payloadsCorrupted);
-        Metrics::counter("faults.ext_acks_refused").add(fs.extAcksRefused);
-        Metrics::counter("faults.pe_kills").add(fs.peKills);
+        exportStats("faults.", faults->stats(), groups);
+        if (uint64_t n = faults->stats().injected())
+            trace::Metrics::counter("faults_injected").add(n);
     }
 }
 
@@ -441,65 +338,22 @@ M3System::printStats() const
 {
     std::printf("==== M3System stats @ cycle %llu ====\n",
                 static_cast<unsigned long long>(sim.curCycle()));
-    for (size_t k = 0; k < kerns.size(); ++k) {
-        const kernel::KernelStats &ks = kerns[k]->stats();
-        std::string label =
-            kerns.size() > 1 ? "kernel" + std::to_string(k) : "kernel";
-        const char *name = label.c_str();
-        std::printf("%s: %llu syscalls, %llu VPEs, %llu caps delegated, "
-                    "%llu revoked, %llu service requests\n",
-                    name, static_cast<unsigned long long>(ks.syscalls),
-                    static_cast<unsigned long long>(ks.vpesCreated),
-                    static_cast<unsigned long long>(ks.capsDelegated),
-                    static_cast<unsigned long long>(ks.capsRevoked),
-                    static_cast<unsigned long long>(ks.serviceRequests));
-        if (ks.ctxSwitches || ks.yields)
-            std::printf("%s: %llu ctx switches, %llu yields\n", name,
-                        static_cast<unsigned long long>(ks.ctxSwitches),
-                        static_cast<unsigned long long>(ks.yields));
-        if (ks.migrationsStarted || ks.failovers)
-            std::printf("%s: %llu migrations (%llu completed, "
-                        "%llu aborted), %llu failovers, %llu drains\n",
-                        name,
-                        static_cast<unsigned long long>(
-                            ks.migrationsStarted),
-                        static_cast<unsigned long long>(
-                            ks.migrationsCompleted),
-                        static_cast<unsigned long long>(
-                            ks.migrationsAborted),
-                        static_cast<unsigned long long>(ks.failovers),
-                        static_cast<unsigned long long>(ks.drains));
-        if (ks.ikRequestsSent || ks.ikRequestsHandled)
-            std::printf("%s: %llu ik requests sent, %llu handled, "
-                        "%llu remote VPEs placed\n",
-                        name,
-                        static_cast<unsigned long long>(ks.ikRequestsSent),
-                        static_cast<unsigned long long>(
-                            ks.ikRequestsHandled),
-                        static_cast<unsigned long long>(
-                            ks.remoteVpesPlaced));
-    }
-    const NocStats &ns = plat->noc().stats();
-    std::printf("noc: %llu packets, %llu payload bytes, "
-                "%llu contention stall cycles\n",
-                static_cast<unsigned long long>(ns.packets),
-                static_cast<unsigned long long>(ns.payloadBytes),
-                static_cast<unsigned long long>(ns.contentionStalls));
-    for (peid_t p = 0; p < plat->peCount(); ++p) {
-        const DtuStats &ds = plat->pe(p).dtu().stats();
-        if (!ds.msgsSent && !ds.msgsReceived && !ds.memReads &&
-            !ds.memWrites)
-            continue;
-        std::printf("pe%-2u dtu: %6llu sent %6llu recvd %4llu dropped | "
-                    "%6llu rd (%llu B) %6llu wr (%llu B)\n",
-                    p, static_cast<unsigned long long>(ds.msgsSent),
-                    static_cast<unsigned long long>(ds.msgsReceived),
-                    static_cast<unsigned long long>(ds.msgsDropped),
-                    static_cast<unsigned long long>(ds.memReads),
-                    static_cast<unsigned long long>(ds.bytesRead),
-                    static_cast<unsigned long long>(ds.memWrites),
-                    static_cast<unsigned long long>(ds.bytesWritten));
-    }
+    // One line per component instance: every non-zero field under its
+    // metric name; all-zero instances are skipped.
+    auto line = [](const std::string &label, const auto &stats) {
+        std::string fields = trace::formatStats(stats);
+        if (!fields.empty())
+            std::printf("%s: %s\n", label.c_str(), fields.c_str());
+    };
+    line("sim", sim.queue().stats());
+    for (size_t k = 0; k < kerns.size(); ++k)
+        line(kerns.size() > 1 ? "kernel" + std::to_string(k) : "kernel",
+             kerns[k]->stats());
+    line("noc", plat->noc().stats());
+    for (peid_t p = 0; p < plat->peCount(); ++p)
+        line("pe" + std::to_string(p) + " dtu", plat->pe(p).dtu().stats());
+    if (faults)
+        line("faults", faults->stats());
 }
 
 bool

@@ -209,18 +209,18 @@ class M3System
     Cycles now() const { return sim.curCycle(); }
 
     /**
-     * Print a machine-wide statistics summary (kernel activity, per-PE
-     * DTU traffic, NoC totals) to stdout — the simulator's equivalent
-     * of an end-of-run stats dump.
+     * Print a machine-wide statistics summary to stdout: one line per
+     * component instance (engine, kernels, NoC, DTUs, faults) with
+     * every non-zero field under its metric name.
      */
     void printStats() const;
 
     /**
      * Fold this machine's stats structs (engine, kernel, DTUs, NoC,
-     * faults) into the metric registry, so every harness reports them
-     * uniformly. Counters add, so sequential machines in one process
-     * aggregate; called automatically from the destructor when metrics
-     * are enabled.
+     * faults) into the metric registry through their field tables, so
+     * every harness reports them uniformly. Counters add, so sequential
+     * machines in one process aggregate; called automatically from the
+     * destructor when metrics are enabled.
      */
     void exportMetrics();
 

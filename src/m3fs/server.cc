@@ -1,5 +1,6 @@
 #include "m3fs/server.hh"
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <vector>
@@ -344,8 +345,13 @@ class Server
             break;
         }
         if (M3_METRICS_ON) {
-            trace::Metrics::counter(metricPrefix + "op." + fsOpName(op))
-                .inc();
+            // Resolved on an op's first use; unknown ops share the last.
+            trace::Counter *&count =
+                opCounts[std::min(size_t(op), std::size(opCounts) - 1)];
+            if (!count)
+                count = &trace::Metrics::counter(metricPrefix + "op." +
+                                                 fsOpName(op));
+            count->inc();
             if (!opCycles)
                 opCycles =
                     &trace::Metrics::histogram(metricPrefix + "op_cycles");
@@ -590,6 +596,8 @@ class Server
     std::unique_ptr<FsCore> fs;
     RecvGate rgate;
     std::string metricPrefix;
+    /** One per FsOp, plus a last entry for unknown ops. */
+    trace::Counter *opCounts[size_t(FsOp::Rename) + 2] = {};
     trace::Histogram *opCycles = nullptr;
     std::map<uint64_t, Session> sessions;
     uint64_t nextIdent = 1;

@@ -120,11 +120,6 @@ Noc::send(nocid_t src, nocid_t dst, uint32_t payloadBytes, DeliverFn deliver)
             nocStats.packetsDropped++;
             if (M3_TRACE_ON)
                 trace::Tracer::instant(trace::nocTrack(src), "fault:drop");
-            if (M3_METRICS_ON) {
-                static trace::Counter &fi =
-                    trace::Metrics::counter("faults_injected");
-                fi.inc();
-            }
             logtrace("noc: fault drop packet seq=%llu %u -> %u",
                      (unsigned long long)d.seq, src, dst);
             return arrival;
@@ -134,11 +129,6 @@ Noc::send(nocid_t src, nocid_t dst, uint32_t payloadBytes, DeliverFn deliver)
             arrival += d.delay;
             if (M3_TRACE_ON)
                 trace::Tracer::instant(trace::nocTrack(src), "fault:delay");
-            if (M3_METRICS_ON) {
-                static trace::Counter &fi =
-                    trace::Metrics::counter("faults_injected");
-                fi.inc();
-            }
         }
     }
 

@@ -45,7 +45,18 @@ struct NocStats
      *  packets == packetsDelivered + packetsDropped at quiescence — is
      *  one of the checked invariants (tests/test_invariants.cc). */
     uint64_t packetsDelivered = 0;
+
+    /** The metrics schema (trace::StatField): every member once. */
+    static constexpr trace::StatField<NocStats> FIELDS[] = {
+        {"packets", &NocStats::packets},
+        {"payload_bytes", &NocStats::payloadBytes},
+        {"contention_stalls", &NocStats::contentionStalls},
+        {"packets_dropped", &NocStats::packetsDropped},
+        {"packets_delayed", &NocStats::packetsDelayed},
+        {"packets_delivered", &NocStats::packetsDelivered},
+    };
 };
+static_assert(trace::statsTableCoversAll<NocStats>());
 
 /**
  * The mesh interconnect. Nodes are numbered row-major on a cols x rows

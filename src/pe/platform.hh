@@ -139,11 +139,6 @@ class Platform
                 fp->notePeKill(sim.curCycle(), pe);
                 if (M3_TRACE_ON)
                     trace::Tracer::instant(pe, "fault:pekill");
-                if (M3_METRICS_ON) {
-                    static trace::Counter &fi =
-                        trace::Metrics::counter("faults_injected");
-                    fi.inc();
-                }
                 peList[pe]->killCore();
             });
         }

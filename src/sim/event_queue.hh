@@ -46,7 +46,16 @@ struct SimStats
      *  core DTU/NoC/fiber paths must never contribute here (asserted
      *  in tests); occasional cold-path fallbacks are acceptable. */
     uint64_t callbackHeapFallbacks = 0;
+
+    /** The metrics schema (trace::StatField): every member once. */
+    static constexpr trace::StatField<SimStats> FIELDS[] = {
+        {"events_scheduled", &SimStats::eventsScheduled},
+        {"events_executed", &SimStats::eventsExecuted},
+        {"peak_pending", &SimStats::peakPending, trace::STAT_MAX_GAUGE},
+        {"callback_heap_fallbacks", &SimStats::callbackHeapFallbacks},
+    };
 };
+static_assert(trace::statsTableCoversAll<SimStats>());
 
 /**
  * A time-ordered queue of callbacks. The queue owns the simulated clock:

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "base/types.hh"
+#include "trace/metrics.hh"
 
 namespace m3
 {
@@ -118,7 +119,27 @@ struct FaultStats
     uint64_t payloadsCorrupted = 0;
     uint64_t extAcksRefused = 0;
     uint64_t peKills = 0;
+
+    /** Injected fault events, exported as faults_injected. */
+    uint64_t
+    injected() const
+    {
+        return packetsDropped + packetsDelayed + payloadsCorrupted +
+               extAcksRefused + peKills;
+    }
+
+    /** The metrics schema (trace::StatField): every member once. */
+    static constexpr trace::StatField<FaultStats> FIELDS[] = {
+        {"packets_seen", &FaultStats::packetsSeen},
+        {"packets_dropped", &FaultStats::packetsDropped},
+        {"packets_delayed", &FaultStats::packetsDelayed},
+        {"delay_injected", &FaultStats::delayInjected},
+        {"payloads_corrupted", &FaultStats::payloadsCorrupted},
+        {"ext_acks_refused", &FaultStats::extAcksRefused},
+        {"pe_kills", &FaultStats::peKills},
+    };
 };
+static_assert(trace::statsTableCoversAll<FaultStats>());
 
 /**
  * The injection oracle. One instance is shared by the NoC and all DTUs

@@ -30,6 +30,7 @@ class Simulator
     Simulator &operator=(const Simulator &) = delete;
 
     EventQueue &queue() { return eq; }
+    const EventQueue &queue() const { return eq; }
 
     /** The current simulated cycle. */
     Cycles curCycle() const { return eq.curCycle(); }

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <map>
+#include <type_traits>
 
 namespace m3
 {
@@ -57,6 +58,20 @@ bucketQuantile(const Histogram &h, uint64_t total, uint32_t permille)
     return ~uint64_t(0);
 }
 
+/** Append @p parts to @p out whole: strings as is, integers in decimal. */
+template <typename... Parts>
+void
+put(std::string &out, const Parts &...parts)
+{
+    auto one = [&out](const auto &p) {
+        if constexpr (std::is_integral_v<std::decay_t<decltype(p)>>)
+            out += std::to_string(p);
+        else
+            out += p;
+    };
+    (one(parts), ...);
+}
+
 } // anonymous namespace
 
 void
@@ -95,65 +110,41 @@ Metrics::toJson()
     // Schema 2 added per-histogram "quantiles" (p50/p99/p999 estimated
     // from the log2 buckets) so SLO numbers need no post-processing.
     std::string out = "{\n  \"schema\": 2,\n";
-    char buf[128];
 
-    out += "  \"counters\": {";
-    bool first = true;
-    for (const auto &[name, c] : reg().counters) {
-        std::snprintf(buf, sizeof(buf), "%s\n    \"%s\": %llu",
-                      first ? "" : ",", name.c_str(),
-                      static_cast<unsigned long long>(c.value));
-        out += buf;
-        first = false;
-    }
-    out += first ? "},\n" : "\n  },\n";
-
-    out += "  \"gauges\": {";
-    first = true;
-    for (const auto &[name, g] : reg().gauges) {
-        std::snprintf(buf, sizeof(buf), "%s\n    \"%s\": %llu",
-                      first ? "" : ",", name.c_str(),
-                      static_cast<unsigned long long>(g.value));
-        out += buf;
-        first = false;
-    }
-    out += first ? "},\n" : "\n  },\n";
+    // Counters and gauges share one shape: "name": value.
+    auto scalars = [&out](const char *section, const auto &entries) {
+        put(out, "  \"", section, "\": {");
+        bool first = true;
+        for (const auto &[name, m] : entries) {
+            put(out, first ? "\n    \"" : ",\n    \"", name, "\": ", m.value);
+            first = false;
+        }
+        out += first ? "},\n" : "\n  },\n";
+    };
+    scalars("counters", reg().counters);
+    scalars("gauges", reg().gauges);
 
     out += "  \"histograms\": {";
-    first = true;
+    bool first = true;
     for (const auto &[name, h] : reg().histograms) {
-        std::snprintf(
-            buf, sizeof(buf),
-            "%s\n    \"%s\": {\"count\": %llu, \"sum\": %llu, "
-            "\"min\": %llu, \"max\": %llu, \"buckets\": [",
-            first ? "" : ",", name.c_str(),
-            static_cast<unsigned long long>(h.count),
-            static_cast<unsigned long long>(h.sum),
-            static_cast<unsigned long long>(h.count ? h.minVal : 0),
-            static_cast<unsigned long long>(h.maxVal));
-        out += buf;
+        put(out, first ? "\n    \"" : ",\n    \"", name,
+            "\": {\"count\": ", h.count, ", \"sum\": ", h.sum,
+            ", \"min\": ", h.count ? h.minVal : 0, ", \"max\": ", h.maxVal,
+            ", \"buckets\": [");
         // Sparse dump: [bit-width, count] pairs for non-empty buckets.
         // Bucket i counts values in [2^(i-1), 2^i); bucket 0 is zeros.
         bool bfirst = true;
         for (uint32_t i = 0; i < Histogram::BUCKETS; ++i) {
             if (!h.buckets[i])
                 continue;
-            std::snprintf(buf, sizeof(buf), "%s[%u, %llu]",
-                          bfirst ? "" : ", ", i,
-                          static_cast<unsigned long long>(h.buckets[i]));
-            out += buf;
+            put(out, bfirst ? "[" : ", [", i, ", ", h.buckets[i], "]");
             bfirst = false;
         }
         const uint64_t n = h.count;
-        std::snprintf(
-            buf, sizeof(buf),
-            "], \"quantiles\": {\"p50\": %llu, \"p99\": %llu, "
-            "\"p999\": %llu}}",
-            static_cast<unsigned long long>(n ? bucketQuantile(h, n, 500) : 0),
-            static_cast<unsigned long long>(n ? bucketQuantile(h, n, 990) : 0),
-            static_cast<unsigned long long>(n ? bucketQuantile(h, n, 999)
-                                             : 0));
-        out += buf;
+        put(out, "], \"quantiles\": {\"p50\": ",
+            n ? bucketQuantile(h, n, 500) : 0,
+            ", \"p99\": ", n ? bucketQuantile(h, n, 990) : 0,
+            ", \"p999\": ", n ? bucketQuantile(h, n, 999) : 0, "}}");
         first = false;
     }
     out += first ? "}\n" : "\n  }\n";

@@ -62,6 +62,9 @@ struct ClassAgg
     uint64_t sumService = 0;
     uint64_t maxTotal = 0;
     std::vector<uint64_t> totals;
+    /** req.<name>.* histograms, resolved on the class's first end():
+     *  total, queue, credit_stall, noc, server_queue, service. */
+    Histogram *hists[6] = {};
 };
 
 struct Sink
@@ -225,13 +228,17 @@ ReqTrace::end(ReqCtx ctx, uint64_t cycle)
         c.totals.push_back(total);
 
         if (M3_METRICS_ON) {
-            const std::string base = "req." + c.name + ".";
-            Metrics::histogram(base + "total").observe(total);
-            Metrics::histogram(base + "queue").observe(r.queued);
-            Metrics::histogram(base + "credit_stall").observe(r.creditStall);
-            Metrics::histogram(base + "noc").observe(r.noc);
-            Metrics::histogram(base + "server_queue").observe(r.serverQueue);
-            Metrics::histogram(base + "service").observe(r.service);
+            static constexpr const char *parts[] = {
+                "total", "queue", "credit_stall", "noc", "server_queue",
+                "service"};
+            if (!c.hists[0])
+                for (size_t i = 0; i < std::size(c.hists); ++i)
+                    c.hists[i] = &Metrics::histogram("req." + c.name + "." +
+                                                     parts[i]);
+            const uint64_t values[] = {total, r.queued, r.creditStall,
+                                       r.noc, r.serverQueue, r.service};
+            for (size_t i = 0; i < std::size(c.hists); ++i)
+                c.hists[i]->observe(values[i]);
         }
     }
     // The client-side request slice: first send to completion, on the

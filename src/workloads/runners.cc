@@ -366,13 +366,7 @@ runM3Scalability(const std::string &benchName, uint32_t instances,
         for (uint32_t i = 0; i < instances; ++i)
             warn("instance %u rc=%d dur=%llu", i, rcs[i],
                  static_cast<unsigned long long>(durations[i]));
-        for (peid_t p = 0; p < sys.platform().peCount(); ++p) {
-            const DtuStats &ds = sys.platform().pe(p).dtu().stats();
-            if (ds.msgsDropped || ds.creditDenials)
-                warn("pe%u: dropped=%llu creditDenials=%llu", p,
-                     static_cast<unsigned long long>(ds.msgsDropped),
-                     static_cast<unsigned long long>(ds.creditDenials));
-        }
+        sys.printStats();
         result.rc = -2;
         return result;
     }

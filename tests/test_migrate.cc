@@ -161,21 +161,13 @@ TEST(Migration, MigratingRunIsTraceByteIdentical)
     EXPECT_NE(a.second.find("drain:done"), std::string::npos);
 }
 
-TEST(Migration, CrossDomainDrainBorrowsPeerPe)
+/**
+ * Boot @p sys with a root whose one worker streams into @p words, and
+ * run it. @return whether the root exited.
+ */
+bool
+runCrossDomainDrain(M3System &sys, std::vector<uint64_t> &words)
 {
-    // Two kernel domains; the draining domain has no spare PE of its
-    // own, so the evacuation borrows one from the peer via the PeLease
-    // protocol and hands it back when the worker exits.
-    M3SystemCfg cfg;
-    cfg.numKernels = 2;
-    // Kernels on 0/1, apps on 2..5; domain 0 owns {2, 4}, domain 1
-    // owns {3, 5}. Root lands on 2, its worker on 4.
-    cfg.appPes = 4;
-    cfg.withFs = false;
-    cfg.migration = true;
-    cfg.drains = {{4, 150000}};
-    std::vector<uint64_t> words;
-    M3System sys(cfg);
     sys.runRoot("root", [&words] {
         Env &env = Env::cur();
         RecvGate rg(env, 16, 256);
@@ -196,7 +188,33 @@ TEST(Migration, CrossDomainDrainBorrowsPeerPe)
         }
         return w.wait();
     });
-    ASSERT_TRUE(sys.simulate());
+    return sys.simulate();
+}
+
+/**
+ * Two kernel domains; the draining domain has no spare PE of its own,
+ * so the evacuation borrows one from the peer via the PeLease protocol
+ * and hands it back when the worker exits.
+ */
+M3SystemCfg
+crossDomainDrainCfg()
+{
+    M3SystemCfg cfg;
+    cfg.numKernels = 2;
+    // Kernels on 0/1, apps on 2..5; domain 0 owns {2, 4}, domain 1
+    // owns {3, 5}. Root lands on 2, its worker on 4.
+    cfg.appPes = 4;
+    cfg.withFs = false;
+    cfg.migration = true;
+    cfg.drains = {{4, 150000}};
+    return cfg;
+}
+
+TEST(Migration, CrossDomainDrainBorrowsPeerPe)
+{
+    std::vector<uint64_t> words;
+    M3System sys(crossDomainDrainCfg());
+    ASSERT_TRUE(runCrossDomainDrain(sys, words));
     EXPECT_EQ(sys.rootExitCode(), 0);
     EXPECT_EQ(words.size(), 2 * ROUNDS);
 
@@ -207,6 +225,24 @@ TEST(Migration, CrossDomainDrainBorrowsPeerPe)
     EXPECT_EQ(k0.migrationsCompleted, 1u);
     EXPECT_EQ(k0.migrationsAborted, 0u);
     EXPECT_EQ(k1.pesLeased, 1u);
+}
+
+TEST(Migration, PrintStatsShowsDrainsAndLeases)
+{
+    // The end-of-run summary prints every non-zero stat under its
+    // metric name, migration and lease counts included.
+    std::vector<uint64_t> words;
+    M3System sys(crossDomainDrainCfg());
+    ASSERT_TRUE(runCrossDomainDrain(sys, words));
+    ASSERT_EQ(sys.rootExitCode(), 0);
+    testing::internal::CaptureStdout();
+    sys.printStats();
+    const std::string out = testing::internal::GetCapturedStdout();
+    for (const char *needle :
+         {"\nkernel0: ", "drains=1", "migrations_completed=1",
+          "\nkernel1: ", "pes_leased=1", "\npe4 dtu: "})
+        EXPECT_NE(out.find(needle), std::string::npos) << needle << "\n"
+                                                       << out;
 }
 
 // ---------------------------------------------------------------------

@@ -41,9 +41,12 @@ class Trace : public ::testing::Test
     void TearDown() override { SetUp(); }
 };
 
-/** A small full-stack workload with m3fs traffic and fault knobs. */
+/**
+ * A small full-stack workload with m3fs traffic and fault knobs; copies
+ * the machine's fault counts to @p faultStats when given.
+ */
 std::tuple<Cycles, int>
-statRun(double dropRate)
+statRun(double dropRate, FaultStats *faultStats = nullptr)
 {
     M3SystemCfg cfg;
     cfg.appPes = 2;
@@ -70,6 +73,8 @@ statRun(double dropRate)
         return 0;
     });
     sys.simulate();
+    if (faultStats && sys.faultPlan())
+        *faultStats = sys.faultPlan()->stats();
     return {sys.now(), sys.rootExitCode()};
 }
 
@@ -195,10 +200,16 @@ TEST_F(Trace, FaultsShowUpAsInstantsAndACounter)
 {
     trace::Tracer::enable();
     trace::Metrics::enable();
-    auto [wall, rc] = statRun(0.2);
+    FaultStats fs;
+    auto [wall, rc] = statRun(0.2, &fs);
     ASSERT_EQ(rc, 0);
 
-    EXPECT_GT(trace::Metrics::counter("faults_injected").value, 0u);
+    // The counter is the machine's fault events, summed at teardown.
+    const uint64_t events = fs.packetsDropped + fs.packetsDelayed +
+                            fs.payloadsCorrupted + fs.extAcksRefused +
+                            fs.peKills;
+    EXPECT_GT(events, 0u);
+    EXPECT_EQ(trace::Metrics::counter("faults_injected").value, events);
     const std::string doc = trace::Tracer::toJson();
     EXPECT_NE(doc.find("fault:drop"), std::string::npos);
     EXPECT_NE(doc.find("\"ph\":\"i\""), std::string::npos);
@@ -215,6 +226,23 @@ TEST_F(Trace, ResetZeroesMetricsButKeepsHandlesValid)
     EXPECT_EQ(c.value, 0u);
     c.inc();
     EXPECT_EQ(trace::Metrics::counter("test.counter").value, 1u);
+}
+
+TEST_F(Trace, MetricsJsonKeepsLongEntriesWhole)
+{
+    // Instance and request-class names make metric keys of any length;
+    // the dump must carry every name and number whole.
+    const std::string name(64, 'x');
+    const uint64_t big = ~uint64_t(0);
+    trace::Metrics::counter(name).add(big);
+    trace::Metrics::histogram(name).observe(big);
+    const std::string doc = trace::Metrics::toJson();
+    const std::string n = std::to_string(big);
+    EXPECT_NE(doc.find("\"" + name + "\": " + n + "\n"), std::string::npos);
+    EXPECT_NE(doc.find("\"" + name + "\": {\"count\": 1, \"sum\": " + n +
+                       ", \"min\": " + n + ", \"max\": " + n +
+                       ", \"buckets\": [[64, 1]]"),
+              std::string::npos);
 }
 
 TEST_F(Trace, HistogramUsesLog2Buckets)

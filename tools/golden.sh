@@ -46,10 +46,13 @@ run bench.fig6_scalability.multikernel \
     "$build/bench/fig6_scalability" --multikernel-only
 run bench.fig6_scalability.distfs \
     "$build/bench/fig6_scalability" --distfs-only
-run bench.robustness "$build/bench/robustness"
+run bench.robustness "$build/bench/robustness" \
+    --metrics="$out/bench.robustness.metrics"
 run bench.robustness.rolling_restart \
-    "$build/bench/robustness" --rolling-restart
-run bench.robustness.stripe_kill "$build/bench/robustness" --stripe-kill
+    "$build/bench/robustness" --rolling-restart \
+    --metrics="$out/bench.robustness.rolling_restart.metrics"
+run bench.robustness.stripe_kill "$build/bench/robustness" --stripe-kill \
+    --metrics="$out/bench.robustness.stripe_kill.metrics"
 run bench.openloop "$build/bench/openloop" --clients 6 --requests 30 \
     --kernels 2 --slo="$out/bench.openloop.slo" \
     --trace="$out/bench.openloop.trace" \
