@@ -63,6 +63,17 @@ struct RGateObj : KObject
     uint32_t node = 0;
     epid_t ep = INVALID_EP;
 
+    /** An Activate of a send gate to this gate, deferred until this
+     *  gate is activated or revoked (Sec. 4.5.4). */
+    struct ActWaiter
+    {
+        vpeid_t vpe;
+        capsel_t capSel;  //!< the send gate
+        epid_t ep;
+        uint32_t slot;    //!< syscall ring slot to reply to
+    };
+    std::vector<ActWaiter> actWaiters;
+
     /**
      * Multi-kernel: a shadow of a gate owned by another kernel domain.
      * The owner VPE is unknown locally, so the serialized generation of

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 
+#include "base/op_table.hh"
 #include "base/types.hh"
 
 namespace m3
@@ -93,32 +94,28 @@ enum class Syscall : uint64_t
     COUNT,
 };
 
-/** Stable name for a syscall opcode (trace/metric labels). */
-inline const char *
-syscallName(Syscall s)
-{
-    switch (s) {
-      case Syscall::Noop: return "Noop";
-      case Syscall::CreateVpe: return "CreateVpe";
-      case Syscall::VpeStart: return "VpeStart";
-      case Syscall::VpeWait: return "VpeWait";
-      case Syscall::VpeExit: return "VpeExit";
-      case Syscall::CreateRgate: return "CreateRgate";
-      case Syscall::CreateSgate: return "CreateSgate";
-      case Syscall::ReqMem: return "ReqMem";
-      case Syscall::DeriveMem: return "DeriveMem";
-      case Syscall::Activate: return "Activate";
-      case Syscall::Exchange: return "Exchange";
-      case Syscall::CreateSrv: return "CreateSrv";
-      case Syscall::OpenSess: return "OpenSess";
-      case Syscall::ExchangeSess: return "ExchangeSess";
-      case Syscall::Revoke: return "Revoke";
-      case Syscall::Heartbeat: return "Heartbeat";
-      case Syscall::Yield: return "Yield";
-      case Syscall::QuerySrv: return "QuerySrv";
-      default: return "Unknown";
-    }
-}
+/** Stable names of the syscalls (trace/metric labels), in opcode order. */
+inline constexpr OpName<Syscall> SYSCALL_NAMES[] = {
+    {Syscall::Noop, "Noop"},
+    {Syscall::CreateVpe, "CreateVpe"},
+    {Syscall::VpeStart, "VpeStart"},
+    {Syscall::VpeWait, "VpeWait"},
+    {Syscall::VpeExit, "VpeExit"},
+    {Syscall::CreateRgate, "CreateRgate"},
+    {Syscall::CreateSgate, "CreateSgate"},
+    {Syscall::ReqMem, "ReqMem"},
+    {Syscall::DeriveMem, "DeriveMem"},
+    {Syscall::Activate, "Activate"},
+    {Syscall::Exchange, "Exchange"},
+    {Syscall::CreateSrv, "CreateSrv"},
+    {Syscall::OpenSess, "OpenSess"},
+    {Syscall::ExchangeSess, "ExchangeSess"},
+    {Syscall::Revoke, "Revoke"},
+    {Syscall::Heartbeat, "Heartbeat"},
+    {Syscall::Yield, "Yield"},
+    {Syscall::QuerySrv, "QuerySrv"},
+};
+static_assert(opTableCoversAll(SYSCALL_NAMES));
 
 /** Capability-exchange direction. */
 enum class ExchangeOp : uint64_t
@@ -198,24 +195,20 @@ enum class IkOp : uint64_t
     COUNT,
 };
 
-/** Stable name for an inter-kernel opcode (trace/metric labels). */
-inline const char *
-ikOpName(IkOp op)
-{
-    switch (op) {
-      case IkOp::AnnounceSrv: return "AnnounceSrv";
-      case IkOp::CreateVpe: return "CreateVpe";
-      case IkOp::VpeStart: return "VpeStart";
-      case IkOp::VpeWait: return "VpeWait";
-      case IkOp::OpenSess: return "OpenSess";
-      case IkOp::SessExchange: return "SessExchange";
-      case IkOp::DelegateCaps: return "DelegateCaps";
-      case IkOp::PeLease: return "PeLease";
-      case IkOp::PeRelease: return "PeRelease";
-      case IkOp::CapsRehome: return "CapsRehome";
-      default: return "Unknown";
-    }
-}
+/** Stable names of the inter-kernel requests, in opcode order. */
+inline constexpr OpName<IkOp> IK_OP_NAMES[] = {
+    {IkOp::AnnounceSrv, "AnnounceSrv"},
+    {IkOp::CreateVpe, "CreateVpe"},
+    {IkOp::VpeStart, "VpeStart"},
+    {IkOp::VpeWait, "VpeWait"},
+    {IkOp::OpenSess, "OpenSess"},
+    {IkOp::SessExchange, "SessExchange"},
+    {IkOp::DelegateCaps, "DelegateCaps"},
+    {IkOp::PeLease, "PeLease"},
+    {IkOp::PeRelease, "PeRelease"},
+    {IkOp::CapsRehome, "CapsRehome"},
+};
+static_assert(opTableCoversAll(IK_OP_NAMES));
 
 /** Slot size of the inter-kernel rings (requests and replies). */
 static constexpr uint32_t IK_MSG_SIZE = 512;

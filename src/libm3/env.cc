@@ -226,7 +226,7 @@ Env::sysCall(Marshaller &m, const std::function<void(Unmarshaller &)> &onReply)
     if (traced) {
         auto op = *reinterpret_cast<const kif::Syscall *>(
             spm().ptr(syscStage, sizeof(uint64_t)));
-        trace::Tracer::spanBegin(peId, kif::syscallName(op));
+        trace::Tracer::spanBegin(peId, kif::SYSCALL_NAMES[size_t(op)].name);
     }
 
     compute(cm.m3.marshal + cm.m3.dtuCommand);

@@ -28,6 +28,7 @@ enum class FsOp : uint64_t
     Readdir,  //!< { Readdir, off, path }
               //!< -> { Error, count, {ino, name}..., more }
     Rename,   //!< { Rename, oldPath, newPath } -> { Error }
+    COUNT,
 };
 
 /**

@@ -1,11 +1,13 @@
 #include "m3fs/server.hh"
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
 
 #include "base/logging.hh"
+#include "base/op_table.hh"
 #include "libm3/env.hh"
 #include "libm3/gates.hh"
 #include "m3fs/block_cache.hh"
@@ -21,40 +23,6 @@ namespace m3fs
 
 namespace
 {
-
-/** Stable name for a client operation (trace/metric labels). */
-const char *
-fsOpName(FsOp op)
-{
-    switch (op) {
-      case FsOp::Open: return "open";
-      case FsOp::Close: return "close";
-      case FsOp::Stat: return "stat";
-      case FsOp::Mkdir: return "mkdir";
-      case FsOp::Unlink: return "unlink";
-      case FsOp::Link: return "link";
-      case FsOp::Readdir: return "readdir";
-      case FsOp::Rename: return "rename";
-      default: return "unknown";
-    }
-}
-
-/** Span names for fsOpName results, prefixed for the trace view. */
-const char *
-fsSpanName(FsOp op)
-{
-    switch (op) {
-      case FsOp::Open: return "fs:open";
-      case FsOp::Close: return "fs:close";
-      case FsOp::Stat: return "fs:stat";
-      case FsOp::Mkdir: return "fs:mkdir";
-      case FsOp::Unlink: return "fs:unlink";
-      case FsOp::Link: return "fs:link";
-      case FsOp::Readdir: return "fs:readdir";
-      case FsOp::Rename: return "fs:rename";
-      default: return "fs:unknown";
-    }
-}
 
 /** One open file of a session. */
 struct OpenFile
@@ -306,52 +274,30 @@ class Server
     void
     handleClient(GateIStream &is)
     {
+        static_assert(opTableCoversAll(CLIENT_OPS));
         auto sit = sessions.find(is.label());
         if (sit == sessions.end()) {
             is.replyError(Error::NoSuchSession);
             return;
         }
-        Session &sess = sit->second;
-        auto op = is.pull<FsOp>();
-        trace::ScopedSpan span(env.peId, fsSpanName(op));
-        const Cycles opStart = env.platform.simulator().curCycle();
-        switch (op) {
-          case FsOp::Open:
-            fsOpen(sess, is);
-            break;
-          case FsOp::Close:
-            fsClose(sess, is);
-            break;
-          case FsOp::Stat:
-            fsStat(is);
-            break;
-          case FsOp::Mkdir:
-            fsMkdir(is);
-            break;
-          case FsOp::Unlink:
-            fsUnlink(is);
-            break;
-          case FsOp::Link:
-            fsLink(is);
-            break;
-          case FsOp::Readdir:
-            fsReaddir(is);
-            break;
-          case FsOp::Rename:
-            fsRename(is);
-            break;
-          default:
+        // The opcode table's index; a message too short to hold an
+        // opcode, or naming none, is answered InvalidArgs.
+        uint64_t op = std::size(CLIENT_OPS);
+        if (is.header().length >= sizeof(uint64_t))
+            op = is.pull<uint64_t>();
+        if (op >= std::size(CLIENT_OPS)) {
             is.replyError(Error::InvalidArgs);
-            break;
+            return;
         }
+        trace::ScopedSpan span(env.peId, CLIENT_OPS[op].span);
+        const Cycles opStart = env.platform.simulator().curCycle();
+        std::invoke(CLIENT_OPS[op].fn, this, sit->second, is);
         if (M3_METRICS_ON) {
-            // Resolved on an op's first use; unknown ops share the last.
-            trace::Counter *&count =
-                opCounts[std::min(size_t(op), std::size(opCounts) - 1)];
-            if (!count)
-                count = &trace::Metrics::counter(metricPrefix + "op." +
-                                                 fsOpName(op));
-            count->inc();
+            // Resolved on an op's first use.
+            if (!opCounts[op])
+                opCounts[op] = &trace::Metrics::counter(
+                    metricPrefix + "op." + CLIENT_OPS[op].metric);
+            opCounts[op]->inc();
             if (!opCycles)
                 opCycles =
                     &trace::Metrics::histogram(metricPrefix + "op_cycles");
@@ -433,7 +379,7 @@ class Server
     }
 
     void
-    fsStat(GateIStream &is)
+    fsStat(Session &, GateIStream &is)
     {
         auto path = is.pull<std::string>();
         ResolveResult r = resolveCosted(path);
@@ -451,7 +397,7 @@ class Server
     }
 
     void
-    fsMkdir(GateIStream &is)
+    fsMkdir(Session &, GateIStream &is)
     {
         auto path = is.pull<std::string>();
         ResolveResult r = resolveCosted(path);
@@ -472,7 +418,7 @@ class Server
     }
 
     void
-    fsUnlink(GateIStream &is)
+    fsUnlink(Session &, GateIStream &is)
     {
         auto path = is.pull<std::string>();
         ResolveResult r = resolveCosted(path);
@@ -501,7 +447,7 @@ class Server
     }
 
     void
-    fsLink(GateIStream &is)
+    fsLink(Session &, GateIStream &is)
     {
         auto oldPath = is.pull<std::string>();
         auto newPath = is.pull<std::string>();
@@ -530,7 +476,7 @@ class Server
     }
 
     void
-    fsRename(GateIStream &is)
+    fsRename(Session &, GateIStream &is)
     {
         auto oldPath = is.pull<std::string>();
         auto newPath = is.pull<std::string>();
@@ -558,7 +504,7 @@ class Server
     }
 
     void
-    fsReaddir(GateIStream &is)
+    fsReaddir(Session &, GateIStream &is)
     {
         auto off = is.pull<uint64_t>();
         auto path = is.pull<std::string>();
@@ -589,6 +535,25 @@ class Server
         is.replyStreamSend(m);
     }
 
+    /** A client operation: its opcode, labels and handler. */
+    struct ClientOp
+    {
+        FsOp op;
+        const char *metric;  //!< counter "<metricPrefix>op.<metric>"
+        const char *span;
+        void (Server::*fn)(Session &, GateIStream &);
+    };
+    static constexpr ClientOp CLIENT_OPS[] = {
+        {FsOp::Open, "open", "fs:open", &Server::fsOpen},
+        {FsOp::Close, "close", "fs:close", &Server::fsClose},
+        {FsOp::Stat, "stat", "fs:stat", &Server::fsStat},
+        {FsOp::Mkdir, "mkdir", "fs:mkdir", &Server::fsMkdir},
+        {FsOp::Unlink, "unlink", "fs:unlink", &Server::fsUnlink},
+        {FsOp::Link, "link", "fs:link", &Server::fsLink},
+        {FsOp::Readdir, "readdir", "fs:readdir", &Server::fsReaddir},
+        {FsOp::Rename, "rename", "fs:rename", &Server::fsRename},
+    };
+
     Env &env;
     ServerConfig cfg;
     MemGate fsMem;
@@ -596,8 +561,8 @@ class Server
     std::unique_ptr<FsCore> fs;
     RecvGate rgate;
     std::string metricPrefix;
-    /** One per FsOp, plus a last entry for unknown ops. */
-    trace::Counter *opCounts[size_t(FsOp::Rename) + 2] = {};
+    /** One per client operation, in table order. */
+    trace::Counter *opCounts[std::size(CLIENT_OPS)] = {};
     trace::Histogram *opCycles = nullptr;
     std::map<uint64_t, Session> sessions;
     uint64_t nextIdent = 1;

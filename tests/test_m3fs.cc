@@ -288,6 +288,43 @@ TEST(M3fs, ErrorPaths)
     expectClean(sys);
 }
 
+TEST(M3fs, ShortRequestIsRejected)
+{
+    // A session message too short to hold an opcode, or naming none,
+    // comes from a client's bytes: the server answers it and keeps
+    // serving the session.
+    M3System sys(fsCfg());
+    sys.runRoot("t", [&] {
+        Env &env = Env::cur();
+        // Mounting waits until the service has registered.
+        if (m3fs::M3fsSession::mount(env, "/") != Error::None)
+            return -1;
+        capsel_t sess = env.allocSels();
+        capsel_t chan = env.allocSels();
+        if (env.openSess(sess, "m3fs", 0) != Error::None ||
+            env.exchangeSess(sess, kif::ExchangeOp::Obtain, chan, 1,
+                             {uint64_t(m3fs::FsXchg::GetChannel)}) !=
+                Error::None)
+            return -2;
+        SendGate sg(env, chan, m3fs::FS_MSG_SIZE, true);
+        RecvGate reply(env, 4, m3fs::FS_MSG_SIZE);
+        auto call = [&](auto... words) {
+            Marshaller m = sg.ostream();
+            (void)(m << ... << words);
+            return sg.call(m, reply).pullError();
+        };
+        int fail = 0;
+        fail += call() != Error::InvalidArgs;
+        fail += call(m3fs::FsOp::COUNT) != Error::InvalidArgs;
+        fail += call(m3fs::FsOp::Mkdir, std::string("/data/new")) !=
+                Error::None;
+        return fail;
+    });
+    ASSERT_TRUE(sys.simulate());
+    EXPECT_EQ(sys.rootExitCode(), 0);
+    expectClean(sys);
+}
+
 TEST(M3fs, ReaddirChunksLargeDirectories)
 {
     M3System sys(fsCfg());
