@@ -32,7 +32,7 @@ main()
     bench::cell("read", 10);
     for (uint32_t bpe : sweep) {
         MicroOpts opts;
-        opts.blocksPerExtent = bpe;
+        opts.m3.fsBlocksPerExtent = bpe;
         RunResult r = m3FileRead(opts);
         if (r.rc != 0)
             return 1;
@@ -44,7 +44,7 @@ main()
     bench::cell("write", 10);
     for (uint32_t bpe : sweep) {
         MicroOpts opts;
-        opts.appendBlocks = bpe;
+        opts.m3.fsAppendBlocks = bpe;
         RunResult r = m3FileWrite(opts);
         if (r.rc != 0)
             return 1;

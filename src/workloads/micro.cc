@@ -1,9 +1,6 @@
 #include "workloads/micro.hh"
 
-#include <chrono>
-
 #include "base/random.hh"
-#include "libm3/m3system.hh"
 #include "libm3/pipe.hh"
 #include "libm3/vpe.hh"
 #include "m3fs/client.hh"
@@ -13,81 +10,10 @@ namespace m3
 namespace workloads
 {
 
-namespace
-{
-
-/** Boot M3 with the given image spec and run @p body as root. */
-RunResult
-runMicroM3(const M3RunOpts &opts, const m3fs::FsImageSpec &fsSpec,
-           uint32_t appPes, const std::function<int(Env &)> &body)
-{
-    RunResult res;
-    M3SystemCfg cfg;
-    cfg.appPes = appPes;
-    cfg.costs = opts.costs;
-    cfg.fsSpec = fsSpec;
-    cfg.fsCfg.appendBlocks = opts.fsAppendBlocks;
-    cfg.fsCfg.backgroundZero = opts.fsBackgroundZero;
-    M3System sys(std::move(cfg));
-    sys.runRoot("micro", [&] {
-        Env &env = Env::cur();
-        if (m3fs::M3fsSession::mount(env, "/") != Error::None)
-            return 100;
-        env.acct().reset();
-        Cycles t0 = env.platform.simulator().curCycle();
-        int rc = body(env);
-        res.wall = env.platform.simulator().curCycle() - t0;
-        return rc;
-    });
-    auto host0 = std::chrono::steady_clock::now();
-    bool finished = sys.simulate();
-    res.hostSeconds = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - host0)
-                          .count();
-    if (!finished)
-        fatal("micro benchmark did not finish");
-    res.rc = sys.rootExitCode();
-    res.acct = sys.appAccounting();
-    res.events = sys.eventsExecuted();
-    return res;
-}
-
-RunResult
-runMicroLx(const LxRunOpts &opts, const std::function<int(lx::Process &)> &body)
-{
-    RunResult res;
-    lx::LinuxConfig cfg;
-    cfg.costs = opts.costs;
-    cfg.compute = opts.compute;
-    cfg.cacheAlwaysHit = opts.cacheAlwaysHit;
-    lx::Machine m(cfg);
-    Cycles t0 = 0, t1 = 0;
-    int rc = -1;
-    m.spawnInit("micro", [&](lx::Process &p) {
-        p.accounting().reset();
-        t0 = m.now();
-        rc = body(p);
-        t1 = m.now();
-        return rc;
-    });
-    auto host0 = std::chrono::steady_clock::now();
-    m.simulate();
-    res.hostSeconds = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - host0)
-                          .count();
-    res.rc = rc;
-    res.wall = t1 - t0;
-    res.acct = m.mergedAccounting();
-    res.events = m.eventsExecuted();
-    return res;
-}
-
-} // anonymous namespace
-
 RunResult
 m3NullSyscall(uint32_t iterations, const M3RunOpts &opts)
 {
-    RunResult r = runMicroM3(opts, {}, 2, [&](Env &env) {
+    RunResult r = runOnM3(m3MachineCfg(opts, 2, {}), [&](Env &env) {
         for (uint32_t i = 0; i < iterations; ++i)
             if (env.noop() != Error::None)
                 return 1;
@@ -100,7 +26,7 @@ m3NullSyscall(uint32_t iterations, const M3RunOpts &opts)
 RunResult
 lxNullSyscall(uint32_t iterations, const LxRunOpts &opts)
 {
-    RunResult r = runMicroLx(opts, [&](lx::Process &p) {
+    RunResult r = runOnLx(opts, {}, [&](lx::Process &p) {
         for (uint32_t i = 0; i < iterations; ++i)
             p.nullSyscall();
         return 0;
@@ -115,10 +41,10 @@ m3FileRead(const MicroOpts &opts)
     m3fs::FsImageSpec spec;
     spec.totalBlocks = 32768;
     spec.dirs = {"/data"};
-    spec.files.push_back({"/data/file",
-                          m3fs::FsImage::patternData(opts.fileBytes, 99),
-                          opts.blocksPerExtent});
-    return runMicroM3(opts.m3, spec, 2, [&](Env &env) {
+    spec.files.push_back(
+        {"/data/file", m3fs::FsImage::patternData(opts.fileBytes, 99)});
+    M3SystemCfg cfg = m3MachineCfg(opts.m3, 2, std::move(spec));
+    return runOnM3(std::move(cfg), [&](Env &env) {
         Error e = Error::None;
         auto file = env.vfs().open("/data/file", FILE_R, e);
         if (!file)
@@ -139,7 +65,7 @@ lxFileRead(const MicroOpts &opts)
 {
     size_t bytes = opts.fileBytes;
     uint32_t buf = opts.bufSize;
-    return runMicroLx(opts.lx, [bytes, buf](lx::Process &p) {
+    return runOnLx(opts.lx, {}, [bytes, buf](lx::Process &p) {
         // Prepare the file outside the measurement.
         {
             Error e = Error::None;
@@ -172,16 +98,15 @@ m3FileWrite(const MicroOpts &opts)
     m3fs::FsImageSpec spec;
     spec.totalBlocks = 32768;
     spec.dirs = {"/data"};
-    M3RunOpts m3opts = opts.m3;
-    m3opts.fsAppendBlocks = opts.appendBlocks;
-    return runMicroM3(m3opts, spec, 2, [&](Env &env) {
+    M3SystemCfg cfg = m3MachineCfg(opts.m3, 2, std::move(spec));
+    return runOnM3(std::move(cfg), [&](Env &env) {
         // Reach the mounted session to set the allocation granularity.
         std::string rest;
         auto *sess = dynamic_cast<m3fs::M3fsSession *>(
             env.vfs().resolve("/x", rest));
         if (!sess)
             return 1;
-        sess->appendBlocks = opts.appendBlocks;
+        sess->appendBlocks = opts.m3.fsAppendBlocks;
         Error e = Error::None;
         auto file = env.vfs().open("/data/out", FILE_W | FILE_CREATE, e);
         if (!file)
@@ -205,7 +130,7 @@ lxFileWrite(const MicroOpts &opts)
 {
     size_t bytes = opts.fileBytes;
     uint32_t buf = opts.bufSize;
-    return runMicroLx(opts.lx, [bytes, buf](lx::Process &p) {
+    return runOnLx(opts.lx, {}, [bytes, buf](lx::Process &p) {
         int fd = p.open("/out", 2 | 4 | 8);
         if (fd < 0)
             return 1;
@@ -228,7 +153,7 @@ m3PipeXfer(const MicroOpts &opts)
 {
     size_t bytes = opts.fileBytes;
     uint32_t buf = opts.bufSize;
-    return runMicroM3(opts.m3, {}, 3, [&](Env &env) {
+    return runOnM3(m3MachineCfg(opts.m3, 3, {}), [&](Env &env) {
         Pipe pipe(env, /*creatorWrites=*/false);
         VPE child(env, "writer");
         if (child.err() != Error::None)
@@ -271,7 +196,7 @@ lxPipeXfer(const MicroOpts &opts)
 {
     size_t bytes = opts.fileBytes;
     uint32_t buf = opts.bufSize;
-    return runMicroLx(opts.lx, [bytes, buf](lx::Process &p) {
+    return runOnLx(opts.lx, {}, [bytes, buf](lx::Process &p) {
         int fds[2];
         if (p.pipe(fds) != Error::None)
             return 1;

@@ -15,15 +15,15 @@ namespace m3
 namespace workloads
 {
 
-/** Parameters of the file/pipe micro-benchmarks (paper defaults). */
+/**
+ * Parameters of the file/pipe micro-benchmarks (paper defaults). The
+ * Fig. 4 sweeps set m3.fsBlocksPerExtent (read: extent length of the
+ * prepared file) and m3.fsAppendBlocks (write: blocks allocated at once).
+ */
 struct MicroOpts
 {
     size_t fileBytes = 2 * MiB;   //!< Sec. 5.4: 2 MiB transfers
     uint32_t bufSize = 4096;      //!< Sec. 5.4: 4 KiB buffers
-    /** Read sweep: extent length of the prepared file (Fig. 4). */
-    uint32_t blocksPerExtent = 0xffffffff;
-    /** Write sweep: blocks allocated at once (Fig. 4). */
-    uint32_t appendBlocks = 256;
     M3RunOpts m3;
     LxRunOpts lx;
 };

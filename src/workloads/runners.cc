@@ -4,7 +4,6 @@
 #include <chrono>
 
 #include "base/logging.hh"
-#include "libm3/m3system.hh"
 #include "libm3/vpe.hh"
 #include "m3fs/client.hh"
 #include "m3fs/distfs.hh"
@@ -17,30 +16,76 @@ namespace m3
 namespace workloads
 {
 
-namespace
-{
-
 M3SystemCfg
-makeM3Cfg(const FsSetup &setup, const M3RunOpts &opts)
+m3MachineCfg(const M3RunOpts &opts, uint32_t appPes,
+             m3fs::FsImageSpec fsSpec)
 {
     M3SystemCfg cfg;
-    cfg.appPes = opts.appPes;
+    cfg.appPes = appPes;
     cfg.numKernels = opts.numKernels;
+    cfg.fsInstances = opts.fsInstances;
     cfg.costs = opts.costs;
+    cfg.multiplexSlice = opts.multiplexSlice;
+    cfg.distfsStripes = opts.distfsStripes;
+    cfg.distfsUnitBlocks = opts.distfsUnitBlocks;
+    cfg.distfsReplicas = opts.distfsReplicas;
     cfg.fsCfg.appendBlocks = opts.fsAppendBlocks;
     cfg.fsCfg.backgroundZero = opts.fsBackgroundZero;
-    applySetupToImage(setup, cfg.fsSpec);
+    cfg.fsSpec = std::move(fsSpec);
     for (auto &f : cfg.fsSpec.files)
         f.blocksPerExtent = opts.fsBlocksPerExtent;
-    // Size the image generously for the workload's writes.
-    cfg.fsSpec.totalBlocks = 32768;  // 32 MiB at 1 KiB blocks
     return cfg;
 }
 
-/** Boot M3, run @p body as root (after mounting), report the result. */
+namespace
+{
+
+/** Host seconds since @p t0. */
+double
+hostSecondsSince(std::chrono::steady_clock::time_point t0)
+{
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+        .count();
+}
+
+/** Rescale @p trace's 4 KiB sendfile buffers to @p ioChunk bytes
+ *  (0 = keep them; see M3RunOpts::ioChunk). */
+void
+rescaleIoChunk(Trace &trace, uint32_t ioChunk)
+{
+    if (!ioChunk)
+        return;
+    for (TraceOp &op : trace)
+        if (op.kind == TraceOp::Kind::Sendfile && op.chunkSize == 4096)
+            op.chunkSize = ioChunk;
+}
+
+/** The trace, cat+tr and FFT machine: four app PEs and @p setup in an
+ *  image sized generously for the workload's writes. */
+M3SystemCfg
+singleRunCfg(const M3RunOpts &opts, const FsSetup &setup)
+{
+    m3fs::FsImageSpec spec;
+    applySetupToImage(setup, spec);
+    spec.totalBlocks = 32768;  // 32 MiB at 1 KiB blocks
+    return m3MachineCfg(opts, 4, std::move(spec));
+}
+
+} // anonymous namespace
+
 RunResult
 runOnM3(M3SystemCfg cfg, const std::function<int(Env &)> &body)
 {
+    if (cfg.distfsStripes > 1)
+        fatal("distfsStripes needs a scalability run: a single-machine "
+              "run pre-builds its image and cannot stripe it");
+    // Room for every m3fs instance's image and as much again for the
+    // run's own allocations: one 32 MiB image keeps the default 64 MiB.
+    const size_t imageBytes =
+        size_t(cfg.fsSpec.totalBlocks) * cfg.fsSpec.blockSize;
+    cfg.dramBytes = std::max(cfg.dramBytes,
+                             (cfg.fsInstances + 1) * imageBytes);
     RunResult res;
     M3System sys(std::move(cfg));
     sys.runRoot("bench", [&] {
@@ -55,31 +100,26 @@ runOnM3(M3SystemCfg cfg, const std::function<int(Env &)> &body)
     });
     auto host0 = std::chrono::steady_clock::now();
     bool finished = sys.simulate();
-    res.hostSeconds = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - host0)
-                          .count();
-    if (!finished)
-        fatal("M3 benchmark run did not finish");
+    res.hostSeconds = hostSecondsSince(host0);
+    res.events = sys.eventsExecuted();
+    if (!finished) {
+        sys.printStats();
+        res.rc = -2;
+        return res;
+    }
     res.rc = sys.rootExitCode();
     res.acct = sys.appAccounting();
-    res.events = sys.eventsExecuted();
     return res;
 }
 
-lx::LinuxConfig
-makeLxCfg(const LxRunOpts &opts)
+RunResult
+runOnLx(const LxRunOpts &opts, const FsSetup &setup,
+        const std::function<int(lx::Process &)> &body)
 {
     lx::LinuxConfig cfg;
     cfg.costs = opts.costs;
     cfg.compute = opts.compute;
     cfg.cacheAlwaysHit = opts.cacheAlwaysHit;
-    return cfg;
-}
-
-RunResult
-runOnLx(const lx::LinuxConfig &cfg, const FsSetup &setup,
-        const std::function<int(lx::Process &)> &body)
-{
     RunResult res;
     lx::Machine m(cfg);
     applySetupToTmpfs(setup, m.fs());
@@ -94,9 +134,7 @@ runOnLx(const lx::LinuxConfig &cfg, const FsSetup &setup,
     });
     auto host0 = std::chrono::steady_clock::now();
     m.simulate();
-    res.hostSeconds = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - host0)
-                          .count();
+    res.hostSeconds = hostSecondsSince(host0);
     res.rc = rc;
     res.wall = t1 - t0;
     res.acct = m.mergedAccounting();
@@ -104,38 +142,34 @@ runOnLx(const lx::LinuxConfig &cfg, const FsSetup &setup,
     return res;
 }
 
-} // anonymous namespace
-
 RunResult
 runM3Trace(const Workload &workload, const M3RunOpts &opts)
 {
-    M3SystemCfg cfg = makeM3Cfg(workload.setup, opts);
-    const Trace &trace = workload.trace;
-    return runOnM3(cfg, [&trace](Env &env) {
-        return replayTraceM3(env, trace);
-    });
+    Trace trace = workload.trace;
+    rescaleIoChunk(trace, opts.ioChunk);
+    return runOnM3(singleRunCfg(opts, workload.setup),
+                   [&trace](Env &env) { return replayTraceM3(env, trace); });
 }
 
 RunResult
 runLxTrace(const Workload &workload, const LxRunOpts &opts)
 {
-    return runOnLx(makeLxCfg(opts), workload.setup,
-                   [&](lx::Process &p) {
-                       return replayTraceLx(p, workload.trace);
-                   });
+    return runOnLx(opts, workload.setup, [&](lx::Process &p) {
+        return replayTraceLx(p, workload.trace);
+    });
 }
 
 RunResult
 runM3CatTr(const CatTrParams &p, const M3RunOpts &opts)
 {
-    M3SystemCfg cfg = makeM3Cfg(catTrSetup(p), opts);
-    return runOnM3(cfg, [&p](Env &env) { return catTrM3(env, p); });
+    return runOnM3(singleRunCfg(opts, catTrSetup(p)),
+                   [&p](Env &env) { return catTrM3(env, p); });
 }
 
 RunResult
 runLxCatTr(const CatTrParams &p, const LxRunOpts &opts)
 {
-    return runOnLx(makeLxCfg(opts), catTrSetup(p),
+    return runOnLx(opts, catTrSetup(p),
                    [&](lx::Process &proc) { return catTrLx(proc, p); });
 }
 
@@ -143,16 +177,17 @@ RunResult
 runM3Fft(const FftParams &p, const M3RunOpts &opts)
 {
     registerFftProgram(p);
-    M3SystemCfg cfg = makeM3Cfg(fftSetup(p), opts);
+    M3SystemCfg cfg = singleRunCfg(opts, fftSetup(p));
     if (p.useAccel)
         cfg.extraPes.push_back(PeDesc::accel("fft"));
-    return runOnM3(cfg, [&p](Env &env) { return fftChainM3(env, p); });
+    return runOnM3(std::move(cfg),
+                   [&p](Env &env) { return fftChainM3(env, p); });
 }
 
 RunResult
 runLxFft(const FftParams &p, const LxRunOpts &opts)
 {
-    return runOnLx(makeLxCfg(opts), fftSetup(p),
+    return runOnLx(opts, fftSetup(p),
                    [&](lx::Process &proc) { return fftChainLx(proc, p); });
 }
 
@@ -184,6 +219,47 @@ namespaced(const Workload &w, uint32_t instance)
     return out;
 }
 
+/** One scalability instance: the files it starts from, and its work. */
+struct Instance
+{
+    FsSetup setup;
+    std::function<int(Env &)> work;
+};
+
+/** The @p instances instances of @p benchName, each under its own
+ *  "/i<n>" prefix. */
+std::vector<Instance>
+makeInstances(const std::string &benchName, uint32_t instances,
+              const M3RunOpts &opts)
+{
+    std::vector<Instance> out;
+    if (benchName == "cat+tr") {
+        for (uint32_t i = 0; i < instances; ++i) {
+            CatTrParams p;
+            p.root = "/i" + std::to_string(i);
+            out.push_back({catTrSetup(p), [p](Env &env) {
+                               return catTrM3(env, p);
+                           }});
+        }
+        return out;
+    }
+    Workload base;
+    for (Workload &w : makeAllTraceWorkloads(opts.costs.compute))
+        if (w.name == benchName)
+            base = std::move(w);
+    if (base.name.empty())
+        fatal("unknown scalability bench '%s'", benchName.c_str());
+    rescaleIoChunk(base.trace, opts.ioChunk);
+    for (uint32_t i = 0; i < instances; ++i) {
+        Workload w = namespaced(base, i);
+        out.push_back({std::move(w.setup),
+                       [trace = std::move(w.trace)](Env &env) {
+                           return replayTraceM3(env, trace);
+                       }});
+    }
+    return out;
+}
+
 } // anonymous namespace
 
 ScalabilityResult
@@ -193,34 +269,23 @@ runM3Scalability(const std::string &benchName, uint32_t instances,
     ScalabilityResult result;
     result.instances.assign(instances, 0);
 
-    const bool isCatTr = benchName == "cat+tr";
-    uint32_t pesPerInstance = isCatTr ? 2 : 1;
-
-    // Build the per-instance workloads (trace benches only).
-    std::vector<Workload> perInstance;
-    Workload base;
-    if (!isCatTr) {
-        auto all = makeAllTraceWorkloads(opts.costs.compute);
-        for (const Workload &w : all)
-            if (w.name == benchName)
-                base = w;
-        if (base.name.empty())
-            fatal("unknown scalability bench '%s'", benchName.c_str());
-        for (uint32_t i = 0; i < instances; ++i)
-            perInstance.push_back(namespaced(base, i));
-        if (opts.ioChunk) {
-            for (Workload &w : perInstance)
-                for (TraceOp &op : w.trace)
-                    if (op.kind == TraceOp::Kind::Sendfile &&
-                        op.chunkSize == 4096)
-                        op.chunkSize = opts.ioChunk;
-        }
-    }
-
+    const uint32_t pesPerInstance = benchName == "cat+tr" ? 2 : 1;
+    const std::vector<Instance> insts =
+        makeInstances(benchName, instances, opts);
     const bool striped = opts.distfsStripes > 1;
 
-    M3SystemCfg cfg;
-    cfg.appPes = 1 + instances * pesPerInstance;
+    m3fs::FsImageSpec spec;
+    spec.totalBlocks =
+        std::max<uint32_t>(65536, instances * 4096);  // room for every inst
+    spec.totalInodes = std::max<uint32_t>(2048, instances * 128);
+    // Striped machines create the setup files at runtime through the
+    // distfs mount (subfiles cannot be pre-built into a single image).
+    if (!striped)
+        for (const Instance &inst : insts)
+            applySetupToImage(inst.setup, spec);
+
+    M3SystemCfg cfg = m3MachineCfg(opts, 1 + instances * pesPerInstance,
+                                   std::move(spec));
     if (opts.maxAppPes && opts.maxAppPes < cfg.appPes) {
         if (!opts.multiplexSlice)
             fatal("capping %u needed app PEs at %u requires a multiplex "
@@ -230,13 +295,6 @@ runM3Scalability(const std::string &benchName, uint32_t instances,
         result.capped = true;
     }
     result.appPes = cfg.appPes;
-    cfg.multiplexSlice = opts.multiplexSlice;
-    cfg.costs = opts.costs;
-    cfg.fsInstances = opts.fsInstances;
-    cfg.distfsStripes = opts.distfsStripes;
-    cfg.distfsUnitBlocks = opts.distfsUnitBlocks;
-    cfg.distfsReplicas = opts.distfsReplicas;
-    cfg.numKernels = opts.numKernels;
     // Images + one pipe ring per instance. The classic runs (<= 16
     // instances) keep their exact historical sizes; larger machines
     // (the 256-PE engine-scaling workloads) grow proportionally.
@@ -244,26 +302,6 @@ runM3Scalability(const std::string &benchName, uint32_t instances,
                                      size_t(instances) * 16 * MiB);
     // Sec. 5.7: DRAM transfers become spins of equal time.
     cfg.costs.spinDataTransfers = true;
-    cfg.fsCfg.appendBlocks = opts.fsAppendBlocks;
-    cfg.fsSpec.totalBlocks =
-        std::max<uint32_t>(65536, instances * 4096);  // room for every inst
-    cfg.fsSpec.totalInodes = std::max<uint32_t>(2048, instances * 128);
-    const uint32_t fsN = opts.fsInstances;
-    // Striped machines create the setup files at runtime through the
-    // distfs mount (subfiles cannot be pre-built into a single image).
-    if (!striped) {
-        for (uint32_t i = 0; i < instances; ++i) {
-            FsSetup setup;
-            if (isCatTr) {
-                CatTrParams instParams;
-                instParams.root = "/i" + std::to_string(i);
-                setup = catTrSetup(instParams);
-            } else {
-                setup = perInstance[i].setup;
-            }
-            applySetupToImage(setup, cfg.fsSpec);
-        }
-    }
 
     M3System sys(std::move(cfg));
     std::vector<Cycles> durations(instances, 0);
@@ -279,69 +317,35 @@ runM3Scalability(const std::string &benchName, uint32_t instances,
                 env, "inst" + std::to_string(i));
             if (vpe->err() != Error::None)
                 return 101;
-            std::string srv = M3SystemCfg::fsName(i % fsN);
-            const bool timeSetup = opts.timeSetup;
-            const uint32_t unitBlocks = opts.distfsUnitBlocks;
             // Mount the instance's filesystem: the striped session over
             // the whole stripe set, or one plain m3fs instance. Striped
             // runs then create the setup files through the mount,
             // outside the timed window unless timeSetup asks for it.
-            auto mountFs = [striped, srv, unitBlocks](Env &ienv) {
-                if (striped)
-                    return m3fs::DistfsSession::mount(
-                        ienv, "/", M3SystemCfg::DISTFS_GROUP, unitBlocks);
-                return m3fs::M3fsSession::mount(ienv, "/", srv);
-            };
-            if (isCatTr) {
-                CatTrParams instParams;
-                instParams.root = "/i" + std::to_string(i);
-                FsSetup vfsSetup;
-                if (striped)
-                    vfsSetup = catTrSetup(instParams);
-                vpe->run([i, &durations, &rcs, instParams, vfsSetup,
-                          mountFs, striped, timeSetup] {
-                    Env &ienv = Env::cur();
-                    Cycles t0 = ienv.platform.simulator().curCycle();
-                    if (mountFs(ienv) != Error::None) {
-                        rcs[i] = 200;
-                        return 1;
-                    }
-                    if (striped && applySetupToVfs(ienv, vfsSetup) != 0) {
-                        rcs[i] = 201;
-                        return 1;
-                    }
-                    if (!timeSetup)
-                        t0 = ienv.platform.simulator().curCycle();
-                    rcs[i] = catTrM3(ienv, instParams);
-                    durations[i] =
-                        ienv.platform.simulator().curCycle() - t0;
-                    return rcs[i];
-                });
-            } else {
-                const Trace *trace = &perInstance[i].trace;
-                const FsSetup *vfsSetup =
-                    striped ? &perInstance[i].setup : nullptr;
-                vpe->run([i, &durations, &rcs, trace, vfsSetup, mountFs,
-                          timeSetup] {
-                    Env &ienv = Env::cur();
-                    Cycles t0 = ienv.platform.simulator().curCycle();
-                    if (mountFs(ienv) != Error::None) {
-                        rcs[i] = 200;
-                        return 1;
-                    }
-                    if (vfsSetup &&
-                        applySetupToVfs(ienv, *vfsSetup) != 0) {
-                        rcs[i] = 201;
-                        return 1;
-                    }
-                    if (!timeSetup)
-                        t0 = ienv.platform.simulator().curCycle();
-                    rcs[i] = replayTraceM3(ienv, *trace);
-                    durations[i] =
-                        ienv.platform.simulator().curCycle() - t0;
-                    return rcs[i];
-                });
-            }
+            vpe->run([i, &durations, &rcs, &inst = insts[i], &opts,
+                      striped] {
+                Env &ienv = Env::cur();
+                Cycles t0 = ienv.platform.simulator().curCycle();
+                Error e = striped
+                              ? m3fs::DistfsSession::mount(
+                                    ienv, "/", M3SystemCfg::DISTFS_GROUP,
+                                    opts.distfsUnitBlocks)
+                              : m3fs::M3fsSession::mount(
+                                    ienv, "/",
+                                    M3SystemCfg::fsName(i % opts.fsInstances));
+                if (e != Error::None) {
+                    rcs[i] = 200;
+                    return 1;
+                }
+                if (striped && applySetupToVfs(ienv, inst.setup) != 0) {
+                    rcs[i] = 201;
+                    return 1;
+                }
+                if (!opts.timeSetup)
+                    t0 = ienv.platform.simulator().curCycle();
+                rcs[i] = inst.work(ienv);
+                durations[i] = ienv.platform.simulator().curCycle() - t0;
+                return rcs[i];
+            });
             vpes.push_back(std::move(vpe));
             // Instances are launched back to back, not in lockstep: a
             // short stagger avoids measuring an artificial thundering
@@ -356,9 +360,7 @@ runM3Scalability(const std::string &benchName, uint32_t instances,
     });
     auto host0 = std::chrono::steady_clock::now();
     bool finished = sys.simulate();
-    result.hostSeconds = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - host0)
-                             .count();
+    result.hostSeconds = hostSecondsSince(host0);
     result.events = sys.eventsExecuted();
     for (uint32_t m = 0; m < sys.platform().dramModules(); ++m)
         result.dramWrittenPages += sys.platform().dram(m).writtenPages();

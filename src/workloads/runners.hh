@@ -12,6 +12,7 @@
 
 #include "base/accounting.hh"
 #include "base/cost_model.hh"
+#include "libm3/m3system.hh"
 #include "workloads/apps.hh"
 #include "workloads/trace.hh"
 
@@ -37,11 +38,14 @@ struct RunResult
     Cycles xfer() const { return acct.total(Category::Xfer); }
 };
 
-/** Extra knobs for M3 runs. */
+/**
+ * Extra knobs for M3 runs. maxAppPes, timeSetup and ioChunk shape the
+ * workload; every other knob describes the machine and reaches
+ * M3SystemCfg through m3MachineCfg() only.
+ */
 struct M3RunOpts
 {
     CostModel costs;
-    uint32_t appPes = 4;
     /** m3fs instances (Sec. 7 future work; sharded by client). */
     uint32_t fsInstances = 1;
     /** Kernel instances (Sec. 7: sharding the control plane). */
@@ -69,12 +73,12 @@ struct M3RunOpts
     bool timeSetup = false;
 
     /**
-     * distfs stripes (1 = off). With N >= 2 the machine boots N m3fs
-     * instances, each on its own DRAM module; every client mounts the
-     * striped session and the workload's setup files are created at
-     * runtime through it (striped subfiles cannot be pre-built into a
-     * single image). Setup stays outside the timed window unless
-     * timeSetup is set.
+     * distfs stripes (1 = off; scalability runs only). With N >= 2 the
+     * machine boots N m3fs instances, each on its own DRAM module; every
+     * client mounts the striped session and the workload's setup files
+     * are created at runtime through it (striped subfiles cannot be
+     * pre-built into a single image). Setup stays outside the timed
+     * window unless timeSetup is set.
      */
     uint32_t distfsStripes = 1;
     /** distfs striping unit in blocks. */
@@ -98,6 +102,30 @@ struct LxRunOpts
     ComputeCosts compute;
     bool cacheAlwaysHit = false;  //!< the Lx-$ bars
 };
+
+/**
+ * The machine every M3 runner boots: M3SystemCfg's defaults, each
+ * machine knob of @p opts, @p appPes application PEs and the image
+ * @p fsSpec, whose files all get opts.fsBlocksPerExtent. This is the
+ * one place an M3RunOpts knob is copied into M3SystemCfg; a runner sets
+ * only what is its own on top (accelerators, DRAM size, spin transfers).
+ */
+M3SystemCfg m3MachineCfg(const M3RunOpts &opts, uint32_t appPes,
+                         m3fs::FsImageSpec fsSpec);
+
+/**
+ * Boot @p cfg, mount m3fs at "/" and run @p body as root; the result
+ * times @p body alone. DRAM grows to hold every m3fs instance's image.
+ * A striped machine is refused: a single-machine run pre-builds its
+ * image and cannot stripe it. A run that does not finish prints the
+ * machine's stats and returns rc -2.
+ */
+RunResult runOnM3(M3SystemCfg cfg, const std::function<int(Env &)> &body);
+
+/** Boot the Linux baseline with @p setup in its tmpfs and run @p body as
+ *  init; the result times @p body alone. */
+RunResult runOnLx(const LxRunOpts &opts, const FsSetup &setup,
+                  const std::function<int(lx::Process &)> &body);
 
 /** Replay a trace workload on a freshly booted M3 machine. */
 RunResult runM3Trace(const Workload &workload, const M3RunOpts &opts = {});

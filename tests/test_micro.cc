@@ -100,7 +100,7 @@ TEST(MicroAnchors, FragmentationTrendMonotone)
     for (uint32_t bpe : {256u, 64u, 16u}) {
         MicroOpts opts;
         opts.fileBytes = 512 * KiB;
-        opts.blocksPerExtent = bpe;
+        opts.m3.fsBlocksPerExtent = bpe;
         RunResult r = m3FileRead(opts);
         ASSERT_EQ(r.rc, 0);
         if (prev) {

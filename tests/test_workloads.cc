@@ -15,8 +15,10 @@
 #include "libm3/m3system.hh"
 #include "m3fs/client.hh"
 #include "m3fs/fs_image.hh"
+#include "trace/metrics.hh"
 #include "workloads/generators.hh"
 #include "workloads/m3_replay.hh"
+#include "workloads/micro.hh"
 #include "workloads/runners.hh"
 
 namespace m3
@@ -298,6 +300,79 @@ TEST(Scalability, TarArchiveHoldsItsMembers)
     ASSERT_EQ(sys.rootExitCode(), 0);
     EXPECT_EQ(archive.size(), expect.size());
     EXPECT_TRUE(archive == expect);
+}
+
+/** The named trace workload. */
+Workload
+traceWorkload(const std::string &name)
+{
+    for (Workload &w : makeAllTraceWorkloads(ComputeCosts{}))
+        if (w.name == name)
+            return w;
+    ADD_FAILURE() << "unknown workload " << name;
+    return {};
+}
+
+/**
+ * Run @p run with metrics on and report whether it succeeded on a
+ * machine whose second kernel exported its stats: each runner must
+ * build the machine its M3RunOpts describe.
+ */
+template <typename Run>
+bool
+ranOnTwoKernels(Run run)
+{
+    trace::Metrics::reset();
+    trace::Metrics::enable();
+    const int rc = run().rc;
+    const bool k1 = trace::Metrics::toJson().find(
+                        "\"kernel.k1.syscalls\"") != std::string::npos;
+    trace::Metrics::disable();
+    trace::Metrics::reset();
+    return rc == 0 && k1;
+}
+
+TEST(Runners, EveryRunnerBootsTheKernelsItIsGiven)
+{
+    MicroOpts micro;
+    micro.fileBytes = 64 * KiB;
+    micro.m3.numKernels = 2;
+    const M3RunOpts &opts = micro.m3;
+    EXPECT_TRUE(ranOnTwoKernels([&] { return m3NullSyscall(4, opts); }));
+    EXPECT_TRUE(ranOnTwoKernels([&] { return m3FileRead(micro); }));
+    EXPECT_TRUE(ranOnTwoKernels([&] { return m3FileWrite(micro); }));
+    EXPECT_TRUE(ranOnTwoKernels([&] { return m3PipeXfer(micro); }));
+    const Workload tar = traceWorkload("tar");
+    EXPECT_TRUE(ranOnTwoKernels([&] { return runM3Trace(tar, opts); }));
+    EXPECT_TRUE(ranOnTwoKernels([&] {
+        return runM3CatTr(CatTrParams{}, opts);
+    }));
+    FftParams fft;
+    fft.binary = "/bin/fft-k2";
+    EXPECT_TRUE(ranOnTwoKernels([&] { return runM3Fft(fft, opts); }));
+}
+
+TEST(Runners, ScalabilityHonoursImageFragmentation)
+{
+    M3RunOpts frag;
+    frag.fsBlocksPerExtent = 4;
+    ScalabilityResult plain = runM3Scalability("tar", 2);
+    ScalabilityResult fragmented = runM3Scalability("tar", 2, frag);
+    ASSERT_EQ(plain.rc, 0);
+    ASSERT_EQ(fragmented.rc, 0);
+    EXPECT_NE(fragmented.avgInstance, plain.avgInstance);
+}
+
+TEST(Runners, TraceRunHonoursTheIoChunk)
+{
+    const Workload tar = traceWorkload("tar");
+    M3RunOpts chunked;
+    chunked.ioChunk = 16 * KiB;
+    RunResult plain = runM3Trace(tar);
+    RunResult big = runM3Trace(tar, chunked);
+    ASSERT_EQ(plain.rc, 0);
+    ASSERT_EQ(big.rc, 0);
+    EXPECT_NE(big.wall, plain.wall);
 }
 
 TEST(FsImage, SharedPatternContentIsByteIdentical)

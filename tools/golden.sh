@@ -1,7 +1,8 @@
 #!/bin/sh
 # Byte-identity gate: hash the stdout (and the trace, metrics and SLO
 # files) of every figure and section bench, the robustness drills, the
-# open-loop driver, every example and two m3bench tar runs, and compare
+# open-loop driver, every example and five m3bench runs (two tar
+# scalability runs, three that pin the machine knobs), and compare
 # the hashes with the committed manifest tests/golden.sha256. Simulated
 # results are deterministic and sanitizer-independent, so the same
 # manifest holds for every build configuration. stderr is not hashed
@@ -65,6 +66,13 @@ run m3bench.tar240 "$build/tools/m3bench" tar --instances 240 \
 run m3bench.tar16 "$build/tools/m3bench" tar --instances 16 \
     --trace="$out/m3bench.tar16.trace" \
     --metrics="$out/m3bench.tar16.metrics"
+# The machine knobs must reach every runner: two kernels and a
+# fragmented image on a micro run, two m3fs instances and a larger
+# streaming buffer on a trace run, a fragmented scalability image.
+run m3bench.read.k2.frag4 "$build/tools/m3bench" read --kernels 2 --frag 4
+run m3bench.tar.fs2.chunk16k "$build/tools/m3bench" tar --fs-instances 2 \
+    --io-chunk 16384
+run m3bench.tar4.frag4 "$build/tools/m3bench" tar --instances 4 --frag 4
 
 [ "$status" -eq 0 ] || exit 1
 

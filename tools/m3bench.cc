@@ -15,11 +15,14 @@
  *   --arm              baseline with the ARM cost profile (Sec. 5.2)
  *   --accel            fft: use the FFT accelerator PE
  *   --instances N      scalability mode: N parallel instances (M3)
- *   --fs-instances K   shard the clients over K m3fs instances
+ *   --fs-instances K   boot K m3fs instances (scalability mode shards
+ *                      the clients over them)
  *   --stripes N        stripe the data plane over N m3fs instances
- *                      (distfs; scalability mode only)
- *   --stripe-unit B    distfs striping unit in blocks (default 8)
- *   --replicas R       distfs replication factor (default 1 = off)
+ *                      (distfs; needs --instances)
+ *   --stripe-unit B    distfs striping unit in blocks (default 8;
+ *                      needs --instances)
+ *   --replicas R       distfs replication factor (default 1 = off;
+ *                      needs --instances)
  *   --io-chunk N       streaming buffer override for trace benches
  *   --kernels K        shard the control plane over K kernels
  *   --bytes N          transfer size for read/write/pipe (default 2 MiB)
@@ -33,6 +36,10 @@
  *   --metrics=FILE     dump the metric registry as JSON
  *   --host-profile=FILE sample the host PC every ms of CPU time and
  *                      write the folded samples (tools/hostprof.py)
+ *
+ * --kernels, --fs-instances, --append-blocks and --frag shape the M3
+ * machine in both modes. A single-machine run refuses the distfs
+ * options: it pre-builds its image and cannot stripe it.
  */
 
 #include <cstdio>
@@ -131,8 +138,7 @@ main(int argc, char **argv)
     bool accel = false;
     uint32_t instances = 0;
     MicroOpts micro;
-    M3RunOpts m3opts;
-    LxRunOpts lxopts;
+    const char *distfsFlag = nullptr;  //!< a distfs flag given, if any
     std::string hostProfileFile;
 
     for (int i = 1; i < argc; ++i) {
@@ -147,39 +153,38 @@ main(int argc, char **argv)
             onLx = true;
         } else if (arg == "--lx-hit") {
             onLx = true;
-            lxopts.cacheAlwaysHit = true;
             micro.lx.cacheAlwaysHit = true;
         } else if (arg == "--arm") {
             onLx = true;
-            lxopts.costs = LinuxCosts::arm();
             micro.lx.costs = LinuxCosts::arm();
         } else if (arg == "--accel") {
             accel = true;
         } else if (arg == "--instances") {
             instances = static_cast<uint32_t>(intArg("instances"));
         } else if (arg == "--fs-instances") {
-            m3opts.fsInstances = static_cast<uint32_t>(intArg("fs"));
+            micro.m3.fsInstances = static_cast<uint32_t>(intArg("fs"));
         } else if (arg == "--stripes") {
-            m3opts.distfsStripes = static_cast<uint32_t>(intArg("s"));
+            micro.m3.distfsStripes = static_cast<uint32_t>(intArg("s"));
+            distfsFlag = "--stripes";
         } else if (arg == "--stripe-unit") {
-            m3opts.distfsUnitBlocks =
+            micro.m3.distfsUnitBlocks =
                 static_cast<uint32_t>(intArg("u"));
+            distfsFlag = "--stripe-unit";
         } else if (arg == "--replicas") {
-            m3opts.distfsReplicas = static_cast<uint32_t>(intArg("r"));
+            micro.m3.distfsReplicas = static_cast<uint32_t>(intArg("r"));
+            distfsFlag = "--replicas";
         } else if (arg == "--io-chunk") {
-            m3opts.ioChunk = static_cast<uint32_t>(intArg("c"));
+            micro.m3.ioChunk = static_cast<uint32_t>(intArg("c"));
         } else if (arg == "--kernels") {
-            m3opts.numKernels = static_cast<uint32_t>(intArg("k"));
+            micro.m3.numKernels = static_cast<uint32_t>(intArg("k"));
         } else if (arg == "--bytes") {
             micro.fileBytes = intArg("bytes");
         } else if (arg == "--buf") {
             micro.bufSize = static_cast<uint32_t>(intArg("buf"));
         } else if (arg == "--append-blocks") {
-            micro.appendBlocks = static_cast<uint32_t>(intArg("ab"));
-            m3opts.fsAppendBlocks = micro.appendBlocks;
+            micro.m3.fsAppendBlocks = static_cast<uint32_t>(intArg("ab"));
         } else if (arg == "--frag") {
-            micro.blocksPerExtent = static_cast<uint32_t>(intArg("f"));
-            m3opts.fsBlocksPerExtent = micro.blocksPerExtent;
+            micro.m3.fsBlocksPerExtent = static_cast<uint32_t>(intArg("f"));
         } else if (arg == "--json") {
             jsonOutput = true;
         } else if (arg == "--workload") {
@@ -200,7 +205,6 @@ main(int argc, char **argv)
     }
     if (workload.empty())
         usage();
-    micro.m3 = m3opts;
     const HostProfile hostProfile(hostProfileFile);
 
     if (!traceFile.empty())
@@ -216,6 +220,14 @@ main(int argc, char **argv)
             instances = 8;
     }
 
+    if (distfsFlag && instances == 0) {
+        std::fprintf(stderr,
+                     "%s needs --instances: a single-machine run "
+                     "pre-builds its image and cannot stripe it\n",
+                     distfsFlag);
+        return 2;
+    }
+
     // Scalability mode.
     if (instances > 0) {
         if (onLx) {
@@ -224,7 +236,7 @@ main(int argc, char **argv)
             return 2;
         }
         ScalabilityResult r = runM3Scalability(workload, instances,
-                                               m3opts);
+                                               micro.m3);
         writeObservability();
         if (r.rc != 0) {
             std::printf("FAILED (rc=%d)\n", r.rc);
@@ -262,13 +274,13 @@ main(int argc, char **argv)
         CatTrParams p;
         p.bufSize = micro.bufSize;
         report(workload,
-               onLx ? runLxCatTr(p, lxopts) : runM3CatTr(p, m3opts));
+               onLx ? runLxCatTr(p, micro.lx) : runM3CatTr(p, micro.m3));
     } else if (workload == "fft") {
         FftParams p;
         p.useAccel = accel;
         p.binary = accel ? "/bin/fft-accel" : "/bin/fft-sw";
-        report(workload, onLx ? runLxFft(p, lxopts)
-                              : runM3Fft(p, m3opts));
+        report(workload, onLx ? runLxFft(p, micro.lx)
+                              : runM3Fft(p, micro.m3));
     } else if (workload == "read") {
         report(workload, onLx ? lxFileRead(micro) : m3FileRead(micro));
     } else if (workload == "write") {
@@ -277,13 +289,13 @@ main(int argc, char **argv)
         report(workload, onLx ? lxPipeXfer(micro) : m3PipeXfer(micro));
     } else if (workload == "syscall") {
         report(workload, onLx ? lxNullSyscall(64, micro.lx)
-                              : m3NullSyscall(64, m3opts));
+                              : m3NullSyscall(64, micro.m3));
     } else {
         bool found = false;
         for (const Workload &w : makeAllTraceWorkloads(compute)) {
             if (w.name == workload) {
-                report(workload, onLx ? runLxTrace(w, lxopts)
-                                      : runM3Trace(w, m3opts));
+                report(workload, onLx ? runLxTrace(w, micro.lx)
+                                      : runM3Trace(w, micro.m3));
                 found = true;
             }
         }
