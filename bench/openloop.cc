@@ -24,12 +24,11 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
-#include "trace/metrics.hh"
+#include "base/cli.hh"
 #include "trace/reqtrace.hh"
-#include "trace/trace.hh"
+#include "trace/sinkfiles.hh"
 #include "workloads/openloop.hh"
 
 using namespace m3;
@@ -57,48 +56,40 @@ main(int argc, char **argv)
 {
     OpenLoopOpts opts;
     std::string sloFile;
-    std::string traceFile;
-    std::string metricsFile;
+    trace::SinkFiles sinks;
     bool jsonOutput = false;
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
-        auto intArg = [&] {
+        auto num = [&](auto &field) {
             if (i + 1 >= argc)
                 usage();
-            return static_cast<uint64_t>(
-                std::strtoull(argv[++i], nullptr, 0));
+            ++i;
+            parseFlagNumber(arg.c_str(), argv[i], field);
         };
         if (arg == "--clients") {
-            opts.clients = static_cast<uint32_t>(intArg());
+            num(opts.clients);
         } else if (arg == "--requests") {
-            opts.requestsPerClient = static_cast<uint32_t>(intArg());
+            num(opts.requestsPerClient);
         } else if (arg == "--mean-gap") {
-            opts.meanGapCycles = intArg();
+            num(opts.meanGapCycles);
         } else if (arg == "--service-cycles") {
-            opts.serviceCycles = intArg();
+            num(opts.serviceCycles);
         } else if (arg == "--seed") {
-            opts.seed = intArg();
+            num(opts.seed);
         } else if (arg == "--kernels") {
-            opts.numKernels = static_cast<uint32_t>(intArg());
+            num(opts.numKernels);
         } else if (arg.rfind("--slo=", 0) == 0) {
             sloFile = arg.substr(6);
-        } else if (arg.rfind("--trace=", 0) == 0) {
-            traceFile = arg.substr(8);
-        } else if (arg.rfind("--metrics=", 0) == 0) {
-            metricsFile = arg.substr(10);
         } else if (arg == "--json") {
             jsonOutput = true;
-        } else {
+        } else if (!sinks.parse(arg)) {
             usage();
         }
     }
     if (!sloFile.empty())
         trace::ReqTrace::enable();
-    if (!traceFile.empty())
-        trace::Tracer::enable();
-    if (!metricsFile.empty())
-        trace::Metrics::enable();
+    sinks.enable();
 
     OpenLoopResult r = runOpenLoop(opts);
     if (r.rc != 0) {
@@ -109,30 +100,15 @@ main(int argc, char **argv)
     if (!sloFile.empty()) {
         if (sloFile == "-") {
             std::fwrite(r.sloJson.data(), 1, r.sloJson.size(), stdout);
-        } else {
-            std::FILE *f = std::fopen(sloFile.c_str(), "w");
-            if (!f || std::fwrite(r.sloJson.data(), 1, r.sloJson.size(),
-                                  f) != r.sloJson.size()) {
-                std::fprintf(stderr,
-                             "openloop: cannot write SLO report to %s\n",
-                             sloFile.c_str());
-                if (f)
-                    std::fclose(f);
-                return 1;
-            }
-            std::fclose(f);
+        } else if (!trace::writeFile(sloFile, r.sloJson)) {
+            std::fprintf(stderr,
+                         "openloop: cannot write SLO report to %s\n",
+                         sloFile.c_str());
+            return 1;
         }
     }
-    if (!traceFile.empty() && !trace::Tracer::writeJson(traceFile)) {
-        std::fprintf(stderr, "openloop: cannot write trace to %s\n",
-                     traceFile.c_str());
+    if (!sinks.write("openloop"))
         return 1;
-    }
-    if (!metricsFile.empty() && !trace::Metrics::writeJson(metricsFile)) {
-        std::fprintf(stderr, "openloop: cannot write metrics to %s\n",
-                     metricsFile.c_str());
-        return 1;
-    }
 
     if (jsonOutput) {
         std::printf("{\"workload\": \"openloop\", \"wall_cycles\": %llu, "

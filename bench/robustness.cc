@@ -25,7 +25,7 @@
 #include "m3fs/distfs.hh"
 #include "m3fs/fs_image.hh"
 #include "trace/metrics.hh"
-#include "trace/trace.hh"
+#include "trace/sinkfiles.hh"
 
 using namespace m3;
 
@@ -422,31 +422,23 @@ stripeKillDrill()
 int
 main(int argc, char **argv)
 {
-    std::string traceFile;
-    std::string metricsFile;
+    trace::SinkFiles sinks;
     bool rollingRestart = false;
     bool stripeKill = false;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
-        if (arg.rfind("--trace=", 0) == 0) {
-            traceFile = arg.substr(8);
-        } else if (arg.rfind("--metrics=", 0) == 0) {
-            metricsFile = arg.substr(10);
-        } else if (arg == "--rolling-restart") {
+        if (arg == "--rolling-restart") {
             rollingRestart = true;
         } else if (arg == "--stripe-kill") {
             stripeKill = true;
-        } else {
+        } else if (!sinks.parse(arg)) {
             std::fprintf(stderr, "usage: robustness [--trace=FILE] "
                                  "[--metrics=FILE] [--rolling-restart] "
                                  "[--stripe-kill]\n");
             return 2;
         }
     }
-    if (!traceFile.empty())
-        trace::Tracer::enable();
-    if (!metricsFile.empty())
-        trace::Metrics::enable();
+    sinks.enable();
 
     if (rollingRestart || stripeKill) {
         bool drillOk = true;
@@ -454,11 +446,7 @@ main(int argc, char **argv)
             drillOk &= rollingRestartDrill();
         if (stripeKill)
             drillOk &= stripeKillDrill();
-        if (!traceFile.empty() && !trace::Tracer::writeJson(traceFile))
-            return 1;
-        if (!metricsFile.empty() && !trace::Metrics::writeJson(metricsFile))
-            return 1;
-        return drillOk ? 0 : 1;
+        return sinks.write("robustness") && drillOk ? 0 : 1;
     }
 
     bool ok = true;
@@ -510,15 +498,5 @@ main(int argc, char **argv)
     ok &= bench::verdict("latency grows monotonically with loss",
                          monotone);
 
-    if (!traceFile.empty() && !trace::Tracer::writeJson(traceFile)) {
-        std::fprintf(stderr, "robustness: cannot write trace '%s'\n",
-                     traceFile.c_str());
-        return 1;
-    }
-    if (!metricsFile.empty() && !trace::Metrics::writeJson(metricsFile)) {
-        std::fprintf(stderr, "robustness: cannot write metrics '%s'\n",
-                     metricsFile.c_str());
-        return 1;
-    }
-    return ok ? 0 : 1;
+    return sinks.write("robustness") && ok ? 0 : 1;
 }

@@ -47,8 +47,8 @@
 #include <thread>
 #include <vector>
 
-#include "trace/metrics.hh"
-#include "trace/trace.hh"
+#include "base/cli.hh"
+#include "trace/sinkfiles.hh"
 #include "workloads/micro.hh"
 #include "workloads/runners.hh"
 
@@ -334,8 +334,7 @@ main(int argc, char **argv)
     int reps = 3;
     std::string outPath;
     std::string checkPath;
-    std::string traceFile;
-    std::string metricsFile;
+    trace::SinkFiles sinks;
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -344,16 +343,12 @@ main(int argc, char **argv)
         } else if (arg == "--quick") {
             quick = true;
         } else if (arg == "--reps" && i + 1 < argc) {
-            reps = std::atoi(argv[++i]);
+            parseFlagNumber("--reps", argv[++i], reps);
         } else if (arg == "--out" && i + 1 < argc) {
             outPath = argv[++i];
         } else if (arg == "--check" && i + 1 < argc) {
             checkPath = argv[++i];
-        } else if (arg.rfind("--trace=", 0) == 0) {
-            traceFile = arg.substr(8);
-        } else if (arg.rfind("--metrics=", 0) == 0) {
-            metricsFile = arg.substr(10);
-        } else {
+        } else if (!sinks.parse(arg)) {
             std::fprintf(stderr,
                          "usage: simperf [--json] [--out FILE] "
                          "[--check FILE] [--quick] [--reps N] "
@@ -366,23 +361,10 @@ main(int argc, char **argv)
     if (reps < 1)
         reps = 1;
 
-    if (!traceFile.empty())
-        trace::Tracer::enable();
-    if (!metricsFile.empty())
-        trace::Metrics::enable();
-
+    sinks.enable();
     std::vector<Measurement> ms = runAll(reps);
-
-    if (!traceFile.empty() && !trace::Tracer::writeJson(traceFile)) {
-        std::fprintf(stderr, "simperf: cannot write trace '%s'\n",
-                     traceFile.c_str());
+    if (!sinks.write("simperf"))
         return 1;
-    }
-    if (!metricsFile.empty() && !trace::Metrics::writeJson(metricsFile)) {
-        std::fprintf(stderr, "simperf: cannot write metrics '%s'\n",
-                     metricsFile.c_str());
-        return 1;
-    }
 
     if (!outPath.empty()) {
         std::ofstream out(outPath);

@@ -1,6 +1,5 @@
 #include "trace/metrics.hh"
 
-#include <cstdio>
 #include <map>
 #include <type_traits>
 
@@ -151,18 +150,6 @@ Metrics::toJson()
 
     out += "}\n";
     return out;
-}
-
-bool
-Metrics::writeJson(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        return false;
-    std::string json = toJson();
-    size_t written = std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    return written == json.size();
 }
 
 } // namespace trace

@@ -108,9 +108,6 @@ class Metrics
      * {"schema":1, "counters":{..}, "gauges":{..}, "histograms":{..}}.
      */
     static std::string toJson();
-
-    /** Write toJson() to @p path. @return false on I/O failure. */
-    static bool writeJson(const std::string &path);
 };
 
 // StatField flags, combined with |. A field is a Counter summed over

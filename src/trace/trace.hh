@@ -2,14 +2,16 @@
  * @file
  * Cycle-accurate event tracing with Chrome trace-event JSON export.
  *
- * The tracer records typed events (span begin/end, complete slices,
- * instants, counters, flow arrows) into per-track ring buffers keyed by
- * the simulated cycle, and exports them in the Chrome trace-event format
- * that chrome://tracing and Perfetto load directly. Tracks follow a
- * fixed id convention: software on PE n traces on track n, the DTU of
- * node n on DTU_TRACK_BASE + n, and the NoC attachment point of node n
- * on NOC_TRACK_BASE + n, so spans from different layers of the same PE
- * never have to nest across layers.
+ * The tracer appends typed events (span begin/end, complete slices,
+ * instants, counters, flow arrows), each stamped with its simulated
+ * cycle and track, to one log of fixed-size records, and loses none of
+ * them. Export derives the Chrome trace-event document that
+ * chrome://tracing and Perfetto load directly: the log sorted by track,
+ * then cycle, then recording order. Tracks follow a fixed id
+ * convention: software on PE n traces on track n, the DTU of node n on
+ * dtuTrack(n), and the NoC attachment point of node n on nocTrack(n), so
+ * spans from different layers of the same PE never have to nest across
+ * layers.
  *
  * The subsystem is always compiled and zero-cost when off: every
  * instrumentation site is guarded by the M3_TRACE_ON macro, which is a
@@ -73,13 +75,8 @@ class Tracer
     /** Reads the simulated cycle of the machine being traced. */
     using ClockFn = uint64_t (*)(const void *ctx);
 
-    /**
-     * Enable tracing. @p ringCapacity is the per-track ring buffer size
-     * in events; when a ring is full the oldest event is overwritten
-     * (and counted in droppedEvents()).
-     */
-    static void enable(uint32_t ringCapacity = 1u << 16);
-    static void disable();
+    static void enable() { on = true; }
+    static void disable() { on = false; }
 
     /** Drop all recorded events and track names; keep the enable state. */
     static void reset();
@@ -103,32 +100,51 @@ class Tracer
     // --- literals or otherwise outlive the sink) ----------------------
 
     /** Open a span on @p t at the current cycle (phase B). */
-    static void spanBegin(TrackId t, const char *name);
+    static void
+    spanBegin(TrackId t, const char *name)
+    {
+        record(t, 'B', nowCycle(), 0, name);
+    }
     /** Close the innermost span on @p t (phase E). */
-    static void spanEnd(TrackId t);
+    static void spanEnd(TrackId t) { record(t, 'E', nowCycle(), 0, ""); }
     /** A complete slice [ts, ts+dur] on @p t (phase X). */
-    static void complete(TrackId t, uint64_t ts, uint64_t dur,
-                         const char *name);
+    static void
+    complete(TrackId t, uint64_t ts, uint64_t dur, const char *name)
+    {
+        record(t, 'X', ts, dur, name);
+    }
     /** An instantaneous event at the current cycle (phase i). */
-    static void instant(TrackId t, const char *name);
+    static void
+    instant(TrackId t, const char *name)
+    {
+        record(t, 'i', nowCycle(), 0, name);
+    }
     /** A counter sample at the current cycle (phase C). */
-    static void counter(TrackId t, const char *name, uint64_t value);
+    static void
+    counter(TrackId t, const char *name, uint64_t value)
+    {
+        record(t, 'C', nowCycle(), value, name);
+    }
     /** Flow arrow start at @p ts (phase s); @p id pairs it with the end. */
-    static void flowBegin(TrackId t, uint64_t ts, uint64_t id,
-                          const char *name);
+    static void
+    flowBegin(TrackId t, uint64_t ts, uint64_t id, const char *name)
+    {
+        record(t, 's', ts, id, name);
+    }
     /** Flow arrow end at @p ts (phase f, binding point "enclosing"). */
-    static void flowEnd(TrackId t, uint64_t ts, uint64_t id,
-                        const char *name);
+    static void
+    flowEnd(TrackId t, uint64_t ts, uint64_t id, const char *name)
+    {
+        record(t, 'f', ts, id, name);
+    }
 
     /** A fresh flow id (reset() restarts the sequence: determinism). */
     static uint64_t nextFlowId();
 
     // --- introspection / export ---------------------------------------
 
-    /** Total events currently buffered across all tracks. */
+    /** Events recorded since the last reset(), over all tracks. */
     static uint64_t eventCount();
-    /** Events lost to ring-buffer overwrite since enable()/reset(). */
-    static uint64_t droppedEvents();
 
     /**
      * Export everything as one Chrome trace-event JSON document. The
@@ -137,8 +153,14 @@ class Tracer
      */
     static std::string toJson();
 
-    /** Write toJson() to @p path. @return false on I/O failure. */
-    static bool writeJson(const std::string &path);
+  private:
+    /**
+     * Append one event to the log: Chrome phase @p phase at cycle @p ts
+     * on track @p t. @p arg is the phase's payload: the duration of an
+     * 'X', the value of a 'C', the flow id of an 's' or 'f'.
+     */
+    static void record(TrackId t, char phase, uint64_t ts, uint64_t arg,
+                       const char *name);
 };
 
 /**

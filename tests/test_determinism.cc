@@ -132,7 +132,7 @@ TEST(Determinism, MultiplexedTraceIsByteIdentical)
     // context-switch spans and park/unpark instants — must serialize to
     // byte-identical JSON across two runs of the same configuration.
     auto traced = [] {
-        trace::Tracer::enable(1 << 16);
+        trace::Tracer::enable();
         trace::Tracer::reset();
         M3SystemCfg cfg;
         cfg.appPes = 2;
@@ -169,7 +169,7 @@ TEST(Determinism, SingleKernelMatchesSeedPins)
     // take exactly the classic code paths. These pins were captured by
     // running this workload on the pre-multi-kernel tree — wall cycles
     // and the serialized trace (size + djb2 hash) matched bit for bit.
-    trace::Tracer::enable(1 << 16);
+    trace::Tracer::enable();
     trace::Tracer::reset();
     Cycles wall = 0;
     std::string json;
@@ -207,7 +207,7 @@ TEST(Determinism, MigrationOffMatchesSeedPins)
     // flags at their defaults the machine must take exactly the classic
     // code paths and replay the SingleKernelMatchesSeedPins pins bit
     // for bit — same wall cycles, same serialized trace.
-    trace::Tracer::enable(1 << 16);
+    trace::Tracer::enable();
     trace::Tracer::reset();
     Cycles wall = 0;
     std::string json;
@@ -247,7 +247,7 @@ void
 expectScalabilityRepeats(const M3RunOpts &opts, uint32_t instances)
 {
     auto run = [&] {
-        trace::Tracer::enable(1 << 16);
+        trace::Tracer::enable();
         trace::Tracer::reset();
         ScalabilityResult r = runM3Scalability("tar", instances, opts);
         std::string json = trace::Tracer::toJson();
@@ -277,7 +277,7 @@ TEST(Determinism, MultiKernelRandomWorkloadPins)
     // children's compute amounts and message mix come from the seed;
     // one child is always placed in the peer kernel's domain.
     auto traced = [](uint64_t seed) {
-        trace::Tracer::enable(1 << 16);
+        trace::Tracer::enable();
         trace::Tracer::reset();
         M3SystemCfg cfg;
         cfg.numKernels = 2;
@@ -337,7 +337,7 @@ TEST(Determinism, DistfsOffMatchesSeedPins)
     // paths — default endpoint provisioning, single DRAM module, plain
     // m3fs — and replay the SingleKernelMatchesSeedPins pins bit for
     // bit: same wall cycles, same serialized trace.
-    trace::Tracer::enable(1 << 16);
+    trace::Tracer::enable();
     trace::Tracer::reset();
     Cycles wall = 0;
     std::string json;

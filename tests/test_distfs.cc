@@ -453,7 +453,7 @@ TEST(Distfs, DegradedModeDeterministicAcrossRepeats)
     // fault-free hook), must produce the same wall clock and
     // byte-identical trace JSON across repeats.
     auto run = [] {
-        trace::Tracer::enable(1 << 16);
+        trace::Tracer::enable();
         trace::Tracer::reset();
         M3SystemCfg cfg;
         cfg.appPes = 2;
@@ -530,7 +530,7 @@ TEST(Distfs, ReplicasDefaultMatchesStripedPins)
     // namespace waves. These pins (wall cycles, trace size + djb2 hash)
     // were captured when replication landed; any drift means the
     // unreplicated path changed.
-    trace::Tracer::enable(1 << 16);
+    trace::Tracer::enable();
     trace::Tracer::reset();
     Cycles wall = 0;
     std::string json;

@@ -142,7 +142,7 @@ TEST(Migration, MigratingRunIsTraceByteIdentical)
     // context transfers, the migration itself — must serialize to
     // byte-identical JSON across two runs of the same configuration.
     auto traced = [] {
-        trace::Tracer::enable(1 << 16);
+        trace::Tracer::enable();
         trace::Tracer::reset();
         DrainRun r = runDrainWorkload(true);
         std::string json =

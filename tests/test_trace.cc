@@ -84,7 +84,6 @@ TEST_F(Trace, DisabledTracerRecordsNothing)
     ASSERT_EQ(rc, 0);
     EXPECT_GT(wall, 0u);
     EXPECT_EQ(trace::Tracer::eventCount(), 0u);
-    EXPECT_EQ(trace::Tracer::droppedEvents(), 0u);
     EXPECT_EQ(trace::Metrics::toJson().find("dtu."), std::string::npos);
 }
 
@@ -137,6 +136,81 @@ TEST_F(Trace, TraceJsonHasEveryPhaseAndNamedTracks)
           "\"ph\":\"s\"", "\"ph\":\"f\"", "\"ph\":\"M\"", "noc:pkt",
           "dtu:read", "\"dram\""})
         EXPECT_NE(doc.find(needle), std::string::npos) << needle;
+}
+
+/** The cycle a fake clock reads: tracer tests without a machine. */
+uint64_t fakeNow = 0;
+
+uint64_t
+fakeClock(const void *)
+{
+    return fakeNow;
+}
+
+TEST_F(Trace, ExportOrderIsPinnedExactly)
+{
+    fakeNow = 10;
+    trace::Tracer::setClock(fakeClock, &fakeNow);
+    trace::Tracer::enable();
+    trace::Tracer::trackName(2, "old");
+    trace::Tracer::trackName(2, "pe2");   // last name wins
+    trace::Tracer::trackName(9, "idle");  // named, never gets an event
+    trace::Tracer::trackName(5, "");      // an empty name exports none
+    // Tracks interleave in recording order; the export groups them by id.
+    trace::Tracer::spanBegin(2, "outer");
+    trace::Tracer::instant(1, "unnamed");
+    trace::Tracer::flowEnd(5, 40, 7, "pkt");  // stamped with a future cycle
+    trace::Tracer::flowBegin(2, 10, 7, "pkt");
+    fakeNow = 20;
+    trace::Tracer::counter(2, "app", 3);
+    trace::Tracer::complete(5, 15, 5, "slice");
+    trace::Tracer::instant(1, "second");
+    fakeNow = 30;
+    trace::Tracer::spanEnd(2);
+    trace::Tracer::instant(5, "mid");
+    trace::Tracer::clearClock(&fakeNow);
+
+    EXPECT_EQ(trace::Tracer::eventCount(), 9u);
+    EXPECT_EQ(
+        trace::Tracer::toJson(),
+        "{\"traceEvents\":[\n"
+        "{\"ph\":\"i\",\"name\":\"unnamed\",\"s\":\"t\",\"ts\":10,"
+        "\"pid\":0,\"tid\":1},\n"
+        "{\"ph\":\"i\",\"name\":\"second\",\"s\":\"t\",\"ts\":20,"
+        "\"pid\":0,\"tid\":1},\n"
+        "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":0,\"tid\":2,"
+        "\"args\":{\"name\":\"pe2\"}},\n"
+        "{\"ph\":\"B\",\"name\":\"outer\",\"cat\":\"sim\",\"ts\":10,"
+        "\"pid\":0,\"tid\":2},\n"
+        "{\"ph\":\"s\",\"name\":\"pkt\",\"cat\":\"noc\",\"id\":\"0x7\","
+        "\"ts\":10,\"pid\":0,\"tid\":2},\n"
+        "{\"ph\":\"C\",\"name\":\"app\",\"ts\":20,\"pid\":0,\"tid\":2,"
+        "\"args\":{\"value\":3}},\n"
+        "{\"ph\":\"E\",\"ts\":30,\"pid\":0,\"tid\":2},\n"
+        "{\"ph\":\"X\",\"name\":\"slice\",\"cat\":\"sim\",\"ts\":15,"
+        "\"dur\":5,\"pid\":0,\"tid\":5},\n"
+        "{\"ph\":\"i\",\"name\":\"mid\",\"s\":\"t\",\"ts\":30,\"pid\":0,"
+        "\"tid\":5},\n"
+        "{\"ph\":\"f\",\"bp\":\"e\",\"name\":\"pkt\",\"cat\":\"noc\","
+        "\"id\":\"0x7\",\"ts\":40,\"pid\":0,\"tid\":5},\n"
+        "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":0,\"tid\":9,"
+        "\"args\":{\"name\":\"idle\"}}\n"
+        "],\"displayTimeUnit\":\"ns\"}\n");
+}
+
+TEST_F(Trace, NoEventIsLost)
+{
+    constexpr uint64_t N = 70000;
+    trace::Tracer::enable();
+    for (uint64_t i = 0; i < N; ++i)
+        trace::Tracer::instant(3, "tick");
+    EXPECT_EQ(trace::Tracer::eventCount(), N);
+    const std::string doc = trace::Tracer::toJson();
+    uint64_t exported = 0;
+    for (size_t at = doc.find("\"tick\""); at != std::string::npos;
+         at = doc.find("\"tick\"", at + 1))
+        ++exported;
+    EXPECT_EQ(exported, N);
 }
 
 TEST_F(Trace, MetricsJsonKeepsItsSchema)

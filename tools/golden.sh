@@ -1,7 +1,7 @@
 #!/bin/sh
 # Byte-identity gate: hash the stdout (and the trace, metrics and SLO
 # files) of every figure and section bench, the robustness drills, the
-# open-loop driver, every example and five m3bench runs (two tar
+# open-loop driver, every example and five m3bench runs (two traced tar
 # scalability runs, three that pin the machine knobs), and compare
 # the hashes with the committed manifest tests/golden.sha256. Simulated
 # results are deterministic and sanitizer-independent, so the same
@@ -62,7 +62,7 @@ for e in quickstart fileio pipeline capabilities taskfarm fft_pipeline; do
     run "example.$e" "$build/examples/$e"
 done
 run m3bench.tar240 "$build/tools/m3bench" tar --instances 240 \
-    --kernels 4 --fs-instances 4
+    --kernels 4 --fs-instances 4 --trace="$out/m3bench.tar240.trace"
 run m3bench.tar16 "$build/tools/m3bench" tar --instances 16 \
     --trace="$out/m3bench.tar16.trace" \
     --metrics="$out/m3bench.tar16.metrics"

@@ -20,10 +20,10 @@
  *   --stripes N        stripe the data plane over N m3fs instances
  *                      (distfs; needs --instances)
  *   --stripe-unit B    distfs striping unit in blocks (default 8;
- *                      needs --instances)
+ *                      needs --stripes)
  *   --replicas R       distfs replication factor (default 1 = off;
- *                      needs --instances)
- *   --io-chunk N       streaming buffer override for trace benches
+ *                      needs --stripes)
+ *   --io-chunk N       streaming buffer override for trace workloads
  *   --kernels K        shard the control plane over K kernels
  *   --bytes N          transfer size for read/write/pipe (default 2 MiB)
  *   --buf N            buffer size (default 4096)
@@ -38,18 +38,21 @@
  *                      write the folded samples (tools/hostprof.py)
  *
  * --kernels, --fs-instances, --append-blocks and --frag shape the M3
- * machine in both modes. A single-machine run refuses the distfs
- * options: it pre-builds its image and cannot stripe it.
+ * machine in both modes. m3bench refuses, with exit code 2, a flag its
+ * run would ignore: the distfs options on a single-machine run (it
+ * pre-builds its image and cannot stripe it), --stripe-unit and
+ * --replicas without --stripes, --io-chunk on a workload that streams
+ * no file, --accel outside fft, and a malformed number.
  */
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <set>
 #include <string>
 
+#include "base/cli.hh"
 #include "host_profile.hh"
-#include "trace/metrics.hh"
-#include "trace/trace.hh"
+#include "trace/sinkfiles.hh"
 #include "workloads/generators.hh"
 #include "workloads/micro.hh"
 #include "workloads/runners.hh"
@@ -73,25 +76,6 @@ usage()
         "  --workload NAME --trace=FILE --metrics=FILE\n"
         "  --host-profile=FILE\n");
     std::exit(2);
-}
-
-std::string traceFile;
-std::string metricsFile;
-
-/** Write the pending trace/metrics dumps (call once, before exiting). */
-void
-writeObservability()
-{
-    if (!traceFile.empty() && !trace::Tracer::writeJson(traceFile)) {
-        std::fprintf(stderr, "m3bench: cannot write trace to %s\n",
-                     traceFile.c_str());
-        std::exit(1);
-    }
-    if (!metricsFile.empty() && !trace::Metrics::writeJson(metricsFile)) {
-        std::fprintf(stderr, "m3bench: cannot write metrics to %s\n",
-                     metricsFile.c_str());
-        std::exit(1);
-    }
 }
 
 bool jsonOutput = false;
@@ -138,17 +122,22 @@ main(int argc, char **argv)
     bool accel = false;
     uint32_t instances = 0;
     MicroOpts micro;
-    const char *distfsFlag = nullptr;  //!< a distfs flag given, if any
+    trace::SinkFiles sinks;
+    std::set<std::string> given;  //!< every flag on the command line
     std::string hostProfileFile;
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
-        auto intArg = [&](const char *) {
+        auto num = [&](auto &field) {
             if (i + 1 >= argc)
                 usage();
-            return static_cast<uint64_t>(std::strtoull(argv[++i],
-                                                       nullptr, 0));
+            ++i;
+            parseFlagNumber(arg.c_str(), argv[i], field);
         };
+        if (arg.rfind("--", 0) == 0)
+            given.insert(arg);
+        if (sinks.parse(arg))
+            continue;
         if (arg == "--lx") {
             onLx = true;
         } else if (arg == "--lx-hit") {
@@ -160,41 +149,33 @@ main(int argc, char **argv)
         } else if (arg == "--accel") {
             accel = true;
         } else if (arg == "--instances") {
-            instances = static_cast<uint32_t>(intArg("instances"));
+            num(instances);
         } else if (arg == "--fs-instances") {
-            micro.m3.fsInstances = static_cast<uint32_t>(intArg("fs"));
+            num(micro.m3.fsInstances);
         } else if (arg == "--stripes") {
-            micro.m3.distfsStripes = static_cast<uint32_t>(intArg("s"));
-            distfsFlag = "--stripes";
+            num(micro.m3.distfsStripes);
         } else if (arg == "--stripe-unit") {
-            micro.m3.distfsUnitBlocks =
-                static_cast<uint32_t>(intArg("u"));
-            distfsFlag = "--stripe-unit";
+            num(micro.m3.distfsUnitBlocks);
         } else if (arg == "--replicas") {
-            micro.m3.distfsReplicas = static_cast<uint32_t>(intArg("r"));
-            distfsFlag = "--replicas";
+            num(micro.m3.distfsReplicas);
         } else if (arg == "--io-chunk") {
-            micro.m3.ioChunk = static_cast<uint32_t>(intArg("c"));
+            num(micro.m3.ioChunk);
         } else if (arg == "--kernels") {
-            micro.m3.numKernels = static_cast<uint32_t>(intArg("k"));
+            num(micro.m3.numKernels);
         } else if (arg == "--bytes") {
-            micro.fileBytes = intArg("bytes");
+            num(micro.fileBytes);
         } else if (arg == "--buf") {
-            micro.bufSize = static_cast<uint32_t>(intArg("buf"));
+            num(micro.bufSize);
         } else if (arg == "--append-blocks") {
-            micro.m3.fsAppendBlocks = static_cast<uint32_t>(intArg("ab"));
+            num(micro.m3.fsAppendBlocks);
         } else if (arg == "--frag") {
-            micro.m3.fsBlocksPerExtent = static_cast<uint32_t>(intArg("f"));
+            num(micro.m3.fsBlocksPerExtent);
         } else if (arg == "--json") {
             jsonOutput = true;
         } else if (arg == "--workload") {
             if (i + 1 >= argc)
                 usage();
             workload = argv[++i];
-        } else if (arg.rfind("--trace=", 0) == 0) {
-            traceFile = arg.substr(8);
-        } else if (arg.rfind("--metrics=", 0) == 0) {
-            metricsFile = arg.substr(10);
         } else if (arg.rfind("--host-profile=", 0) == 0) {
             hostProfileFile = arg.substr(15);
         } else if (arg.rfind("--", 0) != 0 && workload.empty()) {
@@ -205,12 +186,6 @@ main(int argc, char **argv)
     }
     if (workload.empty())
         usage();
-    const HostProfile hostProfile(hostProfileFile);
-
-    if (!traceFile.empty())
-        trace::Tracer::enable();
-    if (!metricsFile.empty())
-        trace::Metrics::enable();
 
     // "fig6" is shorthand for the paper's Fig. 6 setup: the tar workload
     // scaled over parallel instances (8 unless --instances overrides).
@@ -220,13 +195,32 @@ main(int argc, char **argv)
             instances = 8;
     }
 
-    if (distfsFlag && instances == 0) {
-        std::fprintf(stderr,
-                     "%s needs --instances: a single-machine run "
-                     "pre-builds its image and cannot stripe it\n",
-                     distfsFlag);
-        return 2;
-    }
+    // Refuse each flag this run would ignore.
+    auto refuse = [&given](const char *flag, const char *why) {
+        if (given.count(flag)) {
+            std::fprintf(stderr, "%s %s\n", flag, why);
+            std::exit(2);
+        }
+    };
+    for (const char *flag : {"--stripes", "--stripe-unit", "--replicas"})
+        if (instances == 0)
+            refuse(flag, "needs --instances: a single-machine run "
+                         "pre-builds its image and cannot stripe it");
+    for (const char *flag : {"--stripe-unit", "--replicas"})
+        if (micro.m3.distfsStripes < 2)
+            refuse(flag, "needs --stripes N with N > 1: an unstriped "
+                         "run has no stripes to shape");
+    for (const char *w : {"cat+tr", "fft", "read", "write", "pipe",
+                          "syscall"})
+        if (workload == w)
+            refuse("--io-chunk", "sizes the streaming buffers of the "
+                                 "trace workloads (tar, untar, find, "
+                                 "sqlite) only");
+    if (workload != "fft")
+        refuse("--accel", "applies only to fft");
+
+    const HostProfile hostProfile(hostProfileFile);
+    sinks.enable();
 
     // Scalability mode.
     if (instances > 0) {
@@ -237,7 +231,8 @@ main(int argc, char **argv)
         }
         ScalabilityResult r = runM3Scalability(workload, instances,
                                                micro.m3);
-        writeObservability();
+        if (!sinks.write("m3bench"))
+            return 1;
         if (r.rc != 0) {
             std::printf("FAILED (rc=%d)\n", r.rc);
             return 1;
@@ -302,6 +297,5 @@ main(int argc, char **argv)
         if (!found)
             usage();
     }
-    writeObservability();
-    return 0;
+    return sinks.write("m3bench") ? 0 : 1;
 }
