@@ -1,6 +1,6 @@
 #include "dtu/dtu.hh"
 
-#include <cstring>
+#include <algorithm>
 #include <memory>
 #include <utility>
 
@@ -11,6 +11,41 @@
 
 namespace m3
 {
+
+namespace
+{
+
+/** Every closure the DTU hands the NoC or the event queue fits SmallFn's
+ *  inline storage: no command path allocates per event. */
+template <class Fn>
+Fn
+inlineFn(Fn fn)
+{
+    static_assert(EventQueue::Callback::fitsInline<Fn>(),
+                  "DTU closure must stay within SmallFn's inline storage "
+                  "(no heap on a command path)");
+    return fn;
+}
+
+/** Wake the fiber registered in @p w, if any, and clear @p w. */
+void
+wake(Fiber *&w)
+{
+    if (Fiber *f = std::exchange(w, nullptr))
+        f->unblock();
+}
+
+/** Register @p f in @p w, or (!@p on) drop it if it is still f's. */
+void
+holdOne(Fiber *&w, Fiber *f, bool on)
+{
+    if (on)
+        w = f;
+    else if (w == f)
+        w = nullptr;
+}
+
+} // anonymous namespace
 
 Dtu::Dtu(EventQueue &eq, Noc &noc, Spm &spm, uint32_t nocId,
          const HwCosts &hw, epid_t epCount)
@@ -112,9 +147,9 @@ Dtu::invalidateEp(epid_t id)
 // External (remote) configuration.
 // ---------------------------------------------------------------------
 
+template <class Fn>
 Error
-Dtu::sendExt(uint32_t targetNode, std::function<Error(Dtu &)> apply,
-             std::function<void(Error)> onDone)
+Dtu::ext(uint32_t targetNode, Fn onArrival, bool withCtx)
 {
     if (!privileged)
         return Error::NotPrivileged;
@@ -122,30 +157,37 @@ Dtu::sendExt(uint32_t targetNode, std::function<Error(Dtu &)> apply,
     if (!target)
         panic("ext request to node %u which has no DTU", targetNode);
     dtuStats.extConfigs++;
-    // Config packets are small: header-sized on the wire.
-    noc.send(nocId, targetNode, 0,
-             [this, target, targetNode, apply = std::move(apply),
-              onDone = std::move(onDone)] {
-                 Error e = apply(*target);
-                 if (onDone) {
-                     if (faults &&
-                         faults->refuseExtAck(eq.curCycle(), targetNode,
-                                              nocId)) {
-                         // Config applied, ack suppressed: the sender
-                         // has to recover via its own deadline.
-                         if (M3_TRACE_ON)
-                             trace::Tracer::instant(
-                                 trace::dtuTrack(targetNode),
-                                 "fault:extack");
-                         logtrace("node%u: fault: ext ack from node%u "
-                                  "refused", nocId, targetNode);
-                         return;
-                     }
-                     noc.send(targetNode, nocId, 0,
-                              [onDone, e] { onDone(e); });
-                 }
-             });
+    // Config packets are small: header-sized on the wire, unless the
+    // register file travels with the request.
+    noc.send(nocId, targetNode, withCtx ? target->ctxWireBytes() : 0,
+             inlineFn([target, fn = std::move(onArrival)]() mutable {
+                 fn(*target);
+             }));
     return Error::None;
+}
+
+Error
+Dtu::sendExt(uint32_t targetNode, std::function<Error(Dtu &)> apply,
+             std::function<void(Error)> onDone)
+{
+    return ext(targetNode, [this, targetNode, apply = std::move(apply),
+                            onDone = std::move(onDone)](Dtu &target) {
+        Error e = apply(target);
+        if (!onDone)
+            return;
+        if (faults &&
+            faults->refuseExtAck(eq.curCycle(), targetNode, nocId)) {
+            // Config applied, ack suppressed: the sender has to recover
+            // via its own deadline.
+            if (M3_TRACE_ON)
+                trace::Tracer::instant(trace::dtuTrack(targetNode),
+                                       "fault:extack");
+            logtrace("node%u: fault: ext ack from node%u refused", nocId,
+                     targetNode);
+            return;
+        }
+        noc.send(targetNode, nocId, 0, inlineFn([onDone, e] { onDone(e); }));
+    });
 }
 
 Error
@@ -266,71 +308,49 @@ Dtu::extStartVpe(uint32_t targetNode, uint64_t vpeId,
 Error
 Dtu::extDrain(uint32_t targetNode, std::function<void(Error)> onDone)
 {
-    if (!privileged)
-        return Error::NotPrivileged;
-    Dtu *target = dtuAt ? dtuAt(targetNode) : nullptr;
-    if (!target)
-        panic("ext drain to node %u which has no DTU", targetNode);
-    dtuStats.extConfigs++;
-    noc.send(nocId, targetNode, 0,
-             [this, target, targetNode, onDone = std::move(onDone)] {
-                 auto ack = [this, targetNode, onDone] {
-                     if (onDone)
-                         noc.send(targetNode, nocId, 0,
-                                  [onDone] { onDone(Error::None); });
-                 };
-                 // Unlike the other ext ops the ack is deferred until the
-                 // target is idle: that is the whole point of a drain.
-                 if (!target->busy)
-                     ack();
-                 else
-                     target->idleWaiters.push_back(std::move(ack));
-             });
-    return Error::None;
+    return ext(targetNode, [this, targetNode,
+                            onDone = std::move(onDone)](Dtu &target) {
+        auto ack = [this, targetNode, onDone] {
+            if (onDone)
+                noc.send(targetNode, nocId, 0,
+                         inlineFn([onDone] { onDone(Error::None); }));
+        };
+        // Unlike the other ext ops the ack is deferred until the target
+        // is idle: that is the whole point of a drain.
+        if (!target.cmd.busy)
+            ack();
+        else
+            target.idleWaiters.push_back(std::move(ack));
+    });
 }
 
 Error
 Dtu::extFetchCtx(uint32_t targetNode, CtxState *out,
                  std::function<void(Error)> onDone)
 {
-    if (!privileged)
-        return Error::NotPrivileged;
-    Dtu *target = dtuAt ? dtuAt(targetNode) : nullptr;
-    if (!target)
-        panic("ext fetch-ctx to node %u which has no DTU", targetNode);
-    dtuStats.extConfigs++;
-    noc.send(nocId, targetNode, 0,
-             [this, target, targetNode, out,
-              onDone = std::move(onDone)] {
-                 target->fetchCtxLocal(*out);
-                 // The register file travels back with the ack.
-                 if (onDone)
-                     noc.send(targetNode, nocId, target->ctxWireBytes(),
-                              [onDone] { onDone(Error::None); });
-             });
-    return Error::None;
+    return ext(targetNode, [this, targetNode, out,
+                            onDone = std::move(onDone)](Dtu &target) {
+        target.fetchCtxLocal(*out);
+        // The register file travels back with the ack.
+        if (onDone)
+            noc.send(targetNode, nocId, target.ctxWireBytes(),
+                     inlineFn([onDone] { onDone(Error::None); }));
+    });
 }
 
 Error
 Dtu::extRestoreCtx(uint32_t targetNode, const CtxState *st,
                    std::function<void(Error)> onDone)
 {
-    if (!privileged)
-        return Error::NotPrivileged;
-    Dtu *target = dtuAt ? dtuAt(targetNode) : nullptr;
-    if (!target)
-        panic("ext restore-ctx to node %u which has no DTU", targetNode);
-    dtuStats.extConfigs++;
-    // The register file travels with the request.
-    noc.send(nocId, targetNode, target->ctxWireBytes(),
-             [this, target, targetNode, st,
-              onDone = std::move(onDone)] {
-                 target->restoreCtxLocal(*st);
-                 if (onDone)
-                     noc.send(targetNode, nocId, 0,
-                              [onDone] { onDone(Error::None); });
-             });
-    return Error::None;
+    return ext(
+        targetNode,
+        [this, targetNode, st, onDone = std::move(onDone)](Dtu &target) {
+            target.restoreCtxLocal(*st);
+            if (onDone)
+                noc.send(targetNode, nocId, 0,
+                         inlineFn([onDone] { onDone(Error::None); }));
+        },
+        /*withCtx=*/true);
 }
 
 Error
@@ -356,13 +376,12 @@ Dtu::fetchCtxLocal(CtxState &out)
     // raced a brand-new command; abort it and give the credit back so
     // the saved context is self-consistent (the VPE's retry layer sees
     // a loss, which it already handles).
-    if (busy)
-        abortCommand(true);
+    abortCommand(true);
     abortXfers();
     out.eps = eps;
     out.recvState = recvState;
     out.generation = generation;
-    out.lastErr = cmdError;
+    out.lastErr = cmd.err;
     // Park the fetched generation: messages addressed to it are buffered
     // until the kernel restores or discards it. The PE itself is left
     // ownerless (generation 0 is never assigned).
@@ -380,7 +399,7 @@ Dtu::restoreCtxLocal(const CtxState &st)
     eps = st.eps;
     recvState = st.recvState;
     generation = st.generation;
-    cmdError = st.lastErr;
+    cmd.err = st.lastErr;
     ctxSwitchEpoch++;
     // Deliver what arrived while this VPE was descheduled, in arrival
     // order. handleMsg re-runs the full acceptance checks against the
@@ -413,53 +432,57 @@ Dtu::applyReset()
     for (auto &[gen, msgs] : parkedMsgs)
         dtuStats.msgsDropped += msgs.size();
     parkedMsgs.clear();
-    if (busy)
-        abortCommand();
+    abortCommand();
     abortXfers();
 }
 
 void
 Dtu::abortXfers()
 {
-    // Invalidate every in-flight parallel slot: a late completion must
-    // not write into an SPM the PE's next owner may already use. The
+    // A late completion of an aborted slot must not write into an SPM
+    // the PE's next owner may already use: owns() refuses it. The
     // waiting fiber (if any) observes the abort through waitXferAll.
-    bool aborted = false;
-    for (XferSlot &x : xferSlots) {
-        if (!x.busy)
-            continue;
-        x.seq++;  // stale completions compare against this and bail
-        x.busy = false;
-        x.err = Error::Aborted;
-        aborted = true;
-    }
-    if (aborted && xferWaiter) {
-        Fiber *w = xferWaiter;
-        xferWaiter = nullptr;
-        w->unblock();
-    }
+    for (Channel &x : xferSlots)
+        if (x.busy)
+            finish(x, Error::Aborted);
 }
 
 // ---------------------------------------------------------------------
-// Commands.
+// The command engine: channels, completion and the one wait loop.
 // ---------------------------------------------------------------------
 
-void
-Dtu::finishCommand(Error e)
+uint64_t
+Dtu::begin(Channel &ch, const char *name)
 {
-    // The busy flag serializes commands, so B/E events on the DTU track
-    // never overlap; every start* that sets busy opened a span.
+    ch.busy = true;
+    ch.err = Error::None;
+    // The busy flag serializes the commands on the registers, so their
+    // B/E spans on the DTU track never overlap; the slots overlap, so
+    // they show as instants.
+    if (M3_TRACE_ON) {
+        if (&ch == &cmd)
+            trace::Tracer::spanBegin(trace::dtuTrack(nocId), name);
+        else
+            trace::Tracer::instant(trace::dtuTrack(nocId), name);
+    }
+    return ++ch.seq;
+}
+
+void
+Dtu::finish(Channel &ch, Error e)
+{
+    ch.busy = false;
+    ch.err = e;
+    if (&ch != &cmd) {
+        if (!anyXferBusy())
+            wake(xferWaiter);
+        return;
+    }
     if (M3_TRACE_ON)
         trace::Tracer::spanEnd(trace::dtuTrack(nocId));
-    busy = false;
-    cmdError = e;
     cmdEp = INVALID_EP;
     cmdTookCredit = false;
-    if (cmdWaiter) {
-        Fiber *w = cmdWaiter;
-        cmdWaiter = nullptr;
-        w->unblock();
-    }
+    wake(cmdWaiter);
     if (!idleWaiters.empty()) {
         auto acks = std::move(idleWaiters);
         idleWaiters.clear();
@@ -469,24 +492,13 @@ Dtu::finishCommand(Error e)
 }
 
 void
-Dtu::completeCommand(uint64_t seq, Error e)
-{
-    // A completion of an aborted (and possibly superseded) command must
-    // not touch the DTU state: after an abort, busy is false; after a
-    // new command started, the epoch differs.
-    if (!busy || seq != cmdSeq)
-        return;
-    finishCommand(e);
-}
-
-void
 Dtu::abortCommand(bool refund)
 {
-    if (!busy)
+    if (!cmd.busy)
         return;
     epid_t ep = cmdEp;
     bool took = cmdTookCredit;
-    finishCommand(Error::Aborted);
+    finish(cmd, Error::Aborted);
     if (refund && took && ep != INVALID_EP)
         refundCredit(ep);
 }
@@ -510,70 +522,104 @@ Dtu::refundCredit(epid_t id)
 void
 Dtu::removeWaiter(Fiber *f)
 {
-    if (cmdWaiter == f)
-        cmdWaiter = nullptr;
-    if (xferWaiter == f)
-        xferWaiter = nullptr;
+    holdOne(cmdWaiter, f, false);
+    holdOne(xferWaiter, f, false);
     for (epid_t i = 0; i < epCnt; ++i)
-        if (msgWaiters[i] == f)
-            msgWaiters[i] = nullptr;
+        holdOne(msgWaiters[i], f, false);
+}
+
+template <class Ready, class Hold>
+Error
+Dtu::waitFor(Ready ready, Hold hold, Cycles timeout)
+{
+    Fiber *self = Fiber::current();
+    if (!self)
+        panic("DTU wait outside a fiber");
+    // A migration invalidates the wait: the fiber now lives on another
+    // PE, and what this DTU completes belongs to whoever owns it next.
+    const uint32_t moved = self->moveEpoch();
+    // The timer and the wake race: the timer fires only while the wait
+    // is armed, so a late timer event is harmless.
+    std::shared_ptr<bool> armed;
+    if (timeout) {
+        armed = std::make_shared<bool>(true);
+        eq.schedule(timeout, inlineFn([self, armed] {
+            if (*armed) {
+                *armed = false;
+                self->unblock();
+            }
+        }));
+    }
+    while (!ready() && (!armed || *armed)) {
+        hold(self, true);
+        self->block();
+        hold(self, false);
+        if (self->moveEpoch() != moved)
+            break;
+    }
+    if (armed)
+        *armed = false;
+    if (self->moveEpoch() != moved)
+        return Error::VpeMoved;
+    return ready() ? Error::None : Error::Timeout;
 }
 
 Error
 Dtu::waitUntilIdle(Cycles timeout)
 {
-    Fiber *self = Fiber::current();
-    if (!self)
-        panic("waitUntilIdle outside a fiber");
-    // A migration invalidates this wait: the fiber now lives on another
-    // PE and this DTU's completion belongs to whoever owns it next.
-    const uint32_t moved = self->moveEpoch();
-    if (timeout == 0) {
-        while (busy) {
-            cmdWaiter = self;
-            self->block();
-            if (self->moveEpoch() != moved) {
-                if (cmdWaiter == self)
-                    cmdWaiter = nullptr;
-                return Error::VpeMoved;
-            }
-        }
-        return cmdError;
-    }
-    // The timer and the completion race; both sides check the shared
-    // flags so a late timer event is harmless.
-    auto expired = std::make_shared<bool>(false);
-    auto armed = std::make_shared<bool>(true);
-    eq.schedule(timeout, [self, expired, armed] {
-        if (*armed) {
-            *expired = true;
-            self->unblock();
-        }
-    });
-    while (busy && !*expired) {
-        cmdWaiter = self;
-        self->block();
-        if (self->moveEpoch() != moved) {
-            *armed = false;
-            if (cmdWaiter == self)
-                cmdWaiter = nullptr;
-            return Error::VpeMoved;
-        }
-    }
-    *armed = false;
-    if (busy) {
-        if (cmdWaiter == self)
-            cmdWaiter = nullptr;
-        return Error::Timeout;
-    }
-    return cmdError;
+    Error e = waitFor(
+        [this] { return !cmd.busy; },
+        [this](Fiber *f, bool on) { holdOne(cmdWaiter, f, on); }, timeout);
+    return e == Error::None ? cmd.err : e;
 }
+
+Error
+Dtu::waitXferAll()
+{
+    Error e = waitFor(
+        [this] { return !anyXferBusy(); },
+        [this](Fiber *f, bool on) { holdOne(xferWaiter, f, on); }, 0);
+    if (e != Error::None)
+        return e;
+    for (const Channel &x : xferSlots)
+        if (x.err != Error::None)
+            return x.err;
+    return Error::None;
+}
+
+Error
+Dtu::waitForMsg(epid_t id, Cycles timeout)
+{
+    return waitFor(
+        [this, id] { return hasMsg(id); },
+        [this, id](Fiber *f, bool on) { holdOne(msgWaiters[id], f, on); },
+        timeout);
+}
+
+Error
+Dtu::waitForMsgs(const std::vector<epid_t> &ids, Cycles timeout)
+{
+    return waitFor(
+        [this, &ids] {
+            return std::any_of(ids.begin(), ids.end(),
+                               [this](epid_t id) { return hasMsg(id); });
+        },
+        [this, &ids](Fiber *f, bool on) {
+            for (epid_t id : ids)
+                holdOne(msgWaiters[id], f, on);
+        },
+        timeout);
+}
+
+// ---------------------------------------------------------------------
+// Messages.
+// ---------------------------------------------------------------------
 
 Error
 Dtu::startSend(epid_t id, spmaddr_t msgAddr, uint32_t size, epid_t replyEp,
                label_t replyLabel)
 {
-    if (busy)
+    if (cmd.busy)
         return Error::DtuBusy;
     EpRegs &r = epRef(id);
     if (r.type != EpType::Send)
@@ -607,37 +653,8 @@ Dtu::startSend(epid_t id, spmaddr_t msgAddr, uint32_t size, epid_t replyEp,
     hdr.targetGen = r.send.targetGen;
     hdr.flags = (replyEp != INVALID_EP) ? MessageHeader::FL_REPLY_EN : 0;
 
-    std::vector<uint8_t> payload(size);
-    if (size)
-        spm.read(msgAddr, payload.data(), size);
-    hdr.payloadSum = payloadChecksum(payload.data(), payload.size());
-    if (faults && size) {
-        uint64_t off = 0;
-        if (faults->corruptPayload(eq.curCycle(), nocId, r.send.targetNode,
-                                   size, off)) {
-            // Flip one byte "on the wire": the checksum was computed
-            // from the intact payload, so the receiver detects it.
-            payload[off] ^= 0xa5;
-            if (M3_TRACE_ON)
-                trace::Tracer::instant(trace::dtuTrack(nocId),
-                                       "fault:corrupt");
-        }
-    }
-
-    busy = true;
-    cmdEp = id;
-    cmdTookCredit = tookCredit;
-    if (M3_TRACE_ON)
-        trace::Tracer::spanBegin(trace::dtuTrack(nocId), "dtu:send");
-    const uint64_t seq = ++cmdSeq;
-    dtuStats.msgsSent++;
-
-    Dtu *target = dtuAt(r.send.targetNode);
-    if (!target)
-        panic("send to node %u which has no DTU", r.send.targetNode);
-    epid_t tep = r.send.targetEp;
     logtrace("node%u: send ep%u -> node%u ep%u label=%llx size=%u",
-             nocId, id, r.send.targetNode, tep,
+             nocId, id, r.send.targetNode, r.send.targetEp,
              (unsigned long long)r.send.label, size);
     // Request-tracing shadow: if the sending fiber carries a request
     // context, open a new span and ship its context with the message.
@@ -648,26 +665,17 @@ Dtu::startSend(epid_t id, spmaddr_t msgAddr, uint32_t size, epid_t replyEp,
             rctx = trace::ReqTrace::msgSent(f->reqCtx(), eq.curCycle(),
                                             nocId);
     }
-    auto deliver = [target, tep, hdr, rctx,
-                    payload = std::move(payload)]() mutable {
-        target->handleMsg(tep, hdr, std::move(payload), rctx);
-    };
-    static_assert(Noc::DeliverFn::fitsInline<decltype(deliver)>(),
-                  "DTU delivery closure must stay within SmallFn's "
-                  "inline storage (no heap on the message path)");
-    noc.send(nocId, r.send.targetNode, size, std::move(deliver));
-
-    // The source side is free again once the tail left the injection port.
-    Cycles ser = (size + hw.msgHeaderSize + hw.nocBytesPerCycle - 1) /
-                 hw.nocBytesPerCycle;
-    eq.schedule(ser, [this, seq] { completeCommand(seq, Error::None); });
+    cmdEp = id;
+    cmdTookCredit = tookCredit;
+    ship(hdr, msgAddr, size, r.send.targetNode, r.send.targetEp, rctx,
+         "dtu:send");
     return Error::None;
 }
 
 Error
 Dtu::startReply(epid_t id, uint32_t slot, spmaddr_t msgAddr, uint32_t size)
 {
-    if (busy)
+    if (cmd.busy)
         return Error::DtuBusy;
     EpRegs &r = epRef(id);
     if (r.type != EpType::Receive)
@@ -703,21 +711,6 @@ Dtu::startReply(epid_t id, uint32_t slot, spmaddr_t msgAddr, uint32_t size)
     hdr.targetGen = orig.senderGen;
     hdr.flags = MessageHeader::FL_REPLY;
 
-    std::vector<uint8_t> payload(size);
-    if (size)
-        spm.read(msgAddr, payload.data(), size);
-    hdr.payloadSum = payloadChecksum(payload.data(), payload.size());
-    if (faults && size) {
-        uint64_t off = 0;
-        if (faults->corruptPayload(eq.curCycle(), nocId, orig.senderNode,
-                                   size, off)) {
-            payload[off] ^= 0xa5;
-            if (M3_TRACE_ON)
-                trace::Tracer::instant(trace::dtuTrack(nocId),
-                                       "fault:corrupt");
-        }
-    }
-
     // Replying also acknowledges the slot (frees it for new messages).
     recvState[id].slots[slot].s = RecvSlotState::S::Free;
     // Request-tracing shadow: the reply closes the span stored with the
@@ -731,27 +724,48 @@ Dtu::startReply(epid_t id, uint32_t slot, spmaddr_t msgAddr, uint32_t size)
     else
         rctx = 0;
 
-    busy = true;
-    if (M3_TRACE_ON)
-        trace::Tracer::spanBegin(trace::dtuTrack(nocId), "dtu:reply");
-    const uint64_t seq = ++cmdSeq;
+    ship(hdr, msgAddr, size, orig.senderNode, orig.replyEp, rctx,
+         "dtu:reply");
+    return Error::None;
+}
+
+void
+Dtu::ship(MessageHeader hdr, spmaddr_t msgAddr, uint32_t size,
+          uint32_t node, epid_t tep, uint64_t rctx, const char *span)
+{
+    Dtu *target = dtuAt(node);
+    if (!target)
+        panic("message to node %u which has no DTU", node);
+    std::vector<uint8_t> payload(size);
+    if (size)
+        spm.read(msgAddr, payload.data(), size);
+    hdr.payloadSum = payloadChecksum(payload.data(), payload.size());
+    if (faults && size) {
+        uint64_t off = 0;
+        if (faults->corruptPayload(eq.curCycle(), nocId, node, size, off)) {
+            // Flip one byte "on the wire": the checksum was computed
+            // from the intact payload, so the receiver detects it.
+            payload[off] ^= 0xa5;
+            if (M3_TRACE_ON)
+                trace::Tracer::instant(trace::dtuTrack(nocId),
+                                       "fault:corrupt");
+        }
+    }
+
+    const uint64_t seq = begin(cmd, span);
     dtuStats.msgsSent++;
-
-    Dtu *target = dtuAt(orig.senderNode);
-    epid_t tep = orig.replyEp;
-    auto deliver = [target, tep, hdr, rctx,
-                    payload = std::move(payload)]() mutable {
-        target->handleMsg(tep, hdr, std::move(payload), rctx);
-    };
-    static_assert(Noc::DeliverFn::fitsInline<decltype(deliver)>(),
-                  "DTU delivery closure must stay within SmallFn's "
-                  "inline storage (no heap on the message path)");
-    noc.send(nocId, orig.senderNode, size, std::move(deliver));
-
+    noc.send(nocId, node, size,
+             inlineFn([target, tep, hdr, rctx,
+                       payload = std::move(payload)]() mutable {
+                 target->handleMsg(tep, hdr, std::move(payload), rctx);
+             }));
+    // The source side is free again once the tail left the injection port.
     Cycles ser = (size + hw.msgHeaderSize + hw.nocBytesPerCycle - 1) /
                  hw.nocBytesPerCycle;
-    eq.schedule(ser, [this, seq] { completeCommand(seq, Error::None); });
-    return Error::None;
+    eq.schedule(ser, inlineFn([this, seq] {
+                    if (cmd.owns(seq))
+                        finish(cmd, Error::None);
+                }));
 }
 
 void
@@ -857,111 +871,89 @@ Dtu::handleMsg(epid_t id, const MessageHeader &hdr,
         }
     }
 
-    if (msgWaiters[id]) {
-        Fiber *w = msgWaiters[id];
-        msgWaiters[id] = nullptr;
-        w->unblock();
-    }
+    wake(msgWaiters[id]);
+}
+
+// ---------------------------------------------------------------------
+// Memory commands. The command registers and the parallel slots (distfs
+// striping) run one transfer path, with the same wire protocol and
+// timing; on the slots, transfers to different memory modules overlap.
+// ---------------------------------------------------------------------
+
+MemTarget *
+Dtu::memOf(const EpRegs &r) const
+{
+    MemTarget *mem = memAt(r.mem.targetNode);
+    if (!mem)
+        panic("memory EP targets node %u which has no memory",
+              r.mem.targetNode);
+    return mem;
+}
+
+Error
+Dtu::transfer(Channel &ch, bool write, epid_t id, spmaddr_t at, goff_t off,
+              uint64_t size)
+{
+    if (ch.busy)
+        return Error::DtuBusy;
+    const EpRegs &r = epRef(id);
+    Error e = memAccess(r, write ? MEM_W : MEM_R, off, size);
+    if (e != Error::None)
+        return e;
+    MemTarget *mem = memOf(r);
+    static constexpr const char *NAMES[2][2] = {
+        {"dtu:read", "dtu:readx"}, {"dtu:write", "dtu:writex"}};
+    const uint64_t seq = begin(ch, NAMES[write][&ch != &cmd]);
+    (write ? dtuStats.memWrites : dtuStats.memReads)++;
+    (write ? dtuStats.bytesWritten : dtuStats.bytesRead) += size;
+    const goff_t gaddr = r.mem.offset + off;
+    const uint32_t tnode = r.mem.targetNode;
+
+    // Request packet -> target latency -> response; a write carries the
+    // data in the request, a read in the response. The data travel as
+    // Bytes: shared bytes stay slices from the memory to the SPM and on
+    // to the next write, so a file copied through the SPM stays a
+    // reference (MemTarget::read, MemTarget::write).
+    std::shared_ptr<const Bytes> out;
+    if (write)
+        out = std::make_shared<const Bytes>(spm.read(at, size));
+    noc.send(nocId, tnode, write ? static_cast<uint32_t>(size) : 0,
+             inlineFn([this, mem, gaddr, size, at, tnode, out, c = &ch,
+                       seq] {
+        eq.schedule(mem->accessLatency(),
+                    inlineFn([this, mem, gaddr, size, at, tnode, out, c,
+                              seq] {
+            std::shared_ptr<const Bytes> in;
+            if (out)
+                mem->write(gaddr, *out);
+            else
+                in = std::make_shared<const Bytes>(mem->read(gaddr, size));
+            noc.send(tnode, nocId, in ? static_cast<uint32_t>(size) : 0,
+                     inlineFn([this, in, at, c, seq] {
+                         // Nothing of an aborted command reaches the
+                         // SPM: the PE may have a new owner.
+                         if (!c->owns(seq))
+                             return;
+                         if (in)
+                             spm.write(at, *in);
+                         finish(*c, Error::None);
+                     }));
+        }));
+    }));
+    return Error::None;
 }
 
 Error
 Dtu::startRead(epid_t id, spmaddr_t dstAddr, goff_t off, uint64_t size)
 {
-    if (busy)
-        return Error::DtuBusy;
-    EpRegs &r = epRef(id);
-    if (r.type != EpType::Memory)
-        return Error::InvalidEp;
-    if (!(r.mem.perms & MEM_R))
-        return Error::NoPerm;
-    if (off > r.mem.size || size > r.mem.size - off)
-        return Error::OutOfBounds;
-
-    busy = true;
-    if (M3_TRACE_ON)
-        trace::Tracer::spanBegin(trace::dtuTrack(nocId), "dtu:read");
-    const uint64_t seq = ++cmdSeq;
-    dtuStats.memReads++;
-    dtuStats.bytesRead += size;
-
-    MemTarget *mem = memAt(r.mem.targetNode);
-    if (!mem)
-        panic("memory EP targets node %u which has no memory",
-              r.mem.targetNode);
-    goff_t gaddr = r.mem.offset + off;
-    uint32_t tnode = r.mem.targetNode;
-
-    // Request packet (header only) -> target latency -> data response.
-    // The data travel as Bytes: shared bytes stay slices from the memory
-    // to the SPM and on to the next write, so a file copied through the
-    // SPM stays a reference (MemTarget::read, MemTarget::write).
-    noc.send(nocId, tnode, 0, [this, mem, gaddr, size, dstAddr, tnode,
-                               seq] {
-        eq.schedule(mem->accessLatency(), [this, mem, gaddr, size, dstAddr,
-                                           tnode, seq] {
-            auto data = std::make_shared<const Bytes>(mem->read(gaddr, size));
-            noc.send(tnode, nocId, static_cast<uint32_t>(size),
-                     [this, data, size, dstAddr, seq] {
-                         // The SPM write must not happen for an aborted
-                         // command: the PE may have a new owner.
-                         if (!busy || seq != cmdSeq)
-                             return;
-                         spm.write(dstAddr, *data);
-                         completeCommand(seq, Error::None);
-                     });
-        });
-    });
-    return Error::None;
+    return transfer(cmd, false, id, dstAddr, off, size);
 }
 
 Error
 Dtu::startWrite(epid_t id, spmaddr_t srcAddr, goff_t off, uint64_t size)
 {
-    if (busy)
-        return Error::DtuBusy;
-    EpRegs &r = epRef(id);
-    if (r.type != EpType::Memory)
-        return Error::InvalidEp;
-    if (!(r.mem.perms & MEM_W))
-        return Error::NoPerm;
-    if (off > r.mem.size || size > r.mem.size - off)
-        return Error::OutOfBounds;
-
-    busy = true;
-    if (M3_TRACE_ON)
-        trace::Tracer::spanBegin(trace::dtuTrack(nocId), "dtu:write");
-    const uint64_t seq = ++cmdSeq;
-    dtuStats.memWrites++;
-    dtuStats.bytesWritten += size;
-
-    MemTarget *mem = memAt(r.mem.targetNode);
-    if (!mem)
-        panic("memory EP targets node %u which has no memory",
-              r.mem.targetNode);
-    goff_t gaddr = r.mem.offset + off;
-    uint32_t tnode = r.mem.targetNode;
-
-    auto data = std::make_shared<const Bytes>(spm.read(srcAddr, size));
-
-    noc.send(nocId, tnode, static_cast<uint32_t>(size),
-             [this, mem, gaddr, data, size, tnode, seq] {
-                 eq.schedule(mem->accessLatency(), [this, mem, gaddr, data,
-                                                    size, tnode, seq] {
-                     mem->write(gaddr, *data);
-                     // Completion ack back to the initiator.
-                     noc.send(tnode, nocId, 0, [this, seq] {
-                         completeCommand(seq, Error::None);
-                     });
-                 });
-             });
-    return Error::None;
+    return transfer(cmd, true, id, srcAddr, off, size);
 }
-
-// ---------------------------------------------------------------------
-// Parallel transfer slots (distfs striping). Same wire protocol and
-// timing as startRead/startWrite, but on independent channels so
-// transfers to different memory modules genuinely overlap.
-// ---------------------------------------------------------------------
 
 Error
 Dtu::startReadX(uint32_t slot, epid_t id, spmaddr_t dstAddr, goff_t off,
@@ -969,52 +961,7 @@ Dtu::startReadX(uint32_t slot, epid_t id, spmaddr_t dstAddr, goff_t off,
 {
     if (slot >= XFER_SLOTS)
         return Error::InvalidArgs;
-    XferSlot &x = xferSlots[slot];
-    if (x.busy)
-        return Error::DtuBusy;
-    EpRegs &r = epRef(id);
-    if (r.type != EpType::Memory)
-        return Error::InvalidEp;
-    if (!(r.mem.perms & MEM_R))
-        return Error::NoPerm;
-    if (off > r.mem.size || size > r.mem.size - off)
-        return Error::OutOfBounds;
-
-    x.busy = true;
-    x.err = Error::None;
-    // Overlapping slots cannot nest as B/E spans on the DTU track.
-    if (M3_TRACE_ON)
-        trace::Tracer::instant(trace::dtuTrack(nocId), "dtu:readx");
-    const uint64_t seq = ++x.seq;
-    dtuStats.memReads++;
-    dtuStats.bytesRead += size;
-
-    MemTarget *mem = memAt(r.mem.targetNode);
-    if (!mem)
-        panic("memory EP targets node %u which has no memory",
-              r.mem.targetNode);
-    goff_t gaddr = r.mem.offset + off;
-    uint32_t tnode = r.mem.targetNode;
-
-    // Request packet (header only) -> target latency -> data response.
-    noc.send(nocId, tnode, 0, [this, mem, gaddr, size, dstAddr, tnode,
-                               slot, seq] {
-        eq.schedule(mem->accessLatency(), [this, mem, gaddr, size, dstAddr,
-                                           tnode, slot, seq] {
-            auto data = std::make_shared<const Bytes>(mem->read(gaddr, size));
-            noc.send(tnode, nocId, static_cast<uint32_t>(size),
-                     [this, data, size, dstAddr, slot, seq] {
-                         XferSlot &x = xferSlots[slot];
-                         // The SPM write must not happen for a stale
-                         // completion: the PE may have a new owner.
-                         if (!x.busy || seq != x.seq)
-                             return;
-                         spm.write(dstAddr, *data);
-                         completeXfer(slot, seq, Error::None);
-                     });
-        });
-    });
-    return Error::None;
+    return transfer(xferSlots[slot], false, id, dstAddr, off, size);
 }
 
 Error
@@ -1023,46 +970,7 @@ Dtu::startWriteX(uint32_t slot, epid_t id, spmaddr_t srcAddr, goff_t off,
 {
     if (slot >= XFER_SLOTS)
         return Error::InvalidArgs;
-    XferSlot &x = xferSlots[slot];
-    if (x.busy)
-        return Error::DtuBusy;
-    EpRegs &r = epRef(id);
-    if (r.type != EpType::Memory)
-        return Error::InvalidEp;
-    if (!(r.mem.perms & MEM_W))
-        return Error::NoPerm;
-    if (off > r.mem.size || size > r.mem.size - off)
-        return Error::OutOfBounds;
-
-    x.busy = true;
-    x.err = Error::None;
-    if (M3_TRACE_ON)
-        trace::Tracer::instant(trace::dtuTrack(nocId), "dtu:writex");
-    const uint64_t seq = ++x.seq;
-    dtuStats.memWrites++;
-    dtuStats.bytesWritten += size;
-
-    MemTarget *mem = memAt(r.mem.targetNode);
-    if (!mem)
-        panic("memory EP targets node %u which has no memory",
-              r.mem.targetNode);
-    goff_t gaddr = r.mem.offset + off;
-    uint32_t tnode = r.mem.targetNode;
-
-    auto data = std::make_shared<const Bytes>(spm.read(srcAddr, size));
-
-    noc.send(nocId, tnode, static_cast<uint32_t>(size),
-             [this, mem, gaddr, data, size, tnode, slot, seq] {
-                 eq.schedule(mem->accessLatency(), [this, mem, gaddr, data,
-                                                    size, tnode, slot, seq] {
-                     mem->write(gaddr, *data);
-                     // Completion ack back to the initiator.
-                     noc.send(tnode, nocId, 0, [this, slot, seq] {
-                         completeXfer(slot, seq, Error::None);
-                     });
-                 });
-             });
-    return Error::None;
+    return transfer(xferSlots[slot], true, id, srcAddr, off, size);
 }
 
 bool
@@ -1071,57 +979,16 @@ Dtu::xferBusy(uint32_t slot) const
     return slot < XFER_SLOTS && xferSlots[slot].busy;
 }
 
-void
-Dtu::completeXfer(uint32_t slot, uint64_t seq, Error e)
-{
-    XferSlot &x = xferSlots[slot];
-    if (!x.busy || seq != x.seq)
-        return;
-    x.busy = false;
-    x.err = e;
-    if (!anyXferBusy() && xferWaiter) {
-        Fiber *w = xferWaiter;
-        xferWaiter = nullptr;
-        w->unblock();
-    }
-}
-
-Error
-Dtu::waitXferAll()
-{
-    Fiber *self = Fiber::current();
-    if (!self)
-        panic("waitXferAll outside a fiber");
-    const uint32_t moved = self->moveEpoch();
-    while (anyXferBusy()) {
-        xferWaiter = self;
-        self->block();
-        if (self->moveEpoch() != moved) {
-            if (xferWaiter == self)
-                xferWaiter = nullptr;
-            return Error::VpeMoved;
-        }
-    }
-    for (const XferSlot &x : xferSlots)
-        if (x.err != Error::None)
-            return x.err;
-    return Error::None;
-}
-
 Error
 Dtu::startZero(epid_t id, goff_t off, uint64_t size)
 {
-    if (busy)
+    if (cmd.busy)
         return Error::DtuBusy;
-    EpRegs &r = epRef(id);
-    if (r.type != EpType::Memory)
-        return Error::InvalidEp;
-    if (!(r.mem.perms & MEM_W))
-        return Error::NoPerm;
-    if (off > r.mem.size || size > r.mem.size - off)
-        return Error::OutOfBounds;
-
-    MemTarget *mem = memAt(r.mem.targetNode);
+    const EpRegs &r = epRef(id);
+    Error e = memAccess(r, MEM_W, off, size);
+    if (e != Error::None)
+        return e;
+    MemTarget *mem = memOf(r);
     goff_t gaddr = r.mem.offset + off;
 
     // Zero never sets busy, so it shows as an instant, not a span.
@@ -1130,9 +997,8 @@ Dtu::startZero(epid_t id, goff_t off, uint64_t size)
 
     // Fire-and-forget: the zeroing happens at the memory, in the
     // background (Sec. 5.4); only the small command packet is sent.
-    noc.send(nocId, r.mem.targetNode, 0, [mem, gaddr, size] {
-        mem->zero(gaddr, size);
-    });
+    noc.send(nocId, r.mem.targetNode, 0,
+             inlineFn([mem, gaddr, size] { mem->zero(gaddr, size); }));
     return Error::None;
 }
 
@@ -1233,102 +1099,6 @@ Dtu::ackMsg(epid_t id, uint32_t slot)
         return Error::InvalidArgs;
     st.slots[slot].s = RecvSlotState::S::Free;
     return Error::None;
-}
-
-Error
-Dtu::waitForMsg(epid_t id, Cycles timeout)
-{
-    Fiber *self = Fiber::current();
-    if (!self)
-        panic("waitForMsg outside a fiber");
-    const uint32_t moved = self->moveEpoch();
-    if (timeout == 0) {
-        while (!hasMsg(id)) {
-            msgWaiters[id] = self;
-            self->block();
-            if (self->moveEpoch() != moved) {
-                if (msgWaiters[id] == self)
-                    msgWaiters[id] = nullptr;
-                return Error::VpeMoved;
-            }
-        }
-        return Error::None;
-    }
-    auto expired = std::make_shared<bool>(false);
-    auto armed = std::make_shared<bool>(true);
-    eq.schedule(timeout, [self, expired, armed] {
-        if (*armed) {
-            *expired = true;
-            self->unblock();
-        }
-    });
-    while (!hasMsg(id) && !*expired) {
-        msgWaiters[id] = self;
-        self->block();
-        if (self->moveEpoch() != moved) {
-            *armed = false;
-            if (msgWaiters[id] == self)
-                msgWaiters[id] = nullptr;
-            return Error::VpeMoved;
-        }
-    }
-    *armed = false;
-    if (msgWaiters[id] == self)
-        msgWaiters[id] = nullptr;
-    return hasMsg(id) ? Error::None : Error::Timeout;
-}
-
-Error
-Dtu::waitForMsgs(const std::vector<epid_t> &ids, Cycles timeout)
-{
-    Fiber *self = Fiber::current();
-    if (!self)
-        panic("waitForMsgs outside a fiber");
-    const uint32_t moved = self->moveEpoch();
-    auto anyReady = [&] {
-        for (epid_t id : ids)
-            if (hasMsg(id))
-                return true;
-        return false;
-    };
-    if (timeout == 0) {
-        while (!anyReady()) {
-            for (epid_t id : ids)
-                msgWaiters[id] = self;
-            self->block();
-            for (epid_t id : ids)
-                if (msgWaiters[id] == self)
-                    msgWaiters[id] = nullptr;
-            if (self->moveEpoch() != moved)
-                return Error::VpeMoved;
-        }
-        return Error::None;
-    }
-    auto expired = std::make_shared<bool>(false);
-    auto armed = std::make_shared<bool>(true);
-    eq.schedule(timeout, [self, expired, armed] {
-        if (*armed) {
-            *expired = true;
-            self->unblock();
-        }
-    });
-    while (!anyReady() && !*expired) {
-        for (epid_t id : ids)
-            msgWaiters[id] = self;
-        self->block();
-        for (epid_t id : ids)
-            if (msgWaiters[id] == self)
-                msgWaiters[id] = nullptr;
-        if (self->moveEpoch() != moved) {
-            *armed = false;
-            return Error::VpeMoved;
-        }
-    }
-    *armed = false;
-    for (epid_t id : ids)
-        if (msgWaiters[id] == self)
-            msgWaiters[id] = nullptr;
-    return anyReady() ? Error::None : Error::Timeout;
 }
 
 } // namespace m3

@@ -302,6 +302,12 @@ class Dtu
     // Commands, issued by the local core via the command registers.
     // All return immediately with a validation result; completion is
     // signalled through isBusy()/waitUntilIdle().
+    //
+    // One engine runs every command. The command registers and each
+    // parallel transfer slot are channels of one kind ({busy, seq,
+    // err}); startRead/startWrite and their X twins run one memory
+    // transfer on one of them, startSend and startReply ship a message
+    // through one path, and every blocking call below is one wait loop.
     // -------------------------------------------------------------------
 
     /**
@@ -337,12 +343,12 @@ class Dtu
     Error startZero(epid_t ep, goff_t off, uint64_t size);
 
     // -------------------------------------------------------------------
-    // Parallel transfer slots. A small engine of XFER_SLOTS independent
-    // one-command channels beside the classic command registers, used by
-    // distfs to keep RDMA transfers to different stripes in flight
-    // simultaneously from one client. Each slot mirrors the exact timing
-    // of startRead/startWrite; traced as instants (the slots overlap, so
-    // they cannot nest as B/E spans on the DTU track).
+    // Parallel transfer slots: XFER_SLOTS more channels beside the
+    // command registers, used by distfs to keep RDMA transfers to
+    // different stripes in flight at once from one client. A slot runs
+    // the same transfer as startRead/startWrite, with the same timing;
+    // it is traced as an instant (the slots overlap, so they cannot nest
+    // as B/E spans on the DTU track).
     // -------------------------------------------------------------------
 
     static constexpr uint32_t XFER_SLOTS = 4;
@@ -366,10 +372,10 @@ class Dtu
     Error waitXferAll();
 
     /** True while a command is in flight. */
-    bool isBusy() const { return busy; }
+    bool isBusy() const { return cmd.busy; }
 
     /** Result of the last completed command. */
-    Error lastError() const { return cmdError; }
+    Error lastError() const { return cmd.err; }
 
     /**
      * Block the calling fiber until the current command completed.
@@ -452,6 +458,22 @@ class Dtu
         uint64_t rctx = 0;  //!< request-tracing shadow (host-side only)
     };
 
+    /**
+     * One command channel: the command registers, or one parallel
+     * transfer slot. A completion carries the seq its command started
+     * with; owns() refuses it once the command was aborted or
+     * superseded, so a late NoC round trip cannot touch a newer command
+     * (or an SPM the PE's next owner may already use).
+     */
+    struct Channel
+    {
+        bool busy = false;
+        uint64_t seq = 0;
+        Error err = Error::None;  //!< result of the last command
+
+        bool owns(uint64_t s) const { return busy && s == seq; }
+    };
+
     /** Incoming message (runs at packet arrival on the receive side).
      *  @p rctx is the request-tracing context shipped alongside the
      *  message as host-side shadow state (0 = untraced). */
@@ -463,19 +485,67 @@ class Dtu
 
     void applyReset();
 
-    /** Generic helper for the ext* operations. */
+    /**
+     * The prologue and request packet of every ext operation: privilege
+     * check, target lookup, the extConfigs count, then @p onArrival(the
+     * target DTU) when the request reached it. With @p withCtx the
+     * request carries the target's register file (a context restore).
+     */
+    template <class Fn>
+    Error ext(uint32_t targetNode, Fn onArrival, bool withCtx = false);
+
+    /** An ext operation that applies @p apply at the target and acks. */
     Error sendExt(uint32_t targetNode, std::function<Error(Dtu &)> apply,
                   std::function<void(Error)> onDone);
 
-    /**
-     * Complete the in-flight command @p seq. A stale @p seq (the
-     * command was aborted and possibly superseded) is ignored, so late
-     * NoC round-trip completions cannot corrupt a newer command.
-     */
-    void completeCommand(uint64_t seq, Error e);
+    /** Claim channel @p ch for a new command, traced as @p name.
+     *  @return the command's seq. */
+    uint64_t begin(Channel &ch, const char *name);
 
-    /** Unconditionally finish the current command with result @p e. */
-    void finishCommand(Error e);
+    /** Finish the command on @p ch with result @p e. */
+    void finish(Channel &ch, Error e);
+
+    /**
+     * The one memory transfer: a read of memory EP @p id into the SPM
+     * at @p at, or (@p write) a write from there, on channel @p ch.
+     */
+    Error transfer(Channel &ch, bool write, epid_t id, spmaddr_t at,
+                   goff_t off, uint64_t size);
+
+    /** The memory behind memory EP @p r (panics if there is none). */
+    MemTarget *memOf(const EpRegs &r) const;
+
+    /**
+     * The one message path of startSend and startReply: read the
+     * payload, checksum it, apply a fault, claim the command registers
+     * (span @p span) and deliver @p hdr plus payload to EP @p tep of
+     * node @p node. The command completes when the tail left the port.
+     */
+    void ship(MessageHeader hdr, spmaddr_t msgAddr, uint32_t size,
+              uint32_t node, epid_t tep, uint64_t rctx, const char *span);
+
+    /**
+     * The one blocking loop of the DTU: block the calling fiber until
+     * @p ready() holds. @p hold(self, true) registers the fiber as a
+     * waiter, hold(self, false) drops what it still holds; a wait holds
+     * its registrations only while blocked. With @p timeout > 0 it gives
+     * up after that many cycles. @return None, Timeout or VpeMoved.
+     */
+    template <class Ready, class Hold>
+    Error waitFor(Ready ready, Hold hold, Cycles timeout);
+
+    /** Abort every in-flight parallel slot (reset / context fetch). */
+    void abortXfers();
+
+    /** True if any parallel transfer slot is in flight. */
+    bool
+    anyXferBusy() const
+    {
+        for (const Channel &x : xferSlots)
+            if (x.busy)
+                return true;
+        return false;
+    }
 
     /** Receive-side application of a context fetch/restore. */
     void fetchCtxLocal(CtxState &out);
@@ -498,40 +568,14 @@ class Dtu
     std::array<EpRegs, MAX_EP_COUNT> eps;
     std::array<RecvState, MAX_EP_COUNT> recvState;
 
-    /** One parallel transfer channel (see startReadX). */
-    struct XferSlot
-    {
-        bool busy = false;
-        uint64_t seq = 0;   //!< epoch; stale completions are ignored
-        Error err = Error::None;
-    };
-
-    /** Finish slot @p slot if @p seq is still current. */
-    void completeXfer(uint32_t slot, uint64_t seq, Error e);
-
-    /** Abort every in-flight parallel slot (reset / context fetch). */
-    void abortXfers();
-
-    /** True if any parallel transfer slot is in flight. */
-    bool
-    anyXferBusy() const
-    {
-        for (const XferSlot &x : xferSlots)
-            if (x.busy)
-                return true;
-        return false;
-    }
-
-    bool busy = false;
-    Error cmdError = Error::None;
-    /** Epoch of the current command; completions carry the epoch. */
-    uint64_t cmdSeq = 0;
+    /** The command registers. */
+    Channel cmd;
     /** Send EP of the in-flight command and whether it took a credit
      *  (abort-with-refund needs to know what to give back). */
     epid_t cmdEp = INVALID_EP;
     bool cmdTookCredit = false;
     Fiber *cmdWaiter = nullptr;
-    std::array<XferSlot, XFER_SLOTS> xferSlots;
+    std::array<Channel, XFER_SLOTS> xferSlots;
     Fiber *xferWaiter = nullptr;
     std::array<Fiber *, MAX_EP_COUNT> msgWaiters{};
     /** Deferred drain acks, fired when the current command finishes. */

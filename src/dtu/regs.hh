@@ -11,6 +11,7 @@
 
 #include <cstdint>
 
+#include "base/errors.hh"
 #include "base/types.hh"
 
 namespace m3
@@ -97,6 +98,23 @@ struct EpRegs
         *this = EpRegs{};
     }
 };
+
+/**
+ * The access check of every memory command, on the DTU and on the spin
+ * path that stands in for its transfers: @p r must be a memory EP that
+ * grants @p perm (MEM_R or MEM_W) on all of [off, off + size).
+ */
+inline Error
+memAccess(const EpRegs &r, uint8_t perm, goff_t off, uint64_t size)
+{
+    if (r.type != EpType::Memory)
+        return Error::InvalidEp;
+    if (!(r.mem.perms & perm))
+        return Error::NoPerm;
+    if (off > r.mem.size || size > r.mem.size - off)
+        return Error::OutOfBounds;
+    return Error::None;
+}
 
 /**
  * The header the DTU prepends to every message (Sec. 4.4.2). It is

@@ -432,11 +432,11 @@ transfer(MemGate &gate, size_t len, goff_t off, Data &data)
         size_t chunk = std::min(len - done, XFER_BUF_SIZE);
         env.compute(env.cm.m3.dtuCommand);
         if (env.cm.spinDataTransfers) {
-            const MemEpCfg &cfg = env.dtu().ep(e).mem;
-            if (!(cfg.perms & (write ? MEM_W : MEM_R)))
-                return Error::NoPerm;
-            if (off + done > cfg.size || chunk > cfg.size - (off + done))
-                return Error::OutOfBounds;
+            const EpRegs &r = env.dtu().ep(e);
+            Error err = memAccess(r, write ? MEM_W : MEM_R, off + done, chunk);
+            if (err != Error::None)
+                return err;
+            const MemEpCfg &cfg = r.mem;
             data.spin(*targetOf(env, cfg), cfg.offset + off + done, done,
                       chunk);
             Cycles dur = spinDuration(env, cfg, chunk);
@@ -640,11 +640,11 @@ parallelXfer(Env &env, XferSeg *segs, uint32_t n, bool isRead)
             XferSeg &s = segs[i];
             epid_t e = s.gate->acquire();
             env.compute(env.cm.m3.dtuCommand);
-            const MemEpCfg &cfg = env.dtu().ep(e).mem;
-            if (!(cfg.perms & (isRead ? MEM_R : MEM_W)))
-                return Error::NoPerm;
-            if (s.off > cfg.size || s.len > cfg.size - s.off)
-                return Error::OutOfBounds;
+            const EpRegs &r = env.dtu().ep(e);
+            Error err = memAccess(r, isRead ? MEM_R : MEM_W, s.off, s.len);
+            if (err != Error::None)
+                return err;
+            const MemEpCfg &cfg = r.mem;
             MemTarget *t = targetOf(env, cfg);
             if (isRead)
                 t->read(cfg.offset + s.off, s.buf, s.len);

@@ -11,14 +11,23 @@ namespace trace
 {
 
 bool
-writeFile(const std::string &path, const std::string &text)
+writeFile(const std::string &path, const Producer &produce)
 {
     std::FILE *f = std::fopen(path.c_str(), "w");
     if (!f)
         return false;
-    const bool written =
-        std::fwrite(text.data(), 1, text.size(), f) == text.size();
+    const bool written = produce([f](std::string_view chunk) {
+        return std::fwrite(chunk.data(), 1, chunk.size(), f) ==
+               chunk.size();
+    });
     return std::fclose(f) == 0 && written;
+}
+
+bool
+writeFile(const std::string &path, const std::string &text)
+{
+    return writeFile(path,
+                     [&text](const ChunkSink &out) { return out(text); });
 }
 
 bool
@@ -46,15 +55,19 @@ bool
 SinkFiles::write(const char *prog) const
 {
     auto one = [prog](const char *what, const std::string &path,
-                      std::string (*toJson)()) {
-        if (path.empty() || writeFile(path, toJson()))
+                      const Producer &produce) {
+        if (path.empty() || writeFile(path, produce))
             return true;
         std::fprintf(stderr, "%s: cannot write %s to %s\n", prog, what,
                      path.c_str());
         return false;
     };
-    const bool traceOk = one("trace", traceFile, Tracer::toJson);
-    return one("metrics", metricsFile, Metrics::toJson) && traceOk;
+    const bool traceOk = one("trace", traceFile, Tracer::writeJson);
+    const bool metricsOk =
+        one("metrics", metricsFile, [](const ChunkSink &out) {
+            return out(Metrics::toJson());
+        });
+    return traceOk && metricsOk;
 }
 
 } // namespace trace

@@ -10,12 +10,23 @@
 
 #include <string>
 
+#include "trace/trace.hh"
+
 namespace m3
 {
 namespace trace
 {
 
-/** Write @p text to @p path. @return false if open, write or close fails. */
+/** Produces a file's contents, chunk by chunk, into the sink it gets. */
+using Producer = std::function<bool(const ChunkSink &)>;
+
+/**
+ * Write what @p produce hands its sink to @p path, one chunk at a time.
+ * @return false if the open, a write or the close fails.
+ */
+bool writeFile(const std::string &path, const Producer &produce);
+
+/** Write @p text to @p path (writeFile with a one-chunk producer). */
 bool writeFile(const std::string &path, const std::string &text);
 
 /** A front end's --trace=FILE and --metrics=FILE options. */

@@ -121,6 +121,17 @@ Tracer::eventCount()
 std::string
 Tracer::toJson()
 {
+    std::string doc;
+    writeJson([&doc](std::string_view chunk) {
+        doc += chunk;
+        return true;
+    });
+    return doc;
+}
+
+bool
+Tracer::writeJson(const ChunkSink &deliver)
+{
     Sink &s = sink();
     // Events may carry a future timestamp (NoC arrivals). A stable sort
     // on (track, ts) keeps each track's same-cycle events in recording
@@ -131,11 +142,14 @@ Tracer::toJson()
                          return a.track != b.track ? a.track < b.track
                                                    : a.ts < b.ts;
                      });
-    // An event line averages about 70 bytes (71 MB for the 1.02 M events
-    // of a traced 240-instance tar); sizing the string once spares the
-    // copies and the doubled peak of growing it.
+    // The document leaves in chunks of about 1 MiB: a traced run holds
+    // its event log, not also the ~70 bytes of JSON per event (71 MB
+    // for the 1.02 M events of a traced 240-instance tar). After a
+    // refused chunk the rest is still rendered, but not handed out.
+    constexpr size_t CHUNK = size_t(1) << 20;
     std::string out;
-    out.reserve(s.log.size() * 72 + 64);
+    out.reserve(CHUNK + 512);
+    bool ok = true;
     out += "{\"traceEvents\":[\n";
     bool first = true;
     char buf[256];
@@ -144,6 +158,10 @@ Tracer::toJson()
             out += ",\n";
         first = false;
         out += line;
+        if (out.size() >= CHUNK) {
+            ok = ok && deliver(out);
+            out.clear();
+        }
     };
     // A track's name line comes before its events; named tracks with no
     // events still get one.
@@ -219,7 +237,7 @@ Tracer::toJson()
     }
     namesThrough(NO_TRACK);
     out += "\n],\"displayTimeUnit\":\"ns\"}\n";
-    return out;
+    return ok && deliver(out);
 }
 
 } // namespace trace

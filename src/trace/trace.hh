@@ -27,7 +27,9 @@
 #define M3_TRACE_TRACE_HH
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <string_view>
 
 namespace m3
 {
@@ -60,6 +62,9 @@ reqTrack(uint32_t node)
 {
     return 0x3000 + node;
 }
+
+/** Takes the next chunk of an export. @return false to stop it. */
+using ChunkSink = std::function<bool(std::string_view)>;
 
 /**
  * The global trace sink. All members are static: the simulator is
@@ -147,10 +152,15 @@ class Tracer
     static uint64_t eventCount();
 
     /**
-     * Export everything as one Chrome trace-event JSON document. The
-     * output is a pure function of the recorded events: two identical
-     * seeded runs produce byte-identical JSON.
+     * Export everything as one Chrome trace-event JSON document, handed
+     * to @p deliver in chunks of about 1 MiB, so the whole document never
+     * sits in memory. The output is a pure function of the recorded
+     * events: two identical seeded runs produce byte-identical JSON.
+     * @return false if @p deliver refused a chunk.
      */
+    static bool writeJson(const ChunkSink &deliver);
+
+    /** The writeJson() document as one string. */
     static std::string toJson();
 
   private:

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <vector>
 
 #include "pe/platform.hh"
 
@@ -576,6 +578,170 @@ TEST(Dtu, SingleCommandAtATime)
         EXPECT_FALSE(s.dtu(0).isBusy());
     });
     s.sim.simulate();
+}
+
+TEST(Dtu, TimedWaitUntilIdleLeavesCommandInFlight)
+{
+    BareSystem s;
+    MemEpCfg mem;
+    mem.targetNode = s.platform.dramNode();
+    mem.size = 64 * KiB;
+    mem.perms = MEM_RW;
+    s.dtu(0).configMem(4, mem);
+    s.sim.run("t", [&] {
+        spmaddr_t buf = s.spm(0).alloc(4096);
+        ASSERT_EQ(s.dtu(0).startRead(4, buf, 0, 4096), Error::None);
+        Cycles t0 = s.sim.curCycle();
+        EXPECT_EQ(s.dtu(0).waitUntilIdle(10), Error::Timeout);
+        EXPECT_EQ(s.sim.curCycle() - t0, 10u);
+        // The timeout gives up the wait, not the command.
+        EXPECT_TRUE(s.dtu(0).isBusy());
+        EXPECT_EQ(s.dtu(0).startRead(4, buf, 0, 64), Error::DtuBusy);
+        EXPECT_EQ(s.dtu(0).waitUntilIdle(), Error::None);
+        EXPECT_FALSE(s.dtu(0).isBusy());
+        EXPECT_EQ(s.dtu(0).lastError(), Error::None);
+    });
+    s.sim.simulate();
+    EXPECT_TRUE(s.sim.allFinished());
+}
+
+TEST(Dtu, WaitForMsgsWakesOnAnyEpAndTimesOut)
+{
+    BareSystem s;
+    s.dtu(1).configRecv(2, ringCfg(s.spm(1), 2, 64));
+    s.dtu(1).configRecv(3, ringCfg(s.spm(1), 2, 64));
+    s.dtu(0).configSend(2, sendCfg(1, 3, 0x33, CREDITS_UNLIMITED, 64));
+
+    Cycles woke = 0;
+    s.sim.run("recv", [&] {
+        Cycles t0 = s.sim.curCycle();
+        EXPECT_EQ(s.dtu(1).waitForMsgs({2, 3}, 100), Error::Timeout);
+        EXPECT_EQ(s.sim.curCycle() - t0, 100u);
+        EXPECT_EQ(s.dtu(1).waitForMsgs({2, 3}), Error::None);
+        woke = s.sim.curCycle();
+        EXPECT_FALSE(s.dtu(1).hasMsg(2));
+        EXPECT_TRUE(s.dtu(1).hasMsg(3));
+        // A pending message satisfies a timed wait at once.
+        t0 = s.sim.curCycle();
+        EXPECT_EQ(s.dtu(1).waitForMsgs({2, 3}, 100), Error::None);
+        EXPECT_EQ(s.sim.curCycle(), t0);
+    });
+    s.sim.run("send", [&] {
+        Fiber::current()->sleep(500);
+        spmaddr_t msg = s.spm(0).alloc(8);
+        ASSERT_EQ(s.dtu(0).startSend(2, msg, 8), Error::None);
+        s.dtu(0).waitUntilIdle();
+    });
+    s.sim.simulate();
+    EXPECT_TRUE(s.sim.allFinished());
+    EXPECT_GT(woke, 500u);
+}
+
+TEST(Dtu, ParallelSlotsCheckEachCommand)
+{
+    BareSystem s;
+    MemEpCfg mem;
+    mem.targetNode = s.platform.dramNode();
+    mem.size = 1024;
+    mem.perms = MEM_R;
+    s.dtu(0).configMem(4, mem);
+    s.sim.run("t", [&] {
+        Dtu &d = s.dtu(0);
+        spmaddr_t buf = s.spm(0).alloc(2048);
+        EXPECT_EQ(d.startReadX(Dtu::XFER_SLOTS, 4, buf, 0, 64),
+                  Error::InvalidArgs);
+        EXPECT_EQ(d.startWriteX(Dtu::XFER_SLOTS, 4, buf, 0, 64),
+                  Error::InvalidArgs);
+        EXPECT_EQ(d.startWriteX(0, 4, buf, 0, 16), Error::NoPerm);
+        EXPECT_EQ(d.startReadX(0, 4, buf, 512, 1024), Error::OutOfBounds);
+        EXPECT_FALSE(d.xferBusy(0));
+
+        ASSERT_EQ(d.startReadX(0, 4, buf, 0, 64), Error::None);
+        EXPECT_TRUE(d.xferBusy(0));
+        EXPECT_EQ(d.startReadX(0, 4, buf, 0, 64), Error::DtuBusy);
+        // The other slots and the command registers stay free.
+        EXPECT_FALSE(d.xferBusy(1));
+        EXPECT_FALSE(d.isBusy());
+        EXPECT_EQ(d.startReadX(1, 4, buf + 1024, 0, 64), Error::None);
+        EXPECT_EQ(d.waitXferAll(), Error::None);
+        EXPECT_FALSE(d.xferBusy(0));
+        EXPECT_FALSE(d.xferBusy(1));
+    });
+    s.sim.simulate();
+    EXPECT_TRUE(s.sim.allFinished());
+    EXPECT_EQ(s.dtu(0).stats().memReads, 2u);
+}
+
+TEST(Dtu, ParallelSlotsOverlapAcrossMemories)
+{
+    // Slot 0 reads the DRAM, slot 1 another PE's SPM: together they
+    // complete with the slower one, not after the sum of both.
+    BareSystem s;
+    MemEpCfg dram;
+    dram.targetNode = s.platform.dramNode();
+    dram.size = 64 * KiB;
+    dram.perms = MEM_RW;
+    s.dtu(0).configMem(4, dram);
+    MemEpCfg remote;
+    remote.targetNode = 1;
+    remote.offset = 8192;
+    remote.size = 16 * KiB;
+    remote.perms = MEM_RW;
+    s.dtu(0).configMem(5, remote);
+
+    Cycles alone0 = 0, alone1 = 0, both = 0;
+    s.sim.run("t", [&] {
+        Dtu &d = s.dtu(0);
+        spmaddr_t a = s.spm(0).alloc(256);
+        spmaddr_t b = s.spm(0).alloc(256);
+        auto timed = [&](auto issue) {
+            Cycles t0 = s.sim.curCycle();
+            issue();
+            EXPECT_EQ(d.waitXferAll(), Error::None);
+            return s.sim.curCycle() - t0;
+        };
+        alone0 = timed([&] { d.startReadX(0, 4, a, 0, 256); });
+        alone1 = timed([&] { d.startReadX(1, 5, b, 0, 256); });
+        both = timed([&] {
+            d.startReadX(0, 4, a, 0, 256);
+            d.startReadX(1, 5, b, 0, 256);
+        });
+    });
+    s.sim.simulate();
+    EXPECT_TRUE(s.sim.allFinished());
+    EXPECT_GE(both, std::max(alone0, alone1));
+    EXPECT_LT(both, alone0 + alone1);
+}
+
+TEST(Dtu, ResetAbortsParallelSlotsAndDropsLateData)
+{
+    BareSystem s;
+    MemEpCfg mem;
+    mem.targetNode = s.platform.dramNode();
+    mem.size = 64 * KiB;
+    mem.perms = MEM_RW;
+    s.dtu(1).configMem(4, mem);
+    std::vector<uint8_t> ones(4096, 0xff);
+    s.platform.dram().write(0, ones.data(), ones.size());
+
+    s.sim.run("t", [&] {
+        spmaddr_t buf = s.spm(1).alloc(4096);
+        ASSERT_EQ(s.dtu(1).startReadX(0, 4, buf, 0, 4096), Error::None);
+        ASSERT_EQ(s.dtu(1).startReadX(1, 4, buf, 0, 4096), Error::None);
+        // The reset arrives long before the data.
+        s.dtu(0).extReset(1);
+        EXPECT_EQ(s.dtu(1).waitXferAll(), Error::Aborted);
+        EXPECT_FALSE(s.dtu(1).xferBusy(0));
+        EXPECT_FALSE(s.dtu(1).xferBusy(1));
+        // Let the late data responses arrive: they must not reach the
+        // SPM, which the PE's next owner may already use.
+        Fiber::current()->sleep(5000);
+        const uint8_t *spm = s.spm(1).ptr(buf, 4096);
+        for (size_t i = 0; i < 4096; ++i)
+            ASSERT_EQ(spm[i], 0) << "byte " << i;
+    });
+    s.sim.simulate();
+    EXPECT_TRUE(s.sim.allFinished());
 }
 
 } // anonymous namespace

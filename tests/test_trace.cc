@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <tuple>
+#include <vector>
 
 #include "libm3/m3system.hh"
 #include "m3fs/client.hh"
@@ -211,6 +213,33 @@ TEST_F(Trace, NoEventIsLost)
          at = doc.find("\"tick\"", at + 1))
         ++exported;
     EXPECT_EQ(exported, N);
+}
+
+TEST_F(Trace, ExportStreamsInBoundedChunks)
+{
+    // 70,000 instants render to about 5 MB of JSON: several chunks.
+    trace::Tracer::enable();
+    for (uint64_t i = 0; i < 70000; ++i)
+        trace::Tracer::instant(3, "tick");
+    std::vector<size_t> sizes;
+    std::string joined;
+    ASSERT_TRUE(trace::Tracer::writeJson([&](std::string_view chunk) {
+        sizes.push_back(chunk.size());
+        joined += chunk;
+        return true;
+    }));
+    EXPECT_GT(sizes.size(), 3u);
+    for (size_t n : sizes)
+        EXPECT_LE(n, (size_t(1) << 20) + 256);
+    EXPECT_EQ(joined, trace::Tracer::toJson());
+
+    // A refused chunk stops the export: nothing more is handed out.
+    int calls = 0;
+    EXPECT_FALSE(trace::Tracer::writeJson([&](std::string_view) {
+        ++calls;
+        return false;
+    }));
+    EXPECT_EQ(calls, 1);
 }
 
 TEST_F(Trace, MetricsJsonKeepsItsSchema)

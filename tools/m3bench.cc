@@ -42,7 +42,8 @@
  * run would ignore: the distfs options on a single-machine run (it
  * pre-builds its image and cannot stripe it), --stripe-unit and
  * --replicas without --stripes, --io-chunk on a workload that streams
- * no file, --accel outside fft, and a malformed number.
+ * no file, --accel outside fft, an M3 machine knob on a Linux run
+ * (--lx, --lx-hit, --arm), and a malformed number.
  */
 
 #include <cstdio>
@@ -218,6 +219,11 @@ main(int argc, char **argv)
                                  "sqlite) only");
     if (workload != "fft")
         refuse("--accel", "applies only to fft");
+    if (onLx)
+        for (const char *flag : {"--kernels", "--fs-instances", "--io-chunk",
+                                 "--append-blocks", "--frag"})
+            refuse(flag, "shapes the M3 machine, which a Linux run "
+                         "(--lx, --lx-hit, --arm) does not build");
 
     const HostProfile hostProfile(hostProfileFile);
     sinks.enable();
