@@ -130,14 +130,4 @@ traceImpl(const char *fmt, ...)
     std::fprintf(stdout, "trace: %s\n", msg.c_str());
 }
 
-std::string
-csprintf(const char *fmt, ...)
-{
-    va_list ap;
-    va_start(ap, fmt);
-    std::string msg = vformat(fmt, ap);
-    va_end(ap);
-    return msg;
-}
-
 } // namespace m3

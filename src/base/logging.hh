@@ -46,10 +46,6 @@ void warnImpl(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 void informImpl(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 void traceImpl(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
-/** Format a string printf-style into a std::string. */
-std::string csprintf(const char *fmt, ...)
-    __attribute__((format(printf, 1, 2)));
-
 /**
  * panic: something happened that should never happen regardless of what
  * the user does, i.e. a bug in this simulator. Aborts.

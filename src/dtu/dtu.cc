@@ -133,16 +133,6 @@ Dtu::configMem(epid_t id, const MemEpCfg &cfg)
     return Error::None;
 }
 
-Error
-Dtu::invalidateEp(epid_t id)
-{
-    if (!privileged)
-        return Error::NotPrivileged;
-    epRef(id).invalidate();
-    recvState[id] = RecvState{};
-    return Error::None;
-}
-
 // ---------------------------------------------------------------------
 // External (remote) configuration.
 // ---------------------------------------------------------------------
@@ -626,6 +616,8 @@ Dtu::startSend(epid_t id, spmaddr_t msgAddr, uint32_t size, epid_t replyEp,
         return Error::InvalidEp;
     if (size + sizeof(MessageHeader) > r.send.maxMsgSize)
         return Error::MsgTooBig;
+    if (replyEp != INVALID_EP && ep(replyEp).type != EpType::Receive)
+        return Error::InvalidEp;
     bool tookCredit = false;
     if (r.send.credits != CREDITS_UNLIMITED) {
         if (r.send.credits == 0) {
@@ -635,8 +627,6 @@ Dtu::startSend(epid_t id, spmaddr_t msgAddr, uint32_t size, epid_t replyEp,
         r.send.credits--;
         tookCredit = true;
     }
-    if (replyEp != INVALID_EP && ep(replyEp).type != EpType::Receive)
-        return Error::InvalidEp;
 
     MessageHeader hdr;
     hdr.label = r.send.label;

@@ -165,7 +165,6 @@ class Dtu
     Error configSend(epid_t ep, const SendEpCfg &cfg);
     Error configRecv(epid_t ep, const RecvEpCfg &cfg);
     Error configMem(epid_t ep, const MemEpCfg &cfg);
-    Error invalidateEp(epid_t ep);
 
     /**
      * Remote config access: ship an endpoint configuration to the DTU on

@@ -476,13 +476,6 @@ Env::querySrv(const std::string &name, uint64_t &groupSize,
 }
 
 Error
-Env::querySrv(const std::string &name, uint64_t &groupSize)
-{
-    uint64_t replicas = 1;
-    return querySrv(name, groupSize, replicas);
-}
-
-Error
 Env::exchangeSess(capsel_t sessSel, kif::ExchangeOp op, capsel_t dstStart,
                   uint32_t count, const std::vector<uint64_t> &args,
                   std::vector<uint64_t> *ret)

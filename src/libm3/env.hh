@@ -178,7 +178,6 @@ class Env
      */
     Error querySrv(const std::string &name, uint64_t &groupSize,
                    uint64_t &replicas);
-    Error querySrv(const std::string &name, uint64_t &groupSize);
     /**
      * Exchange capabilities over a session; the service arbitrates
      * (Sec. 4.5.3). @p args/@p ret carry protocol-specific words.

@@ -84,16 +84,6 @@ Machine::blockCurrent()
 }
 
 void
-Machine::yieldCurrent()
-{
-    Process *self = current;
-    if (runQueue.empty())
-        return;
-    runQueue.push_back(self);
-    blockCurrent();
-}
-
-void
 Machine::simulate(Cycles limit)
 {
     eventsRun += sim.simulate(limit);

@@ -200,9 +200,6 @@ class Machine
     /** Block the calling process until made runnable again. */
     void blockCurrent();
 
-    /** Give up the CPU voluntarily (round robin). */
-    void yieldCurrent();
-
     /** Pick and dispatch the next runnable process. */
     void scheduleNext();
 

@@ -204,18 +204,24 @@ M3fsSession::open(const std::string &path, uint32_t flags, Error &err)
     Marshaller m = channel->ostream();
     m << FsOp::Open << static_cast<uint64_t>(flags) << path;
     GateIStream is = call(m);
+    auto file = decodeOpen(is, flags, err);
+    if (file && (flags & FILE_APPEND))
+        file->seek(0, SeekMode::End);
+    return file;
+}
+
+std::unique_ptr<M3fsFile>
+M3fsSession::decodeOpen(GateIStream &is, uint32_t flags, Error &err)
+{
     err = streamError(is);
     if (err != Error::None)
         return nullptr;
     auto fid = is.pull<uint64_t>();
     auto size = is.pull<uint64_t>();
     auto extents = is.pull<uint64_t>();
-    auto file = std::make_unique<M3fsFile>(
+    return std::make_unique<M3fsFile>(
         shared_from_this(), static_cast<uint32_t>(fid), flags, size,
         static_cast<uint32_t>(extents));
-    if (flags & FILE_APPEND)
-        file->seek(0, SeekMode::End);
-    return file;
 }
 
 Error
@@ -224,6 +230,12 @@ M3fsSession::stat(const std::string &path, FileInfo &info)
     Marshaller m = channel->ostream();
     m << FsOp::Stat << path;
     GateIStream is = call(m);
+    return decodeStat(is, info);
+}
+
+Error
+M3fsSession::decodeStat(GateIStream &is, FileInfo &info)
+{
     Error err = streamError(is);
     if (err != Error::None)
         return err;
@@ -316,7 +328,7 @@ M3fsFile::~M3fsFile()
     // Close truncates the generous append allocation to the actually
     // used space (Sec. 4.5.8).
     Marshaller m = fs->channel->ostream();
-    m << FsOp::Close << static_cast<uint64_t>(fid) << size;
+    buildClose(m);
     fs->call(m);
 }
 

@@ -88,12 +88,17 @@ class M3fsSession : public FileSystem,
     uint32_t appendBlocks = DEFAULT_APPEND_BLOCKS;
 
     /**
-     * Robustness knobs: with a non-zero callTimeout, each meta-data
-     * call waits at most that many cycles for the reply and is resent
-     * up to callRetries times (exponential backoff); if the channel
-     * stays dead, the client opens a fresh session with the server and
-     * replays the request once. Zero keeps the legacy block-forever
-     * behaviour (and its exact cycle counts).
+     * Robustness knobs: with a non-zero callTimeout, each synchronous
+     * meta-data call on this session (every one of a plain mount; on a
+     * distfs stripe readdir, the degraded stat of replica files, the
+     * rebuild's walk and copies) waits at most that many cycles for the
+     * reply and is resent up to callRetries times (exponential
+     * backoff); if the channel stays dead, the client opens a fresh
+     * session with the server and replays the request once. Zero keeps
+     * the legacy block-forever behaviour (and its exact cycle counts).
+     * distfs's metadata fan-outs (opStream/sendOp) ignore it: they wait
+     * for their label-matched replies themselves, untimed on an
+     * unreplicated mount and for a fixed deadline on a replicated one.
      */
     Cycles callTimeout = 0;
     uint32_t callRetries = 2;
@@ -111,18 +116,30 @@ class M3fsSession : public FileSystem,
     Error reopen();
 
     /**
-     * distfs pipelining: begin building a request on the session
-     * channel. The caller sends it with sendOp() and collects the reply
-     * itself from the shared reply gate, matched by @p label — several
+     * distfs fan-out: begin building a request on the session channel.
+     * The caller sends it with sendOp() and collects the reply itself
+     * from the shared reply gate, matched by @p label — several
      * stripes' round trips overlap instead of queueing behind each
-     * other. Only meaningful with callTimeout == 0: the timed-retry
-     * protocol needs the synchronous call() path (one request in
-     * flight per session, resend and replay on loss).
+     * other. callTimeout does not apply: no resend, no session replay.
      */
     Marshaller opStream();
 
     /** Send a request built with opStream(); the reply carries @p label. */
     Error sendOp(Marshaller &m, label_t label);
+
+    /**
+     * Decode an Open reply (error, fid, size, extent count) into a file
+     * of this session opened with @p flags; nullptr with @p err set
+     * when the server refused. Shared by open() and distfs's fan-out.
+     */
+    std::unique_ptr<M3fsFile> decodeOpen(GateIStream &is, uint32_t flags,
+                                         Error &err);
+
+    /**
+     * Decode a Stat reply (error, ino, mode, links, extent count, size)
+     * into @p info. Shared by stat() and distfs's fan-out.
+     */
+    Error decodeStat(GateIStream &is, FileInfo &info);
 
   private:
     friend class M3fsFile;
@@ -191,9 +208,9 @@ class M3fsFile : public File
     }
 
     /**
-     * distfs: build this file's Close request for a pipelined fan-out
-     * (the caller sends it and collects the reply); the destructor will
-     * not send a second Close.
+     * Encode this file's Close request, for the destructor's call or
+     * distfs's close fan-out (the caller sends it and collects the
+     * reply); the destructor will not send a second Close.
      */
     void buildClose(Marshaller &m);
 
@@ -244,7 +261,7 @@ class M3fsFile : public File
     uint64_t size;
     uint64_t pos = 0;
     uint32_t serverExtents;   //!< extents known to exist server-side
-    bool closed = false;      //!< Close already sent (pipelined fan-out)
+    bool closed = false;      //!< Close already encoded (or abandoned)
     uint32_t nextExtIdx = 0;  //!< next extent index to fetch
     uint64_t coveredBytes = 0; //!< bytes covered by obtained locations
     std::vector<Loc> locs;

@@ -17,6 +17,15 @@ namespace m3fs
 namespace
 {
 
+/**
+ * Reply deadline of a fan-out wave on a replicated mount: a stripe that
+ * stays silent this long is marked dead. Generous — several hundred
+ * server round trips — so the only way to miss it is to never answer.
+ * Unreplicated mounts keep the untimed wait (and their exact cycle
+ * counts).
+ */
+constexpr Cycles DEGRADED_WAIT = 150000;
+
 /** djb2: the placement hash. Must stay stable across runs and hosts. */
 uint64_t
 pathHash(const std::string &s)
@@ -147,15 +156,6 @@ DistfsSession::markDead(uint32_t k)
     }
 }
 
-bool
-DistfsSession::pipelinable() const
-{
-    for (const auto &s : sessions)
-        if (s->callTimeout != 0)
-            return false;
-    return true;
-}
-
 Error
 DistfsSession::fanout(
     const std::function<void(uint32_t, Marshaller &)> &build,
@@ -216,7 +216,7 @@ DistfsSession::fanout(
             if (timed) {
                 do
                     we = env.dtu().waitForMsg(sharedReply->boundEp(),
-                                              degradedWait);
+                                              DEGRADED_WAIT);
                 while (we == Error::VpeMoved);
             } else {
                 env.waitMsgYielding(sharedReply->boundEp());
@@ -261,92 +261,31 @@ DistfsSession::open(const std::string &path, uint32_t flags, Error &err)
     // written before replication was enabled simply have no second
     // copy (their units stay unprotected).
     const bool optionalReplica = !(subFlags & FILE_CREATE);
-    auto consumeOpen = [&](std::vector<std::unique_ptr<M3fsFile>> &out,
-                           size_t idx, uint32_t k, GateIStream &is,
-                           bool optional) {
-        Error e = is.pullError();
-        if (e != Error::None)
-            return optional && e == Error::NoSuchFile ? Error::None : e;
-        auto fid = is.pull<uint64_t>();
-        auto sz = is.pull<uint64_t>();
-        auto extents = is.pull<uint64_t>();
-        out[idx] = std::make_unique<M3fsFile>(
-            sessions[k], static_cast<uint32_t>(fid), subFlags, sz,
-            static_cast<uint32_t>(extents));
-        return Error::None;
-    };
-    if (n > 1 && pipelinable()) {
+    // Wave 0 opens the primary subfile on every stripe. Replica wave r
+    // opens, on stripe k, the replica of the units whose primary is
+    // stripe (k - r) mod n — one request per stripe per wave keeps a
+    // single message in flight per session channel.
+    for (uint32_t r = 0; r < replicas; ++r) {
         err = fanout(
-            [&](uint32_t, Marshaller &m) {
-                m << FsOp::Open << static_cast<uint64_t>(subFlags) << path;
+            [&](uint32_t k, Marshaller &m) {
+                m << FsOp::Open << static_cast<uint64_t>(subFlags)
+                  << (r ? replicaPath(path, (k + n - r) % n) : path);
             },
             [&](uint32_t k, GateIStream &is) {
-                return consumeOpen(subs, k, k, is, false);
+                Error e = Error::None;
+                auto f = sessions[k]->decodeOpen(is, subFlags, e);
+                if (r == 0)
+                    subs[k] = std::move(f);
+                else
+                    reps[static_cast<size_t>((k + n - r) % n) *
+                             (replicas - 1) +
+                         (r - 1)] = std::move(f);
+                return r && optionalReplica && e == Error::NoSuchFile
+                           ? Error::None
+                           : e;
             });
         if (err != Error::None)
             return nullptr;
-        // Replica waves: wave r opens, on stripe k, the replica of the
-        // units whose primary is stripe (k - r) mod n — one request
-        // per stripe per wave keeps a single message in flight per
-        // session channel.
-        for (uint32_t r = 1; r < replicas; ++r) {
-            err = fanout(
-                [&](uint32_t k, Marshaller &m) {
-                    m << FsOp::Open << static_cast<uint64_t>(subFlags)
-                      << replicaPath(path, (k + n - r) % n);
-                },
-                [&](uint32_t k, GateIStream &is) {
-                    uint32_t s = (k + n - r) % n;
-                    return consumeOpen(reps,
-                                       static_cast<size_t>(s) *
-                                               (replicas - 1) +
-                                           (r - 1),
-                                       k, is, optionalReplica);
-                });
-            if (err != Error::None)
-                return nullptr;
-        }
-    } else {
-        for (uint32_t k = 0; k < n; ++k) {
-            if (deadStripes[k])
-                continue;
-            Error oe = Error::None;
-            auto f = sessions[k]->open(path, subFlags, oe);
-            if (!f) {
-                if (replicas > 1 && (oe == Error::PeerGone ||
-                                     oe == Error::Timeout)) {
-                    markDead(k);
-                    continue;
-                }
-                err = oe;
-                return nullptr;
-            }
-            subs[k].reset(static_cast<M3fsFile *>(f.release()));
-        }
-        for (uint32_t r = 1; r < replicas; ++r) {
-            for (uint32_t k = 0; k < n; ++k) {
-                if (deadStripes[k])
-                    continue;
-                uint32_t s = (k + n - r) % n;
-                Error oe = Error::None;
-                auto f =
-                    sessions[k]->open(replicaPath(path, s), subFlags, oe);
-                if (f) {
-                    reps[static_cast<size_t>(s) * (replicas - 1) +
-                         (r - 1)]
-                        .reset(static_cast<M3fsFile *>(f.release()));
-                    continue;
-                }
-                if (oe == Error::PeerGone || oe == Error::Timeout) {
-                    markDead(k);
-                    continue;
-                }
-                if (optionalReplica && oe == Error::NoSuchFile)
-                    continue;
-                err = oe;
-                return nullptr;
-            }
-        }
     }
     // Every unit needs at least one live copy, or the data is gone.
     for (uint32_t s = 0; s < n; ++s) {
@@ -406,90 +345,32 @@ DistfsSession::stat(const std::string &path, FileInfo &info)
     // their replica files.
     const uint32_t n = stripes();
     const uint32_t home = homeStripe(path);
-    if (n > 1 && pipelinable()) {
-        FileInfo homeInfo{};
-        bool sawHome = false;
-        FileInfo fallback{};
-        uint32_t fallbackK = n;
-        uint64_t total = 0;
-        uint64_t extents = 0;
-        Error err = fanout(
-            [&](uint32_t, Marshaller &m) { m << FsOp::Stat << path; },
-            [&](uint32_t k, GateIStream &is) {
-                Error e = is.pullError();
-                if (e != Error::None)
-                    return e;
-                FileInfo fi;
-                fi.ino = static_cast<uint32_t>(is.pull<uint64_t>());
-                fi.mode = static_cast<uint32_t>(is.pull<uint64_t>());
-                fi.links = static_cast<uint32_t>(is.pull<uint64_t>());
-                fi.extents = static_cast<uint32_t>(is.pull<uint64_t>());
-                fi.size = is.pull<uint64_t>();
-                if (k == home) {
-                    homeInfo = fi;
-                    sawHome = true;
-                } else if (k < fallbackK) {
-                    fallback = fi;
-                    fallbackK = k;
-                }
-                total += fi.size;
-                extents += fi.extents;
-                return Error::None;
-            });
-        if (err != Error::None)
-            return err;
-        if (!sawHome && fallbackK == n)
-            return Error::PeerGone;
-        info = sawHome ? homeInfo : fallback;
-        if (info.isDir())
-            return Error::None;
-        err = addDeadCopySizes(path, total, extents);
-        if (err != Error::None)
-            return err;
-        info.size = total;
-        info.extents = static_cast<uint32_t>(extents);
-        return Error::None;
-    }
-    // Serial fallback: one stat per stripe — identity from the home
-    // stripe's own reply, which the summation below reuses instead of
-    // paying a second round trip for it.
-    Error err = Error::None;
+    FileInfo id{};
     uint32_t idK = n;
-    for (uint32_t i = 0; i < n && idK == n; ++i) {
-        uint32_t k = (home + i) % n;
-        if (deadStripes[k])
-            continue;
-        err = sessions[k]->stat(path, info);
-        if (replicas > 1 &&
-            (err == Error::PeerGone || err == Error::Timeout)) {
-            markDead(k);
-            continue;
-        }
-        if (err != Error::None)
-            return err;
-        idK = k;
-    }
+    uint64_t total = 0;
+    uint64_t extents = 0;
+    Error err = fanout(
+        [&](uint32_t, Marshaller &m) { m << FsOp::Stat << path; },
+        [&](uint32_t k, GateIStream &is) {
+            FileInfo fi;
+            Error e = sessions[k]->decodeStat(is, fi);
+            if (e != Error::None)
+                return e;
+            if (k == home || (idK != home && k < idK)) {
+                id = fi;
+                idK = k;
+            }
+            total += fi.size;
+            extents += fi.extents;
+            return Error::None;
+        });
+    if (err != Error::None)
+        return err;
     if (idK == n)
-        return err == Error::None ? Error::PeerGone : err;
+        return Error::PeerGone;
+    info = id;
     if (info.isDir())
         return Error::None;
-    uint64_t total = info.size;
-    uint64_t extents = info.extents;
-    for (uint32_t k = 0; k < n; ++k) {
-        if (k == idK || deadStripes[k])
-            continue;
-        FileInfo sub;
-        err = sessions[k]->stat(path, sub);
-        if (replicas > 1 &&
-            (err == Error::PeerGone || err == Error::Timeout)) {
-            markDead(k);
-            continue;
-        }
-        if (err != Error::None)
-            return err;
-        total += sub.size;
-        extents += sub.extents;
-    }
     err = addDeadCopySizes(path, total, extents);
     if (err != Error::None)
         return err;
@@ -499,28 +380,23 @@ DistfsSession::stat(const std::string &path, FileInfo &info)
 }
 
 Error
-DistfsSession::nsWave(
-    const std::function<void(uint32_t, Marshaller &)> &build,
-    const std::function<Error(uint32_t)> &serial, bool tolerateMissing)
+DistfsSession::nsWave(FsOp op, const std::vector<std::string> &paths,
+                      bool replicaNames)
 {
-    auto filter = [tolerateMissing](Error e) {
-        return tolerateMissing && e == Error::NoSuchFile ? Error::None
-                                                         : e;
-    };
-    if (sessions.size() > 1 && pipelinable())
-        return fanout(build, [&](uint32_t, GateIStream &is) {
-            return filter(is.pullError());
-        });
+    const uint32_t n = stripes();
     Error first = Error::None;
-    for (uint32_t k = 0; k < sessions.size(); ++k) {
-        if (deadStripes[k])
-            continue;
-        Error e = filter(serial(k));
-        if (replicas > 1 &&
-            (e == Error::PeerGone || e == Error::Timeout)) {
-            markDead(k);
-            continue;
-        }
+    for (uint32_t r = 0; r < (replicaNames ? replicas : 1); ++r) {
+        Error e = fanout(
+            [&](uint32_t k, Marshaller &m) {
+                m << op;
+                for (const std::string &p : paths)
+                    m << (r ? replicaPath(p, (k + n - r) % n) : p);
+            },
+            [&](uint32_t, GateIStream &is) {
+                // Files that predate replication have no replica names.
+                Error e = is.pullError();
+                return r && e == Error::NoSuchFile ? Error::None : e;
+            });
         if (e != Error::None && first == Error::None)
             first = e;
     }
@@ -532,93 +408,26 @@ DistfsSession::mkdir(const std::string &path)
 {
     // Directories mirror on every stripe (replica files live in the
     // same directories), so no replica-name wave is needed.
-    return nsWave(
-        [&](uint32_t, Marshaller &m) { m << FsOp::Mkdir << path; },
-        [&](uint32_t k) { return sessions[k]->mkdir(path); }, false);
+    return nsWave(FsOp::Mkdir, {path}, false);
 }
 
 Error
 DistfsSession::unlink(const std::string &path)
 {
-    const uint32_t n = stripes();
-    Error first = nsWave(
-        [&](uint32_t, Marshaller &m) { m << FsOp::Unlink << path; },
-        [&](uint32_t k) { return sessions[k]->unlink(path); }, false);
-    // The replica-marked names ride their own waves (one request per
-    // stripe per wave); files that predate replication have none.
-    for (uint32_t r = 1; r < replicas; ++r) {
-        Error e = nsWave(
-            [&](uint32_t k, Marshaller &m) {
-                m << FsOp::Unlink << replicaPath(path, (k + n - r) % n);
-            },
-            [&](uint32_t k) {
-                return sessions[k]->unlink(
-                    replicaPath(path, (k + n - r) % n));
-            },
-            true);
-        if (e != Error::None && first == Error::None)
-            first = e;
-    }
-    return first;
+    return nsWave(FsOp::Unlink, {path}, true);
 }
 
 Error
 DistfsSession::link(const std::string &oldPath, const std::string &newPath)
 {
-    const uint32_t n = stripes();
-    Error first = nsWave(
-        [&](uint32_t, Marshaller &m) {
-            m << FsOp::Link << oldPath << newPath;
-        },
-        [&](uint32_t k) { return sessions[k]->link(oldPath, newPath); },
-        false);
-    for (uint32_t r = 1; r < replicas; ++r) {
-        Error e = nsWave(
-            [&](uint32_t k, Marshaller &m) {
-                uint32_t s = (k + n - r) % n;
-                m << FsOp::Link << replicaPath(oldPath, s)
-                  << replicaPath(newPath, s);
-            },
-            [&](uint32_t k) {
-                uint32_t s = (k + n - r) % n;
-                return sessions[k]->link(replicaPath(oldPath, s),
-                                         replicaPath(newPath, s));
-            },
-            true);
-        if (e != Error::None && first == Error::None)
-            first = e;
-    }
-    return first;
+    return nsWave(FsOp::Link, {oldPath, newPath}, true);
 }
 
 Error
 DistfsSession::rename(const std::string &oldPath,
                       const std::string &newPath)
 {
-    const uint32_t n = stripes();
-    Error first = nsWave(
-        [&](uint32_t, Marshaller &m) {
-            m << FsOp::Rename << oldPath << newPath;
-        },
-        [&](uint32_t k) { return sessions[k]->rename(oldPath, newPath); },
-        false);
-    for (uint32_t r = 1; r < replicas; ++r) {
-        Error e = nsWave(
-            [&](uint32_t k, Marshaller &m) {
-                uint32_t s = (k + n - r) % n;
-                m << FsOp::Rename << replicaPath(oldPath, s)
-                  << replicaPath(newPath, s);
-            },
-            [&](uint32_t k) {
-                uint32_t s = (k + n - r) % n;
-                return sessions[k]->rename(replicaPath(oldPath, s),
-                                           replicaPath(newPath, s));
-            },
-            true);
-        if (e != Error::None && first == Error::None)
-            first = e;
-    }
-    return first;
+    return nsWave(FsOp::Rename, {oldPath, newPath}, true);
 }
 
 Error
@@ -822,28 +631,21 @@ DistfsFile::~DistfsFile()
                 rep->abandon();
         }
     }
-    // Close all subfiles in one fan-out wave per copy; a subfile
-    // closed here is skipped by its own destructor. The non-pipelined
-    // path keeps the serial per-subfile close in ~M3fsFile.
-    if (n > 1 && fs->pipelinable()) {
-        trace::ScopedSpan span(fs->env.peId, "distfs:close");
+    // Close all subfiles in one fan-out wave per copy (copy r of the
+    // units whose primary is stripe (k - r) mod n lives on stripe k); a
+    // subfile closed here is skipped by its own destructor.
+    trace::ScopedSpan span(fs->env.peId, "distfs:close");
+    for (uint32_t r = 0; r < copies; ++r) {
+        auto hosted = [&](uint32_t k) -> std::unique_ptr<M3fsFile> & {
+            return r == 0 ? subs[k]
+                          : reps[static_cast<size_t>((k + n - r) % n) *
+                                     (copies - 1) +
+                                 (r - 1)];
+        };
         fs->fanout(
-            [&](uint32_t k, Marshaller &m) { subs[k]->buildClose(m); },
+            [&](uint32_t k, Marshaller &m) { hosted(k)->buildClose(m); },
             [](uint32_t, GateIStream &) { return Error::None; },
-            [&](uint32_t k) { return subs[k] != nullptr; });
-        for (uint32_t r = 1; r < copies; ++r) {
-            auto repFor = [&](uint32_t k) -> std::unique_ptr<M3fsFile> & {
-                return reps[static_cast<size_t>((k + n - r) % n) *
-                                (copies - 1) +
-                            (r - 1)];
-            };
-            fs->fanout(
-                [&](uint32_t k, Marshaller &m) {
-                    repFor(k)->buildClose(m);
-                },
-                [](uint32_t, GateIStream &) { return Error::None; },
-                [&](uint32_t k) { return repFor(k) != nullptr; });
-        }
+            [&](uint32_t k) { return hosted(k) != nullptr; });
     }
 }
 

@@ -9,9 +9,10 @@
  * Metadata stays entirely per-stripe: a file at logical path P is
  * backed by a subfile at the same path P on every stripe server, and
  * the placement of unit u is a pure function of (P, u) — no cross-
- * stripe coordination on the hot path. Namespace operations (mkdir,
- * unlink, ...) fan out to all stripes so the per-stripe namespaces
- * stay mirrors of each other.
+ * stripe coordination on the hot path. Open, stat, close and the
+ * namespace operations (mkdir, unlink, ...) are one label-matched
+ * fan-out to all stripes, so the per-stripe namespaces stay mirrors of
+ * each other and the stripes' round trips overlap.
  *
  * Replication (opt-in, advertised by the kernel through the service
  * group): with factor R >= 2, the units whose primary lives on stripe
@@ -122,15 +123,6 @@ class DistfsSession : public FileSystem,
 
     M3fsSession &stripe(uint32_t k) { return *sessions[k]; }
 
-    /**
-     * Reply deadline of a fan-out wave on a replicated mount: a stripe
-     * that stays silent this long is marked dead. Generous — several
-     * hundred server round trips — so the only way to miss it is to
-     * never answer. Unreplicated mounts keep the untimed wait (and
-     * their exact cycle counts).
-     */
-    Cycles degradedWait = 150000;
-
     std::unique_ptr<File> open(const std::string &path, uint32_t flags,
                                Error &err) override;
     Error stat(const std::string &path, FileInfo &info) override;
@@ -152,26 +144,20 @@ class DistfsSession : public FileSystem,
     }
 
     /**
-     * True when every stripe runs the block-forever call protocol
-     * (callTimeout == 0). Only then may metadata fan-outs pipeline:
-     * the timed-retry protocol owns the reply wait per session
-     * (resend, backoff, session replay) and needs one request in
-     * flight at a time.
-     */
-    bool pipelinable() const;
-
-    /**
-     * Pipelined metadata fan-out: send one request per live stripe
-     * (built by @p build, reply label = stripe index) and hand each
-     * reply to @p consume as it arrives, in waves no larger than the
-     * shared reply ring. The stripes' server round trips overlap
-     * instead of queueing behind each other. On a replicated mount the
-     * reply wait is timed: stripes silent past degradedWait are marked
-     * dead (their replies never invoke @p consume) instead of hanging
-     * the client. @p want can exclude stripes from the wave (e.g. no
-     * open subfile to close there). Returns the first error from a
-     * send or from @p consume; later replies are still drained so no
-     * stale message survives into the next operation.
+     * The metadata fan-out, the one path of open, stat, close and the
+     * namespace operations: send one request per live stripe (built by
+     * @p build, reply label = stripe index) and hand each reply to
+     * @p consume as it arrives, in waves no larger than the shared
+     * reply ring. The stripes' server round trips overlap instead of
+     * queueing behind each other. The stripe sessions' callTimeout
+     * does not apply. On an unreplicated mount the reply wait is
+     * untimed; on a replicated one it is timed (a fixed, generous
+     * deadline), and stripes silent past it are marked dead (their
+     * replies never invoke @p consume) instead of hanging the client.
+     * @p want can exclude stripes from the wave (e.g. no open subfile
+     * to close there). Returns the first error from a send or from
+     * @p consume; later replies are still drained so no stale message
+     * survives into the next operation.
      */
     Error fanout(const std::function<void(uint32_t, Marshaller &)> &build,
                  const std::function<Error(uint32_t, GateIStream &)>
@@ -179,14 +165,16 @@ class DistfsSession : public FileSystem,
                  const std::function<bool(uint32_t)> &want = nullptr);
 
     /**
-     * One namespace operation on every live stripe: the pipelined
-     * fan-out when possible, else a serial loop with soft dead-stripe
-     * handling. @p tolerateMissing turns NoSuchFile into success
-     * (replica-name waves of files that predate replication).
+     * One namespace operation @p op on @p paths, on every live stripe:
+     * one fan-out for the names themselves and, with @p replicaNames
+     * on a replicated mount, one more per replica copy r, in which
+     * stripe k addresses the replica-marked names of stripe
+     * (k - r) mod N. A replica wave takes NoSuchFile as success: files
+     * that predate replication have no replica names. Returns the
+     * first error of any wave.
      */
-    Error nsWave(const std::function<void(uint32_t, Marshaller &)> &build,
-                 const std::function<Error(uint32_t)> &serial,
-                 bool tolerateMissing);
+    Error nsWave(FsOp op, const std::vector<std::string> &paths,
+                 bool replicaNames);
 
     /**
      * Degraded stat support: add the subfile sizes of dead stripes,

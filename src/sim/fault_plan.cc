@@ -1,7 +1,6 @@
 #include "sim/fault_plan.hh"
 
 #include <algorithm>
-#include <cstdio>
 
 namespace m3
 {
@@ -151,21 +150,6 @@ FaultPlan::traceDigest() const
         fnv(e.arg);
     }
     return h;
-}
-
-std::string
-FaultPlan::traceString() const
-{
-    std::string out;
-    char buf[96];
-    for (const TraceEntry &e : decisions) {
-        std::snprintf(buf, sizeof(buf), "@%llu %c seq=%llu arg=%llu\n",
-                      (unsigned long long)e.cycle, (char)e.kind,
-                      (unsigned long long)e.seq,
-                      (unsigned long long)e.arg);
-        out += buf;
-    }
-    return out;
 }
 
 } // namespace m3

@@ -22,7 +22,6 @@
 #define M3_SIM_FAULT_PLAN_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "base/types.hh"
@@ -209,9 +208,6 @@ class FaultPlan
 
     /** Compact fingerprint of the decision trace (FNV-1a). */
     uint64_t traceDigest() const;
-
-    /** Human-readable dump of the decision trace (debugging). */
-    std::string traceString() const;
 
   private:
     /** Stateless per-decision random value in [0,1). */

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "base/random.hh"
 #include "libm3/m3system.hh"
 #include "libm3/vpe.hh"
@@ -520,6 +522,104 @@ TEST(Distfs, DegradedModeDeterministicAcrossRepeats)
     ASSERT_EQ(std::get<0>(base), 0);
     ASSERT_GT(std::get<2>(base).size(), 0u);
     EXPECT_EQ(run(), base);
+}
+
+TEST(Distfs, NamespaceOpsMirrorOnEveryStripe)
+{
+    // Every namespace operation must leave the per-stripe namespaces
+    // mirrors of each other, on plain (R = 1) and replicated (R = 2)
+    // mounts, whether or not the stripe sessions bound their
+    // synchronous calls with a timeout. Ground truth comes from one
+    // plain session per stripe server.
+    const uint32_t stripes = 3;
+    const size_t size = 40000;  // five units: every stripe holds data
+    for (uint32_t replicas : {1u, 2u}) {
+        for (Cycles timeout : {Cycles(0), Cycles(20000)}) {
+            SCOPED_TRACE("R=" + std::to_string(replicas) + " timeout=" +
+                         std::to_string(timeout));
+            M3SystemCfg cfg = stripedCfg(stripes);
+            cfg.distfsReplicas = replicas;
+            M3System sys(cfg);
+            sys.runRoot("root", [&] {
+                Env &env = Env::cur();
+                Error err = Error::None;
+                auto dfs = m3fs::DistfsSession::create(env, err);
+                if (!dfs)
+                    return 1;
+                for (uint32_t k = 0; k < stripes; ++k)
+                    dfs->stripe(k).callTimeout = timeout;
+                if (dfs->mkdir("/data/d") != Error::None)
+                    return 2;
+                auto data = m3fs::FsImage::patternData(size, 5);
+                {
+                    auto f = dfs->open("/data/d/f", FILE_W | FILE_CREATE,
+                                       err);
+                    if (!f || f->write(data.data(), size) !=
+                                  static_cast<ssize_t>(size))
+                        return 3;
+                }
+                if (dfs->link("/data/d/f", "/data/d/g") != Error::None)
+                    return 4;
+                if (dfs->rename("/data/d/g", "/data/d/h") != Error::None)
+                    return 5;
+                if (dfs->unlink("/data/d/f") != Error::None)
+                    return 6;
+                FileInfo info;
+                if (dfs->stat("/data/d/h", info) != Error::None ||
+                    info.isDir() || info.size != size)
+                    return 7;
+                if (dfs->stat("/data/d/f", info) != Error::NoSuchFile)
+                    return 8;
+
+                // Stripe k holds the primary subfile "h" and, when
+                // replicated, the replica of stripe k-1's units.
+                for (uint32_t k = 0; k < stripes; ++k) {
+                    auto plain = m3fs::M3fsSession::create(
+                        env, err, M3SystemCfg::fsName(k));
+                    if (!plain)
+                        return 9;
+                    if (plain->stat("/data/d", info) != Error::None ||
+                        !info.isDir())
+                        return 10;
+                    std::vector<std::string> want = {"h"};
+                    if (replicas > 1) {
+                        const uint32_t s = (k + stripes - 1) % stripes;
+                        want.push_back(
+                            m3fs::DistfsSession::replicaPath("h", s));
+                        if (plain->stat(m3fs::DistfsSession::replicaPath(
+                                            "/data/d/h", s),
+                                        info) != Error::None)
+                            return 11;
+                    }
+                    std::vector<DirEntry> ents;
+                    if (plain->readdir("/data/d", ents) != Error::None)
+                        return 12;
+                    std::vector<std::string> names;
+                    for (const DirEntry &de : ents)
+                        if (de.name != "." && de.name != "..")
+                            names.push_back(de.name);
+                    std::sort(names.begin(), names.end());
+                    std::sort(want.begin(), want.end());
+                    if (names != want)
+                        return 13;
+                }
+
+                // The mount's own listing hides the replica names.
+                std::vector<DirEntry> ents;
+                if (dfs->readdir("/data/d", ents) != Error::None)
+                    return 14;
+                std::vector<std::string> names;
+                for (const DirEntry &de : ents)
+                    if (de.name != "." && de.name != "..")
+                        names.push_back(de.name);
+                if (names != std::vector<std::string>{"h"})
+                    return 15;
+                return 0;
+            });
+            ASSERT_TRUE(sys.simulate());
+            EXPECT_EQ(sys.rootExitCode(), 0);
+        }
+    }
 }
 
 TEST(Distfs, ReplicasDefaultMatchesStripedPins)

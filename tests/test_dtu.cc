@@ -129,6 +129,25 @@ TEST(Dtu, CreditsLimitInFlightMessages)
     EXPECT_TRUE(s.sim.allFinished());
 }
 
+TEST(Dtu, SendWithBadReplyEpKeepsItsCredit)
+{
+    // A send refused because its reply EP is not a receive EP never
+    // left the DTU, so it must not consume the send EP's credit.
+    BareSystem s;
+    s.dtu(1).configRecv(2, ringCfg(s.spm(1), 4, 128));
+    s.dtu(0).configSend(2, sendCfg(1, 2, 1, /*credits=*/1, 128));
+
+    s.sim.run("test", [&] {
+        spmaddr_t msg = s.spm(0).alloc(8);
+        EXPECT_EQ(s.dtu(0).startSend(2, msg, 8, /*replyEp=*/5, 0),
+                  Error::InvalidEp);
+        EXPECT_EQ(s.dtu(0).credits(2), 1u);
+        EXPECT_EQ(s.dtu(0).stats().creditDenials, 0u);
+    });
+    s.sim.simulate();
+    EXPECT_TRUE(s.sim.allFinished());
+}
+
 TEST(Dtu, ReplyRequiresProtectedRing)
 {
     BareSystem s;

@@ -403,6 +403,45 @@ TEST(Robustness, M3fsClientReopensDeadSession)
     EXPECT_GE(sys.kernelInstance().stats().serviceRequests, 2u);
 }
 
+TEST(Robustness, M3fsSoftFailSessionSurfacesDeadServer)
+{
+    // The server PE dies for good: the timed call exhausts its channel,
+    // the session re-open finds no service, and a softFail session
+    // reports the cause from the operation instead of panicking.
+    M3SystemCfg cfg = faultFsCfg();
+    cfg.watchdogDeadline = 50000;
+    cfg.watchdogPeriod = 10000;
+    cfg.faults.seed = 7;
+    cfg.faults.killPes = {{1, 1000000}};
+    M3System sys(cfg);
+    sys.runRoot("t", [&] {
+        Env &env = Env::cur();
+        Error e = Error::None;
+        auto fs = m3fs::M3fsSession::create(env, e);
+        if (e != Error::None)
+            return 1;
+        fs->callTimeout = 20000;
+        fs->callRetries = 1;
+        fs->softFail = true;
+        FileInfo info;
+        if (fs->stat("/d", info) != Error::None)
+            return 2;
+        // Wait out the kill and the watchdog reclaim of the server,
+        // heartbeating so the idle client is not reclaimed too.
+        while (env.platform.simulator().curCycle() < 1500000) {
+            Fiber::current()->sleep(20000);
+            if (env.heartbeat() != Error::None)
+                return 3;
+        }
+        Error se = fs->stat("/d", info);
+        if (se == Error::None || se != fs->lastCallError)
+            return 4;
+        return 0;
+    });
+    ASSERT_TRUE(sys.simulate());
+    EXPECT_EQ(sys.rootExitCode(), 0);
+}
+
 TEST(Robustness, WatchdogReclaimsKilledVpe)
 {
     M3SystemCfg cfg;

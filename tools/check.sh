@@ -124,6 +124,14 @@ echo "=== golden artifacts (release + sanitized)"
 tools/golden.sh build-release
 tools/golden.sh build-asan
 
+# Coverage ratchet: an -O0 --coverage build runs every test and the
+# golden artifacts, and no src/ file may leave more lines unrun than
+# tests/coverage.ledger records for it. New code comes with the tests
+# that run it; a change that runs more re-records the ledger
+# (tools/coverage.sh DIR JOBS --record).
+echo "=== coverage ledger (tests/coverage.ledger)"
+tools/coverage.sh build-coverage "$jobs"
+
 # Multi-kernel gate: the sharded-control-plane table of fig6 must keep
 # both verdicts (two kernels remove most of the syscall bottleneck;
 # four strictly beat one per instance). Runs against the release build;
