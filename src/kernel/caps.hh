@@ -213,7 +213,7 @@ class CapTable
 
     /** Look up a capability; nullptr if the selector is empty. */
     Capability *
-    get(capsel_t sel)
+    get(capsel_t sel) const
     {
         auto it = table.find(sel);
         return it == table.end() ? nullptr : it->second.get();
@@ -221,7 +221,7 @@ class CapTable
 
     /** Look up, additionally requiring the object type. */
     Capability *
-    get(capsel_t sel, ObjType type)
+    get(capsel_t sel, ObjType type) const
     {
         Capability *c = get(sel);
         return (c && c->obj->type == type) ? c : nullptr;

@@ -1,5 +1,7 @@
 #include "kernel/kernel.hh"
 
+#include <algorithm>
+
 #include "base/logging.hh"
 #include "trace/metrics.hh"
 
@@ -54,13 +56,11 @@ Kernel::handleIkRequest(uint32_t slot)
 uint32_t
 Kernel::freeOwnedPes() const
 {
-    // Non-owned PEs are pinned busy (setDomain), so this counts exactly
-    // the free PEs of this kernel's domain.
-    uint32_t n = 0;
-    for (peid_t p = 0; p < platform.peCount(); ++p)
-        if (!peBusy[p])
-            n++;
-    return n;
+    // Non-owned PEs are pinned busy (setDomain) and drained ones are
+    // never placed on, so this counts exactly the PEs of this kernel's
+    // domain that a CreateVpe could get.
+    return static_cast<uint32_t>(
+        std::count(peState.begin(), peState.end(), PeState::Free));
 }
 
 void
@@ -162,17 +162,7 @@ Kernel::ikCreateVpe(Unmarshaller &um, uint32_t slot)
     auto type = um.pull<kif::PeTypeReq>();
     auto attr = um.pull<std::string>();
 
-    PeType wanted = type == kif::PeTypeReq::Accelerator
-                        ? PeType::Accelerator
-                        : PeType::General;
-    peid_t chosen = INVALID_PE;
-    for (peid_t p = 0; p < platform.peCount(); ++p) {
-        if (!peBusy[p] && !drained(p) &&
-            platform.pe(p).desc().matches(wanted, attr)) {
-            chosen = p;
-            break;
-        }
-    }
+    peid_t chosen = pickPe(type, attr, false);
     if (chosen == INVALID_PE) {
         // This domain is full too. Do NOT re-forward: the requesting
         // kernel walks its own candidate list, so a single hop suffices
@@ -181,7 +171,7 @@ Kernel::ikCreateVpe(Unmarshaller &um, uint32_t slot)
         return;
     }
 
-    peBusy[chosen] = true;
+    claimPe(chosen, false);
     Vpe &child = createVpeObj(name, chosen);
     kstats.remoteVpesPlaced++;
     logtrace("kernel%u: remote vpe%u '%s' -> pe%u", domain.id, child.id,
@@ -381,17 +371,7 @@ Kernel::ikPeLease(Unmarshaller &um, uint32_t slot)
     auto type = um.pull<kif::PeTypeReq>();
     auto attr = um.pull<std::string>();
 
-    PeType wanted = type == kif::PeTypeReq::Accelerator
-                        ? PeType::Accelerator
-                        : PeType::General;
-    peid_t chosen = INVALID_PE;
-    for (peid_t p = 0; p < platform.peCount(); ++p) {
-        if (!peBusy[p] && !drained(p) &&
-            platform.pe(p).desc().matches(wanted, attr)) {
-            chosen = p;
-            break;
-        }
-    }
+    peid_t chosen = pickPe(type, attr, false);
     if (chosen == INVALID_PE) {
         ikReplyError(slot, Error::NoFreePe);
         return;
@@ -400,7 +380,7 @@ Kernel::ikPeLease(Unmarshaller &um, uint32_t slot)
     // commands (downgraded PEs accept them from any kernel PE); this
     // kernel only takes the PE out of its own allocator until the
     // matching PeRelease hands it back.
-    peBusy[chosen] = true;
+    claimPe(chosen, false);
     kstats.pesLeased++;
     logtrace("kernel%u: leasing pe%u to a peer kernel", domain.id,
              chosen);
@@ -420,8 +400,7 @@ Kernel::ikPeRelease(Unmarshaller &um, uint32_t slot)
         return;
     }
     logtrace("kernel%u: pe%u returned by a peer kernel", domain.id, pe);
-    platform.pe(pe).release();
-    peBusy[pe] = false;
+    freePe(pe);
     ikReplyError(slot, Error::None);
     if (queueVpes)
         flushPendingVpes();

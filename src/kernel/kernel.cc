@@ -15,9 +15,9 @@ Kernel::Kernel(Platform &platform, peid_t kernelPe, goff_t dramAllocStart,
     : platform(platform), kernelPe(kernelPe), costs(platform.costs().m3),
       dramNext((dramAllocStart + 63) & ~goff_t{63}),
       dramEnd(dramAllocEnd ? dramAllocEnd : platform.dram().size()),
-      peBusy(platform.peCount(), false)
+      peState(platform.peCount(), PeState::Free)
 {
-    peBusy.at(kernelPe) = true;
+    peState.at(kernelPe) = PeState::Busy;
 }
 
 void
@@ -34,8 +34,8 @@ Kernel::setDomain(DomainCfg cfg)
     // permanently busy so placement never considers them.
     for (peid_t p = 0; p < platform.peCount(); ++p)
         if (p >= domain.ownedPes.size() || !domain.ownedPes[p])
-            peBusy[p] = true;
-    peBusy.at(kernelPe) = true;
+            peState[p] = PeState::Busy;
+    peState.at(kernelPe) = PeState::Busy;
     freeEst = domain.ownedCounts;
     for (uint32_t peer = 0; peer < domain.count; ++peer) {
         ikChannels.emplace_back(
@@ -159,11 +159,11 @@ Kernel::bootSetup()
 
     // Load the boot programs (OS services and the root application).
     for (BootProgram &prog : bootQueue) {
-        if (peBusy.at(prog.pe))
+        if (peState.at(prog.pe) != PeState::Free)
             fatal("boot program '%s' wants busy PE%u", prog.name.c_str(),
                   prog.pe);
         Vpe &v = createVpeObj(prog.name, prog.pe);
-        peBusy[prog.pe] = true;
+        claimPe(prog.pe, false);
         for (const BootCap &bc : prog.caps) {
             v.caps.put(bc.sel, std::make_shared<MemObj>(bc.node, bc.off,
                                                         bc.size, bc.perms));
@@ -190,6 +190,95 @@ Kernel::createVpeObj(const std::string &name, peid_t pe)
     vpes[id] = std::move(v);
     kstats.vpesCreated++;
     return ref;
+}
+
+// ---------------------------------------------------------------------
+// PE placement: the one place that picks, claims and releases PEs.
+// ---------------------------------------------------------------------
+
+peid_t
+Kernel::pickPe(kif::PeTypeReq type, const std::string &attr,
+               bool share) const
+{
+    const PeType want = type == kif::PeTypeReq::Accelerator
+                            ? PeType::Accelerator
+                            : PeType::General;
+    auto fits = [&](peid_t p) {
+        return platform.pe(p).desc().matches(want, attr);
+    };
+    // Select a suitable and unused PE (Sec. 4.5.5).
+    for (peid_t p = 0; p < platform.peCount(); ++p)
+        if (peState[p] == PeState::Free && fits(p))
+            return p;
+    if (!share || !timeSlice)
+        return INVALID_PE;
+    // Oversubscription: co-schedule onto the multiplexed PE with the
+    // fewest VPEs (the map's order makes the lowest id win ties).
+    peid_t best = INVALID_PE;
+    uint32_t load = ~0u;
+    for (const auto &[p, s] : scheds) {
+        if (!drained(p) && s.assigned < load && fits(p)) {
+            load = s.assigned;
+            best = p;
+        }
+    }
+    return best;
+}
+
+void
+Kernel::claimPe(peid_t pe, bool scheduled)
+{
+    peState[pe] = PeState::Busy;
+    if (!scheduled)
+        return;
+    PeSched &s = scheds[pe];
+    s.assigned++;
+    platform.pe(pe).dtu().setSharedPe(s.assigned > 1);
+}
+
+void
+Kernel::releasePe(Vpe &v, bool dead)
+{
+    const peid_t pe = v.pe;
+    auto sIt = scheds.find(pe);
+    if (sIt != scheds.end()) {
+        // A multiplexed PE is shared: drop only this VPE's share of it.
+        PeSched &s = sIt->second;
+        if (s.resident == v.id)
+            s.resident = INVALID_VPE;
+        s.runQueue.erase(
+            std::remove(s.runQueue.begin(), s.runQueue.end(), v.id),
+            s.runQueue.end());
+        platform.pe(pe).dropParked(v.id);
+        if (s.assigned)
+            s.assigned--;
+        platform.pe(pe).dtu().setSharedPe(s.assigned > 1);
+        if (s.assigned)
+            return;
+        scheds.erase(sIt);
+    }
+    if (dead)
+        return;  // quarantined as it is: no reset, never placed again
+    // The last VPE is gone: reset the PE's DTU and give the PE back.
+    kdtu().extReset(platform.nocIdOf(pe));
+    auto bIt = borrowedPes.find(pe);
+    if (bIt != borrowedPes.end()) {
+        // Leased from a peer kernel: hand it back to its lender instead
+        // of feeding it into the local allocator.
+        releaseBorrowedPe(bIt->second, pe);
+        borrowedPes.erase(bIt);
+    } else {
+        freePe(pe);
+    }
+}
+
+void
+Kernel::freePe(peid_t pe)
+{
+    if (drained(pe))
+        return;
+    platform.pe(pe).release();
+    peState[pe] = PeState::Free;
 }
 
 void

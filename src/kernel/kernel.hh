@@ -189,8 +189,6 @@ class Kernel
      * @param kernelPe PE the kernel itself runs on
      * @param dramAllocStart first DRAM byte the kernel may hand out
      *        (below lies e.g. the filesystem image)
-     */
-    /**
      * @param dramAllocEnd one past the last DRAM byte the kernel may
      *        hand out (0 = the whole DRAM). Multi-kernel machines split
      *        the dynamic region so the instances never collide.
@@ -291,13 +289,6 @@ class Kernel
     scheduleDrain(peid_t pe, Cycles at)
     {
         pendingDrains.push_back({pe, at});
-    }
-
-    /** True once @p pe was drained (no new placements allowed). */
-    bool
-    drained(peid_t p) const
-    {
-        return p < drainedPes.size() && drainedPes[p];
     }
 
     Kernel(const Kernel &) = delete;
@@ -544,7 +535,16 @@ class Kernel
     // VPE and PE management.
     std::map<vpeid_t, std::unique_ptr<Vpe>> vpes;
     vpeid_t nextVpe = 1;
-    std::vector<bool> peBusy;
+    /** Where a PE is in its life cycle (DESIGN.md, "PE placement"). */
+    enum class PeState : uint8_t
+    {
+        Free,     //!< placeable
+        Busy,     //!< holds VPEs, is lent out, or is another kernel's
+        Drained,  //!< drained or dead: never placed on again
+    };
+    /** Written only by claimPe, freePe, retirePe, the constructor,
+     *  setDomain and boot. */
+    std::vector<PeState> peState;
 
     // Multi-kernel domain state (count == 1: plain single kernel).
     DomainCfg domain;
@@ -636,6 +636,31 @@ class Kernel
     /** Any multiplexed PE with a VPE waiting for its turn? */
     bool schedulePending() const;
 
+    // --- PE placement ---------------------------------------------------
+    /**
+     * The PE for a VPE of @p type and @p attr: the lowest free PE that
+     * matches, else (if @p share and multiplexing) the matching
+     * multiplexed PE with the fewest VPEs, lowest id on ties; never a
+     * drained one. INVALID_PE if there is none.
+     */
+    peid_t pickPe(kif::PeTypeReq type, const std::string &attr,
+                  bool share) const;
+    /** Take a share of @p pe: busy from now on; a @p scheduled share
+     *  (a multiplexed or migratable VPE) counts in the PE's schedule. */
+    void claimPe(peid_t pe, bool scheduled);
+    /**
+     * Drop @p v's share of its PE: off the PE's schedule, its parked
+     * fiber gone. The last share ends the schedule and, unless the PE
+     * is @p dead, resets its DTU and hands it back to its lender or
+     * frees it (freePe).
+     */
+    void releasePe(Vpe &v, bool dead = false);
+    /** @p pe is back: free again, unless it was drained meanwhile. */
+    void freePe(peid_t pe);
+    /** Take @p pe out of placement for good (drained, or its core died). */
+    void retirePe(peid_t pe) { peState[pe] = PeState::Drained; }
+    bool drained(peid_t p) const { return peState[p] == PeState::Drained; }
+
     /** Try to satisfy @p req now. @return false if no PE is free. */
     bool tryCreateVpe(Vpe &caller, const PendingVpeReq &req);
     /** Forward a CreateVpe to the first of @p candidates; false = none
@@ -669,20 +694,19 @@ class Kernel
     void finishDrainStep(peid_t pe);
     /** Restart @p v from its retained program on a replacement PE. */
     void failoverVpe(Vpe &v);
-    /** A free, matching, non-drained PE for @p v (INVALID_PE if none). */
+    /** pickPe for a VPE leaving its (already drained) PE: one like it. */
     peid_t pickMigrationTarget(const Vpe &v) const;
+    /** @p v just claimed its PE: resume it there, or queue it behind
+     *  the resident VPE. */
+    void runOrQueue(Vpe &v);
     /** Point @p v's own activated receive gates at @p newNode. */
     void rehomeVpeGates(Vpe &v, uint32_t newNode);
     /** Tell peer kernels that the gates of generation @p gen moved. */
     void broadcastCapsRehome(uint32_t oldNode, uint32_t gen,
                              uint32_t newNode);
-    /** Remove @p v from its PE's schedule without releasing the PE. */
-    void unscheduleVpe(Vpe &v);
 
     bool migration = false;
     bool failover = false;
-    /** Drained (or dead) PEs: never considered for placement again. */
-    std::vector<bool> drainedPes;
     /** A drain request armed before start(). */
     struct PendingDrain
     {

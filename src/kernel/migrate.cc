@@ -1,7 +1,5 @@
 #include "kernel/kernel.hh"
 
-#include <algorithm>
-
 #include "base/logging.hh"
 #include "trace/metrics.hh"
 #include "trace/trace.hh"
@@ -37,12 +35,12 @@ Kernel::migrateVpe(Vpe &v, peid_t dst)
         trace::Tracer::instant(kernelPe, "migration:start");
     compute(costs.ctxswSave);
 
-    PeSched &s = sIt->second;
-    if (s.resident == v.id) {
+    Pe &srcPe = platform.pe(src);
+    if (sIt->second.resident == v.id) {
         // Pull the running program off the core and its state out of
         // the DTU, exactly like a multiplexing suspend (minus the
-        // runQueue re-insert — the VPE leaves this PE for good).
-        Pe &srcPe = platform.pe(src);
+        // runQueue re-insert — the VPE leaves this PE for good). A
+        // descheduled VPE has both in its CSA already.
         if (v.started) {
             Fiber *f = srcPe.programFiber();
             if (f && !f->finished()) {
@@ -63,47 +61,20 @@ Kernel::migrateVpe(Vpe &v, peid_t dst)
             w.wait();
         }
         spillSpm(v);
-        s.resident = INVALID_VPE;
-    } else {
-        // Already descheduled: context and SPM image are in the CSA.
-        s.runQueue.erase(
-            std::remove(s.runQueue.begin(), s.runQueue.end(), v.id),
-            s.runQueue.end());
     }
 
     // Move the software over before touching the source PE's bookkeeping
-    // (release() would drop the parked fiber we are about to adopt). The
+    // (releasePe would drop the parked fiber we are about to adopt). The
     // moved hook repoints the program's environment to the new PE.
-    Pe &srcPe = platform.pe(src);
     Pe &dstPe = platform.pe(dst);
     if (srcPe.hasParked(v.id))
         dstPe.adoptParkedFrom(srcPe, v.id);
     else
         dstPe.adoptInstalledFrom(srcPe, v.id);
 
-    // Drop the source PE's share.
-    if (s.assigned)
-        s.assigned--;
-    srcPe.dtu().setSharedPe(s.assigned > 1);
-    if (s.assigned == 0) {
-        scheds.erase(sIt);
-        kdtu().extReset(platform.nocIdOf(src));
-        auto bIt = borrowedPes.find(src);
-        if (bIt != borrowedPes.end()) {
-            releaseBorrowedPe(bIt->second, src);
-            borrowedPes.erase(bIt);
-        } else if (!drained(src)) {
-            srcPe.release();
-            peBusy[src] = false;
-        }
-    }
-
-    // Claim the destination.
+    releasePe(v);
     v.pe = dst;
-    peBusy[dst] = true;
-    PeSched &d = scheds[dst];
-    d.assigned++;
-    dstPe.dtu().setSharedPe(d.assigned > 1);
+    claimPe(dst, true);
 
     // Re-home the VPE's gates: its own receive gates now live at the
     // new node, locally and (via CapsRehome) in every peer domain that
@@ -118,11 +89,7 @@ Kernel::migrateVpe(Vpe &v, peid_t dst)
     // its old home as reply target; repoint their stored headers.
     kdtu().retargetReplies(KEP_SYSC, v.id, newNode);
 
-    v.lastActivity = platform.simulator().curCycle();
-    if (d.resident == INVALID_VPE)
-        resumeVpe(v);
-    else
-        d.runQueue.push_back(v.id);
+    runOrQueue(v);
 
     // Discard last: anything parked for the old incarnation between the
     // context fetch and now was sent to the old home and is stale — the
@@ -135,32 +102,19 @@ Kernel::migrateVpe(Vpe &v, peid_t dst)
     return Error::None;
 }
 
+/** The type request that asks for a PE like @p d. */
+static kif::PeTypeReq
+typeReqOf(const PeDesc &d)
+{
+    return d.type == PeType::Accelerator ? kif::PeTypeReq::Accelerator
+                                         : kif::PeTypeReq::General;
+}
+
 peid_t
 Kernel::pickMigrationTarget(const Vpe &v) const
 {
     const PeDesc &want = platform.pe(v.pe).desc();
-    for (peid_t p = 0; p < platform.peCount(); ++p) {
-        if (!peBusy[p] && !drained(p) &&
-            platform.pe(p).desc().matches(want.type, want.attr))
-            return p;
-    }
-    if (timeSlice) {
-        // Fall back to co-scheduling onto the least-loaded multiplexed
-        // PE (lowest id breaks ties, deterministically).
-        peid_t best = INVALID_PE;
-        uint32_t load = ~0u;
-        for (const auto &[p, s] : scheds) {
-            if (p == v.pe || drained(p))
-                continue;
-            if (platform.pe(p).desc().matches(want.type, want.attr) &&
-                s.assigned < load) {
-                load = s.assigned;
-                best = p;
-            }
-        }
-        return best;
-    }
-    return INVALID_PE;
+    return pickPe(typeReqOf(want), want.attr, true);
 }
 
 void
@@ -205,12 +159,9 @@ Kernel::requestPeLease(Vpe &v, peid_t drainSrc,
     uint32_t peer = candidates.front();
     candidates.erase(candidates.begin());
     const PeDesc &want = platform.pe(v.pe).desc();
-    kif::PeTypeReq t = want.type == PeType::Accelerator
-                           ? kif::PeTypeReq::Accelerator
-                           : kif::PeTypeReq::General;
     uint8_t buf[kif::IK_MSG_SIZE];
     Marshaller m(buf, sizeof(buf));
-    m << kif::IkOp::PeLease << t << want.attr;
+    m << kif::IkOp::PeLease << typeReqOf(want) << want.attr;
     ikChannels[peer].send(
         buf, static_cast<uint32_t>(m.size()),
         [this, vpeId = v.id, drainSrc, peer,
@@ -257,9 +208,7 @@ Kernel::drainPe(peid_t pe)
 {
     if (drained(pe))
         return;
-    if (drainedPes.size() < platform.peCount())
-        drainedPes.resize(platform.peCount(), false);
-    drainedPes[pe] = true;
+    retirePe(pe);
     kstats.drains++;
     logtrace("kernel: draining pe%u", pe);
     if (M3_TRACE_ON)
@@ -359,9 +308,7 @@ Kernel::failoverVpe(Vpe &v)
 
     // The PE is dead hardware: quarantine it for the rest of the run
     // (it stays busy and never re-enters the allocator).
-    if (drainedPes.size() < platform.peCount())
-        drainedPes.resize(platform.peCount(), false);
-    drainedPes[deadPe] = true;
+    retirePe(deadPe);
 
     peid_t dst = pickMigrationTarget(v);
     if (dst == INVALID_PE) {
@@ -391,9 +338,9 @@ Kernel::failoverVpe(Vpe &v)
             cap->activatedEp = INVALID_EP;
     }
 
-    // Detach from the dead PE without releasing it, and drop whatever
-    // the old incarnation had parked at its DTU.
-    unscheduleVpe(v);
+    // Detach from the dead PE without resetting or releasing it, and
+    // drop whatever the old incarnation had parked at its DTU.
+    releasePe(v, /*dead=*/true);
     kdtu().extDiscardCtx(oldNode, oldGen);
 
     // Move the retained entry functor over and wire a fresh context: a
@@ -407,35 +354,19 @@ Kernel::failoverVpe(Vpe &v)
     v.started = false;
     buildInitialCtx(v);
 
-    peBusy[dst] = true;
-    PeSched &d = scheds[dst];
-    d.assigned++;
-    platform.pe(dst).dtu().setSharedPe(d.assigned > 1);
-    v.lastActivity = platform.simulator().curCycle();
-    if (d.resident == INVALID_VPE)
-        resumeVpe(v);
-    else
-        d.runQueue.push_back(v.id);
+    claimPe(dst, true);
+    runOrQueue(v);
 }
 
 void
-Kernel::unscheduleVpe(Vpe &v)
+Kernel::runOrQueue(Vpe &v)
 {
-    auto sIt = scheds.find(v.pe);
-    if (sIt == scheds.end())
-        return;
-    PeSched &s = sIt->second;
-    if (s.resident == v.id)
-        s.resident = INVALID_VPE;
-    s.runQueue.erase(
-        std::remove(s.runQueue.begin(), s.runQueue.end(), v.id),
-        s.runQueue.end());
-    platform.pe(v.pe).dropParked(v.id);
-    if (s.assigned)
-        s.assigned--;
-    platform.pe(v.pe).dtu().setSharedPe(s.assigned > 1);
-    if (s.assigned == 0)
-        scheds.erase(sIt);
+    v.lastActivity = platform.simulator().curCycle();
+    PeSched &s = scheds.at(v.pe);
+    if (s.resident == INVALID_VPE)
+        resumeVpe(v);
+    else
+        s.runQueue.push_back(v.id);
 }
 
 } // namespace kernel

@@ -151,39 +151,15 @@ Kernel::sysCreateVpe(Vpe &caller, Unmarshaller &um, uint32_t slot)
 bool
 Kernel::tryCreateVpe(Vpe &caller, const PendingVpeReq &req)
 {
-    PeType wanted = req.type == kif::PeTypeReq::Accelerator
-                        ? PeType::Accelerator
-                        : PeType::General;
-
-    // Select a suitable and unused PE (Sec. 4.5.5). Drained PEs are
-    // about to disappear and accept no new tenants.
-    peid_t chosen = INVALID_PE;
-    for (peid_t p = 0; p < platform.peCount(); ++p) {
-        if (!peBusy[p] && !drained(p) &&
-            platform.pe(p).desc().matches(wanted, req.attr)) {
-            chosen = p;
-            break;
-        }
-    }
-    bool coScheduled = false;
-    if (chosen == INVALID_PE && timeSlice) {
-        // Oversubscription: co-schedule onto the multiplexed PE with the
-        // fewest VPEs (lowest PE id breaks ties — deterministic).
-        uint32_t best = ~0u;
-        for (const auto &[p, s] : scheds) {
-            if (!drained(p) &&
-                platform.pe(p).desc().matches(wanted, req.attr) &&
-                s.assigned < best) {
-                best = s.assigned;
-                chosen = p;
-            }
-        }
-        coScheduled = chosen != INVALID_PE;
-    }
+    peid_t chosen = pickPe(req.type, req.attr, true);
     if (chosen == INVALID_PE)
         return false;
-
-    peBusy[chosen] = true;
+    const bool coScheduled = peState[chosen] != PeState::Free;
+    // Multiplexed (or migratable) VPEs get a kernel-assigned generation
+    // and their syscall EPs via a context restore, so suspend/resume,
+    // migration and the initial setup share one mechanism.
+    const bool scheduled = timeSlice || migration;
+    claimPe(chosen, scheduled);
     Vpe &child = createVpeObj(req.name, chosen);
     logtrace("kernel: vpe%u '%s' -> pe%u (for vpe%u)%s", child.id,
              req.name.c_str(), chosen, caller.id,
@@ -207,19 +183,13 @@ Kernel::tryCreateVpe(Vpe &caller, const PendingVpeReq &req)
                                                  MEM_RW));
     }
 
-    if (!timeSlice && !migration) {
+    if (!scheduled) {
         configureVpeEps(child);
     } else {
-        // Multiplexed (or migratable) VPEs get a kernel-assigned
-        // generation and their syscall EPs via a context restore, so
-        // suspend/resume, migration and the initial setup share one
-        // mechanism.
         child.dtuGen = nextDtuGen++;
         buildInitialCtx(child);
-        PeSched &s = scheds[chosen];
-        s.assigned++;
-        platform.pe(chosen).dtu().setSharedPe(s.assigned > 1);
         if (!coScheduled) {
+            PeSched &s = scheds.at(chosen);
             s.resident = child.id;
             s.residentSince = platform.simulator().curCycle();
             applyCtx(child);
@@ -370,45 +340,12 @@ Kernel::finishVpe(Vpe &v, int exitCode)
     // The VPE is gone for good: its retained failover program with it.
     platform.pe(v.pe).dropRetained(v.id);
 
-    auto sIt = scheds.find(v.pe);
-    if (sIt == scheds.end()) {
-        // Reclaim the PE: reset its DTU and mark it available again.
-        kdtu().extReset(nodeOf(v));
-        if (!drained(v.pe)) {
-            platform.pe(v.pe).release();
-            peBusy[v.pe] = false;
-        }
-    } else {
-        // A multiplexed PE is shared: drop only this VPE's share of it.
-        // Messages buffered for its generation are stale now, and future
-        // ones become stale once another context is restored.
-        PeSched &s = sIt->second;
-        if (s.resident == v.id)
-            s.resident = INVALID_VPE;
-        s.runQueue.erase(
-            std::remove(s.runQueue.begin(), s.runQueue.end(), v.id),
-            s.runQueue.end());
-        platform.pe(v.pe).dropParked(v.id);
+    // Messages the DTU buffered for a multiplexed VPE's generation are
+    // stale now; future ones become stale once another context is
+    // restored. Then the VPE's share of its PE goes.
+    if (v.dtuGen)
         kdtu().extDiscardCtx(nodeOf(v), v.dtuGen);
-        if (s.assigned)
-            s.assigned--;
-        platform.pe(v.pe).dtu().setSharedPe(s.assigned > 1);
-        if (s.assigned == 0) {
-            // Last VPE gone: now the PE really is free again.
-            scheds.erase(sIt);
-            kdtu().extReset(nodeOf(v));
-            auto bIt = borrowedPes.find(v.pe);
-            if (bIt != borrowedPes.end()) {
-                // The PE was leased from a peer kernel: hand it back
-                // instead of feeding it into the local allocator.
-                releaseBorrowedPe(bIt->second, v.pe);
-                borrowedPes.erase(bIt);
-            } else if (!drained(v.pe)) {
-                platform.pe(v.pe).release();
-                peBusy[v.pe] = false;
-            }
-        }
-    }
+    releasePe(v);
 
     // Its services die with it.
     std::vector<std::shared_ptr<ServObj>> served;

@@ -372,6 +372,63 @@ TEST(Distfs, ReplicaConsistencySurvivesStripeKill)
     }
 }
 
+TEST(Distfs, StatOfKilledStripeCountsItsReplica)
+{
+    // R = 2 over 3 stripes: stripe 1's server PE dies after the file is
+    // written. The next stat's fan-out finds the stripe silent (its core
+    // is dead and never answers) or, once the watchdog reclaimed the
+    // server, unable to take the request at all. Either way the fan-out
+    // marks the stripe dead, and the stat reads the stripe's share from
+    // its replica file: the file's full size.
+    for (bool reclaim : {false, true}) {
+        SCOPED_TRACE(reclaim ? "server reclaimed" : "server silent");
+        const uint32_t victim = 1;
+        const Cycles killAt = 3000000;
+        M3SystemCfg cfg = stripedCfg(3);
+        cfg.distfsReplicas = 2;
+        if (reclaim) {
+            cfg.watchdogDeadline = 50000;
+            cfg.watchdogPeriod = 10000;
+        }
+        // fs instance k serves stripe k from PE numKernels + k.
+        cfg.faults.killPes = {{1 + victim, killAt}};
+        M3System sys(cfg);
+        sys.runRoot("root", [&] {
+            Env &env = Env::cur();
+            Error err = Error::None;
+            auto dfs = m3fs::DistfsSession::create(env, err);
+            if (!dfs)
+                return 1;
+            auto data = m3fs::FsImage::patternData(50000, 31);
+            {
+                auto f = dfs->open("/data/s", FILE_W | FILE_CREATE, err);
+                if (!f || f->write(data.data(), data.size()) !=
+                              static_cast<ssize_t>(data.size()))
+                    return 2;
+            }
+            if (env.platform.simulator().curCycle() >= killAt)
+                return 3;  // setup overran the kill; rearrange timing
+            while (env.platform.simulator().curCycle() < killAt + 500000) {
+                Fiber::current()->sleep(20000);
+                if (env.heartbeat() != Error::None)
+                    return 4;
+            }
+            if (dfs->stripeDead(victim))
+                return 5;
+            FileInfo info;
+            if (dfs->stat("/data/s", info) != Error::None)
+                return 6;
+            if (!dfs->stripeDead(victim))
+                return 7;
+            return info.size == data.size() ? 0 : 8;
+        });
+        ASSERT_TRUE(sys.simulate());
+        EXPECT_EQ(sys.rootExitCode(), 0);
+        EXPECT_EQ(sys.kernelInstance().stats().watchdogReclaims,
+                  reclaim ? 1u : 0u);
+    }
+}
+
 TEST(Distfs, RebuildRestoresStripeContents)
 {
     // Degrade-then-rebuild, fault-free and deterministic: mark a stripe

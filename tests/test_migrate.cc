@@ -11,6 +11,9 @@
 
 #include <cstring>
 #include <map>
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "base/random.hh"
@@ -243,6 +246,140 @@ TEST(Migration, PrintStatsShowsDrainsAndLeases)
           "\nkernel1: ", "pes_leased=1", "\npe4 dtu: "})
         EXPECT_NE(out.find(needle), std::string::npos) << needle << "\n"
                                                        << out;
+}
+
+/** Size and djb2 hash of the trace JSON: a whole-run pin. */
+std::pair<size_t, uint64_t>
+traceDigest()
+{
+    const std::string json = trace::Tracer::toJson();
+    uint64_t h = 5381;
+    for (char c : json)
+        h = h * 33 + static_cast<uint8_t>(c);
+    return {json.size(), h};
+}
+
+TEST(Migration, FailoverRestartIsPinned)
+{
+    // One worker's core dies mid-run; the watchdog sees the dead core
+    // and restarts the worker from its retained program on the spare
+    // PE, where it runs to completion. Pins: root exit, wall cycles and
+    // the trace (size + djb2 hash), recorded before the kernel's PE
+    // placement became one pick/claim/release path.
+    trace::Tracer::enable();
+    trace::Tracer::reset();
+    M3SystemCfg cfg;
+    // Root=1, worker on 2, spare 3.
+    cfg.appPes = 3;
+    cfg.withFs = false;
+    cfg.failover = true;
+    cfg.watchdogDeadline = 250000;
+    cfg.watchdogPeriod = 50000;
+    cfg.faults.killPes = {{2, 200000}};
+    M3System sys(cfg);
+    peid_t workerPe = INVALID_PE;
+    sys.runRoot("root", [&workerPe] {
+        Env &env = Env::cur();
+        RecvGate rg(env, 16, 256);
+        VPE w(env, "w");
+        if (w.err() != Error::None)
+            return 1;
+        workerPe = w.peId();
+        SendGate sg = SendGate::create(env, rg, 0, CREDITS_UNLIMITED);
+        if (w.delegate(sg.capSel(), 1, 40) != Error::None)
+            return 2;
+        Error e = w.run([] {
+            Env &cenv = Env::cur();
+            SendGate out(cenv, 40, 256, /*finiteCredits=*/false);
+            for (uint64_t r = 0; r < ROUNDS; ++r) {
+                cenv.compute(40000);
+                cenv.heartbeat();
+                Marshaller m = out.ostream();
+                m << r;
+                if (out.send(m) != Error::None)
+                    return 10;
+            }
+            return 0;
+        });
+        if (e != Error::None)
+            return 3;
+        const int rc = w.wait();
+        while (rg.hasMsg())
+            rg.tryReceive().ack();
+        return rc;
+    });
+    ASSERT_TRUE(sys.simulate());
+    const auto [size, hash] = traceDigest();
+    trace::Tracer::disable();
+    const kernel::KernelStats &ks = sys.kernelInstance().stats();
+    EXPECT_EQ(workerPe, 2u);
+    EXPECT_TRUE(sys.platform().pe(2).coreKilled());
+    EXPECT_EQ(ks.failovers, 1u);
+    EXPECT_EQ(ks.watchdogReclaims, 0u);
+    EXPECT_EQ(sys.rootExitCode(), 0);
+    EXPECT_EQ(sys.now(), 789402u);
+    EXPECT_EQ(size, 43727u);
+    EXPECT_EQ(hash, 16907658221928830732ull);
+}
+
+TEST(Migration, DrainCoSchedulesOntoLeastLoadedPe)
+{
+    // Multiplexing and migration, no free PE left: four workers on the
+    // three worker PEs 2..4 (the fourth shares PE 2, the lowest of the
+    // equally loaded ones). Draining PE 4 then co-schedules its worker
+    // onto PE 3, the least-loaded multiplexed PE that is not drained.
+    // Pins: final PEs, root exit, wall cycles and the trace digest.
+    trace::Tracer::enable();
+    trace::Tracer::reset();
+    M3SystemCfg cfg;
+    cfg.appPes = 4;
+    cfg.withFs = false;
+    cfg.multiplexSlice = 50000;
+    cfg.migration = true;
+    cfg.drains = {{4, 150000}};
+    M3System sys(cfg);
+    std::vector<vpeid_t> ids;
+    std::vector<peid_t> placed;
+    sys.runRoot("root", [&] {
+        Env &env = Env::cur();
+        RecvGate rg(env, 16, 256);
+        std::vector<std::unique_ptr<VPE>> ws;
+        for (uint64_t l = 0; l < 4; ++l) {
+            auto w = std::make_unique<VPE>(
+                env, std::string("w").append(std::to_string(l)));
+            if (w->err() != Error::None)
+                return 1;
+            SendGate sg = SendGate::create(env, rg, l, CREDITS_UNLIMITED);
+            if (w->delegate(sg.capSel(), 1, 40) != Error::None)
+                return 2;
+            if (w->run([l] { return drainWorker(l); }) != Error::None)
+                return 3;
+            ids.push_back(w->id());
+            placed.push_back(w->peId());
+            ws.push_back(std::move(w));
+        }
+        for (uint32_t n = 0; n < 4 * ROUNDS; ++n)
+            rg.receive().ack();
+        int rc = 0;
+        for (auto &w : ws)
+            rc += w->wait();
+        return rc;
+    });
+    ASSERT_TRUE(sys.simulate());
+    const auto [size, hash] = traceDigest();
+    trace::Tracer::disable();
+    EXPECT_EQ(placed, (std::vector<peid_t>{2, 3, 4, 2}));
+    ASSERT_EQ(ids.size(), 4u);
+    const kernel::Kernel &k = sys.kernelInstance();
+    EXPECT_EQ(k.vpe(ids[2])->pe, 3u);
+    const kernel::KernelStats &ks = k.stats();
+    EXPECT_EQ(ks.drains, 1u);
+    EXPECT_EQ(ks.migrationsCompleted, 1u);
+    EXPECT_EQ(ks.migrationsAborted, 0u);
+    EXPECT_EQ(sys.rootExitCode(), 0);
+    EXPECT_EQ(sys.now(), 614214u);
+    EXPECT_EQ(size, 184089u);
+    EXPECT_EQ(hash, 4207251221574146343ull);
 }
 
 // ---------------------------------------------------------------------

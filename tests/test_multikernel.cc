@@ -202,6 +202,44 @@ TEST(MultiKernel, FourKernelsManyChildren)
     EXPECT_EQ(placed, 6u);
 }
 
+TEST(MultiKernel, DrainedIdlePeIsNotReportedFree)
+{
+    // Kernels on 0/1, apps on 2..5: domain 0 owns {2 (root), 4}, domain
+    // 1 owns {3, 5}. Domain 1 drains its idle PE 5 at once, so it has
+    // one PE a CreateVpe could get. The root fills PE 4, places a
+    // second child remotely on PE 3, and the reply reports domain 1's
+    // free PEs: none. A third child must then fail locally with
+    // NoFreePe instead of sending an IK CreateVpe bound to be refused.
+    M3SystemCfg cfg;
+    cfg.numKernels = 2;
+    cfg.appPes = 4;
+    cfg.withFs = false;
+    cfg.drains = {{5, 1}};
+    M3System sys(std::move(cfg));
+    uint64_t sentBefore = 0, sentAfter = 0;
+    sys.runRoot("t", [&] {
+        Env &env = Env::cur();
+        Fiber::current()->sleep(20000);  // the drain is done by now
+        VPE a(env, "a"), b(env, "b");
+        if (a.err() != Error::None || b.err() != Error::None)
+            return 1;
+        if (a.peId() != 4 || b.peId() != 3)
+            return 2;
+        sentBefore = sys.kernelInstance(0).stats().ikRequestsSent;
+        VPE c(env, "c");
+        sentAfter = sys.kernelInstance(0).stats().ikRequestsSent;
+        if (c.err() != Error::NoFreePe)
+            return 3;
+        a.run([] { return 0; });
+        b.run([] { return 0; });
+        return a.wait() + b.wait();
+    });
+    ASSERT_TRUE(sys.simulate());
+    EXPECT_EQ(sys.rootExitCode(), 0);
+    EXPECT_EQ(sys.kernelInstance(1).stats().drains, 1u);
+    EXPECT_EQ(sentAfter, sentBefore);
+}
+
 TEST(MultiKernel, SingleKernelMachineHasNoIkTraffic)
 {
     // numKernels=1 must take exactly the classic paths: no inter-kernel

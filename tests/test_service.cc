@@ -33,16 +33,28 @@ enum class KvXchg : uint64_t
     GetChannel,  //!< obtain the session's send gate
     GetStore,    //!< obtain a memory capability to the raw store
     BadCapList,  //!< a malformed answer: two caps the service never had
+    // args[0] of a session delegate:
+    TakeCaps,     //!< take the caps at fresh selectors
+    TakeTooMany,  //!< name one selector more than the client offered
+    TakeAtOwnSel, //!< name a selector the service already uses
+};
+
+/** The selectors the service named in its last Delegate answer. */
+struct KvTaken
+{
+    vpeid_t vpe = INVALID_VPE;
+    std::vector<capsel_t> sels;
 };
 
 constexpr uint32_t KV_MSG = 256;
 
 /**
  * The service program: run as a boot VPE next to the kernel. Its
- * receive gate has 16 slots of @p slotSize bytes.
+ * receive gate has 16 slots of @p slotSize bytes. Delegate answers are
+ * logged to @p taken, if given.
  */
 int
-kvServiceMain(uint32_t slotSize = KV_MSG)
+kvServiceMain(uint32_t slotSize = KV_MSG, KvTaken *taken = nullptr)
 {
     Env &env = Env::cur();
     env.acct().push(Category::Os);
@@ -106,6 +118,28 @@ kvServiceMain(uint32_t slotSize = KV_MSG)
                     m << Error::InvalidArgs << uint64_t{0};
                     is.replyStreamSend(m);
                 }
+                break;
+              }
+              case kif::ServiceOp::Delegate: {
+                is.pull<uint64_t>();  // ident
+                auto count = is.pull<uint64_t>();
+                auto argc = is.pull<uint64_t>();
+                auto how = static_cast<KvXchg>(argc ? is.pull<uint64_t>()
+                                                    : 0);
+                KvTaken log{env.vpeId, {}};
+                if (how == KvXchg::TakeTooMany)
+                    count++;
+                for (uint64_t i = 0; i < count; ++i)
+                    log.sels.push_back(how == KvXchg::TakeAtOwnSel
+                                           ? srvSel
+                                           : env.allocSels());
+                Marshaller m = is.replyStream();
+                m << Error::None << count;
+                for (capsel_t sel : log.sels)
+                    m << sel;
+                is.replyStreamSend(m);
+                if (taken)
+                    *taken = std::move(log);
                 break;
               }
               case kif::ServiceOp::Shutdown:
@@ -312,6 +346,63 @@ TEST(Service, ObtainWithBadCapListFailsCleanly)
                              {static_cast<uint64_t>(KvXchg::GetChannel)},
                              &ret) != Error::None)
             return 4;
+        return 0;
+    });
+    ASSERT_TRUE(fx.sys->simulate());
+    EXPECT_EQ(fx.sys->rootExitCode(), 0);
+}
+
+TEST(Service, DelegateInstallsCapsAtServiceSelectors)
+{
+    // The client hands two memory caps to the service, which names the
+    // selectors to put them at. The copies are children of the client's
+    // caps, so revoking one takes the service's copy with it. Answers
+    // naming more caps than offered, a source selector that is empty,
+    // or a service selector in use fail with the matching error.
+    KvTaken taken;
+    KvFixture fx([&taken] { return kvServiceMain(KV_MSG, &taken); });
+    const kernel::Kernel &k = fx.sys->kernelInstance();
+    auto srvCap = [&](capsel_t sel) {
+        return k.vpe(taken.vpe)->caps.get(sel);
+    };
+    fx.sys->runRoot("client", [&] {
+        Env &env = Env::cur();
+        capsel_t sess = env.allocSels();
+        if (openRetrying(env, sess, "kvstore") != Error::None)
+            return 1;
+        auto delegate = [&](capsel_t first, uint32_t n, KvXchg how) {
+            return env.exchangeSess(sess, kif::ExchangeOp::Delegate, first,
+                                    n, {static_cast<uint64_t>(how)});
+        };
+        const capsel_t mem = env.allocSels(2);
+        if (env.reqMem(mem, KiB, MEM_RW) != Error::None ||
+            env.reqMem(mem + 1, KiB, MEM_R) != Error::None)
+            return 2;
+        if (delegate(mem, 2, KvXchg::TakeCaps) != Error::None)
+            return 3;
+        const kernel::Vpe *client = k.vpe(env.vpeId);
+        if (taken.sels.size() != 2)
+            return 4;
+        for (uint32_t i = 0; i < 2; ++i) {
+            kernel::Capability *copy = srvCap(taken.sels[i]);
+            if (!copy || copy->obj != client->caps.get(mem + i)->obj ||
+                copy->parent != client->caps.get(mem + i))
+                return 5;
+        }
+        const std::vector<capsel_t> first = taken.sels;
+        if (env.revoke(mem, true) != Error::None)
+            return 6;
+        if (srvCap(first[0]) || !srvCap(first[1]))
+            return 7;
+        // A refused answer installs nothing at the selectors it named.
+        if (delegate(mem + 1, 1, KvXchg::TakeTooMany) != Error::InvalidArgs ||
+            srvCap(taken.sels[0]) || srvCap(taken.sels[1]))
+            return 8;
+        if (delegate(mem, 1, KvXchg::TakeCaps) != Error::NoSuchCap ||
+            srvCap(taken.sels[0]))
+            return 9;
+        if (delegate(mem + 1, 1, KvXchg::TakeAtOwnSel) != Error::CapExists)
+            return 10;
         return 0;
     });
     ASSERT_TRUE(fx.sys->simulate());
