@@ -1,5 +1,7 @@
 #include "kernel/kernel.hh"
 
+#include <algorithm>
+
 #include "base/logging.hh"
 
 namespace m3
@@ -282,25 +284,36 @@ Kernel::sysExchangeSess(Vpe &caller, Unmarshaller &um, uint32_t slot)
             Vpe *c = deferredReplySent(callerId);
             if (!c)
                 return;
+            // Like obtainReply: check the whole list before installing
+            // any, so a refused answer leaves no partial delegation at
+            // the service. A selector named twice is refused too: the
+            // second put would find it occupied.
+            std::vector<std::pair<capsel_t, Capability *>> moves;
+            Vpe *srvVpe = vpeById(serv->owner);
             Error xe = e;
             if (xe == Error::None) {
                 auto numCaps = um.pull<uint64_t>();
-                Vpe *srvVpe = vpeById(serv->owner);
                 if (numCaps > count || !srvVpe)
                     xe = Error::InvalidArgs;
                 for (uint64_t i = 0; xe == Error::None && i < numCaps;
                      ++i) {
                     auto srvDstSel = um.pull<capsel_t>();
                     Capability *src = c->caps.get(dstStart + i);
-                    if (!src) {
+                    auto named = [srvDstSel](const auto &mv) {
+                        return mv.first == srvDstSel;
+                    };
+                    if (!src)
                         xe = Error::NoSuchCap;
-                        break;
-                    }
-                    if (srvVpe->caps.get(srvDstSel)) {
+                    else if (srvVpe->caps.get(srvDstSel) ||
+                             std::any_of(moves.begin(), moves.end(), named))
                         xe = Error::CapExists;
-                        break;
-                    }
-                    srvVpe->caps.put(srvDstSel, src->obj, src);
+                    else
+                        moves.emplace_back(srvDstSel, src);
+                }
+            }
+            if (xe == Error::None) {
+                for (const auto &[sel, src] : moves) {
+                    srvVpe->caps.put(sel, src->obj, src);
                     kstats.capsDelegated++;
                     compute(costs.capOp);
                 }

@@ -203,10 +203,25 @@ Env::beginSyscall()
 }
 
 Error
-Env::waitMsgRetrying(epid_t ep)
+Env::send(epid_t ep, spmaddr_t msg, uint32_t size, epid_t replyEp,
+          label_t replyLabel)
 {
     for (;;) {
-        Error e = dtu().waitForMsg(ep);
+        Error e = dtu().startSend(ep, msg, size, replyEp, replyLabel);
+        if (e != Error::DtuBusy)
+            return e;
+        // A VpeMoved bail-out here means the busy command was aborted by
+        // the context fetch; just retry the send at the new home (this
+        // message was never issued).
+        dtu().waitUntilIdle();
+    }
+}
+
+Error
+Env::waitMsg(epid_t ep, Cycles timeout)
+{
+    for (;;) {
+        Error e = dtu().waitForMsg(ep, timeout);
         if (e != Error::VpeMoved)
             return e;
         // Migrated mid-wait: the message follows us (ring contents travel
@@ -230,22 +245,10 @@ Env::sysCall(Marshaller &m, const std::function<void(Unmarshaller &)> &onReply)
     }
 
     compute(cm.m3.marshal + cm.m3.dtuCommand);
-
-    for (;;) {
-        Error e = dtu().startSend(kif::SYSC_SEP, syscStage,
-                                  static_cast<uint32_t>(m.size()),
-                                  kif::SYSC_REP, 0);
-        if (e == Error::DtuBusy) {
-            // A VpeMoved bail-out here means the busy command was aborted
-            // by the context fetch; just retry the send at the new home
-            // (this request was never issued).
-            dtu().waitUntilIdle();
-            continue;
-        }
-        if (e != Error::None)
-            panic("VPE%u: syscall send failed: %s", vpeId, errorName(e));
-        break;
-    }
+    Error se = send(kif::SYSC_SEP, syscStage,
+                    static_cast<uint32_t>(m.size()), kif::SYSC_REP, 0);
+    if (se != Error::None)
+        panic("VPE%u: syscall send failed: %s", vpeId, errorName(se));
 
     // A plain blocking wait, deliberately not waitMsgYielding: yielding
     // is itself a syscall, and the single SYSC_SEP credit is still out
@@ -254,7 +257,7 @@ Env::sysCall(Marshaller &m, const std::function<void(Unmarshaller &)> &onReply)
     // is out, so a migration mid-wait must re-wait, never re-send: the
     // kernel redirects the (deferred) reply to the new home.
     Cycles t0 = platform.simulator().curCycle();
-    waitMsgRetrying(kif::SYSC_REP);
+    waitMsg(kif::SYSC_REP);
     Cycles elapsed = platform.simulator().curCycle() - t0;
 
     if (M3_METRICS_ON) {
@@ -267,8 +270,7 @@ Env::sysCall(Marshaller &m, const std::function<void(Unmarshaller &)> &onReply)
     // to Xfers, the remainder (kernel software, queueing) to OS. This is
     // the 30 / 170 cycle split of Sec. 5.3.
     uint32_t myNode = dtu().nodeId();
-    uint32_t kNode = 0;  // resolved below from the send EP target
-    kNode = dtu().ep(kif::SYSC_SEP).send.targetNode;
+    uint32_t kNode = dtu().ep(kif::SYSC_SEP).send.targetNode;
     Cycles xfer = platform.noc().idleLatency(
                       myNode, kNode, static_cast<uint32_t>(m.size())) +
                   platform.noc().idleLatency(kNode, myNode, 16);
@@ -329,7 +331,7 @@ Env::waitMsgYielding(epid_t ep)
 {
     while (!dtu().hasMsg(ep)) {
         if (!dtu().sharedPe() || inYield)
-            return waitMsgRetrying(ep);
+            return waitMsg(ep);
         // Spin-then-yield: a prompt reply beats a context switch, so
         // give it a short grace window before handing the PE over.
         // (A VpeMoved bail-out falls through to the outer re-check.)
@@ -338,7 +340,7 @@ Env::waitMsgYielding(epid_t ep)
         if (yield() != Error::None) {
             // Nobody else to run: parking the fiber is free, and the
             // kernel can still preempt us when that changes.
-            return waitMsgRetrying(ep);
+            return waitMsg(ep);
         }
         // We were descheduled and are resident again; anything that
         // arrived meanwhile was parked and has been re-injected.
@@ -385,8 +387,7 @@ Env::vpeExit(int exitCode)
     Marshaller m = beginSyscall();
     m << kif::Syscall::VpeExit << static_cast<int64_t>(exitCode);
     compute(cm.m3.marshal + cm.m3.dtuCommand);
-    dtu().startSend(kif::SYSC_SEP, syscStage,
-                    static_cast<uint32_t>(m.size()));
+    send(kif::SYSC_SEP, syscStage, static_cast<uint32_t>(m.size()));
     dtu().waitUntilIdle();
 }
 

@@ -140,12 +140,25 @@ class Env
     Error yield();
 
     /**
+     * The one message wait of libm3: block until a message is on @p ep,
+     * or at most @p timeout cycles (0 = forever). Returns Error::None,
+     * or Error::Timeout when the deadline passed first. A wait that
+     * bailed out with VpeMoved is re-issued against the new home's DTU:
+     * the message (or the deferred reply) is redirected by the kernel,
+     * so re-waiting, never re-sending, is the correct recovery. The wait
+     * is plain: it holds the PE and charges nothing; each caller charges
+     * the cycles it waited (the syscall splits them into Xfer and Os,
+     * the pipe writer books them as Idle, a call to its category).
+     */
+    Error waitMsg(epid_t ep, Cycles timeout = 0);
+
+    /**
      * Wait for a message on @p ep, yielding the PE instead of idling
      * when other VPEs share it: a blocked VPE should not burn the rest
-     * of its slice holding the core. Falls back to a plain blocking
-     * wait on a dedicated PE (bit-identical to dtu.waitForMsg then) or
-     * when the kernel reports nobody else to run. Returns when a
-     * message is available.
+     * of its slice holding the core. Spins for a short grace window
+     * first, and falls back to waitMsg() on a dedicated PE
+     * (bit-identical to it there) or when the kernel reports nobody
+     * else to run. Returns when a message is available.
      */
     Error waitMsgYielding(epid_t ep);
 
@@ -196,26 +209,30 @@ class Env
 
   private:
     friend class Gate;
+    friend class SendGate;
+
+    /**
+     * The one send of libm3: start sending the @p size bytes at @p msg
+     * on @p ep (the reply, if any, goes to @p replyEp with
+     * @p replyLabel). While the DTU is still busy with an earlier
+     * command, waits for it and retries; otherwise returns the DTU's
+     * verdict. Charges nothing: the callers charge the DTU command.
+     */
+    Error send(epid_t ep, spmaddr_t msg, uint32_t size,
+               epid_t replyEp = INVALID_EP, label_t replyLabel = 0);
 
     /**
      * Generic syscall round trip: send the marshalled request, wait for
      * the kernel's reply, parse the leading error code and hand the rest
      * to @p onReply. Cycle attribution: the message transfers are charged
-     * to Category::Xfer, everything else to Category::Os (Sec. 5.3).
+     * to Category::Xfer, everything else to Category::Os (Sec. 5.3). The
+     * wait never yields (see the comment in its body).
      */
     Error sysCall(Marshaller &m,
                   const std::function<void(Unmarshaller &)> &onReply = {});
 
     /** Begin a syscall message in the staging buffer. */
     Marshaller beginSyscall();
-
-    /**
-     * Blocking message wait that survives a migration: a wait that bailed
-     * out with VpeMoved is re-issued against the new home's DTU. The
-     * message (or the deferred reply) is redirected by the kernel, so
-     * re-waiting — never re-sending — is the correct recovery.
-     */
-    Error waitMsgRetrying(epid_t ep);
 
     /** Fast-path caches for pe()/spm()/dtu(); kept in sync with peId by
      *  the constructor and Env::noteMoved(). */

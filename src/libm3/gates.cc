@@ -1,5 +1,7 @@
 #include "libm3/gates.hh"
 
+#include <optional>
+
 #include "base/logging.hh"
 #include "trace/metrics.hh"
 #include "trace/reqtrace.hh"
@@ -104,17 +106,9 @@ GateIStream::reply(const void *msg, uint32_t size)
 {
     if (slot < 0)
         return Error::InvalidArgs;
-    Env &env = rg->environment();
-    trace::ScopedSpan span(env.peId, "gate:reply");
-    env.spm().write(rg->replyStage, msg, size);
-    env.compute(env.cm.m3.marshal + env.cm.m3.dtuCommand);
-    Error e = env.dtu().startReply(rg->boundEp(), slot, rg->replyStage,
-                                 size);
-    if (e == Error::None) {
-        env.dtu().waitUntilIdle();
-        slot = -1;  // replying freed the ring slot
-    }
-    return e;
+    trace::ScopedSpan span(rg->environment().peId, "gate:reply");
+    rg->environment().spm().write(rg->replyStage, msg, size);
+    return replyStaged(size);
 }
 
 Error
@@ -137,15 +131,21 @@ GateIStream::replyStream()
 Error
 GateIStream::replyStreamSend(Marshaller &m)
 {
+    return replyStaged(static_cast<uint32_t>(m.size()));
+}
+
+Error
+GateIStream::replyStaged(uint32_t size)
+{
     if (slot < 0)
         return Error::InvalidArgs;
     Env &env = rg->environment();
     env.compute(env.cm.m3.marshal + env.cm.m3.dtuCommand);
     Error e = env.dtu().startReply(rg->boundEp(), slot, rg->replyStage,
-                                 static_cast<uint32_t>(m.size()));
+                                   size);
     if (e == Error::None) {
         env.dtu().waitUntilIdle();
-        slot = -1;
+        slot = -1;  // replying freed the ring slot
     }
     return e;
 }
@@ -205,38 +205,16 @@ SendGate::sendRaw(uint32_t size, RecvGate *replyGate, label_t replyLabel)
                       ? replyGate->boundEp()
                       : replyGate->acquire();
     env.compute(env.cm.m3.dtuCommand);
-    for (;;) {
-        Error err = env.dtu().startSend(e, stage, size, replyEp, replyLabel);
-        if (err == Error::DtuBusy) {
-            env.dtu().waitUntilIdle();
-            continue;
-        }
-        return err;
-    }
-}
-
-GateIStream
-SendGate::call(Marshaller &m, RecvGate &replyGate)
-{
-    trace::ScopedSpan span(env.peId, "gate:call");
-    Error e = send(m, &replyGate, 0);
-    if (e != Error::None)
-        panic("send for call failed: %s", errorName(e));
-    Cycles t0 = env.platform.simulator().curCycle();
-    env.waitMsgYielding(replyGate.boundEp());
-    Cycles elapsed = env.platform.simulator().curCycle() - t0;
-    env.acct().charge(elapsed);
-    if (M3_METRICS_ON) {
-        trace::Metrics::histogram("dtu.reply_latency.ep" +
-                                  std::to_string(replyGate.boundEp()))
-            .observe(elapsed);
-    }
-    env.compute(env.cm.m3.fetchMsg + env.cm.m3.unmarshal);
-    return replyGate.tryReceive();
+    return env.send(e, stage, size, replyEp, replyLabel);
 }
 
 namespace
 {
+
+/** A timed call's pause before its second attempt; doubles per attempt. */
+constexpr Cycles BACKOFF_BASE = 128;
+/** The cap on a timed call's pause between attempts. */
+constexpr Cycles BACKOFF_MAX = 16384;
 
 /**
  * Deterministic per-VPE backoff jitter (splitmix-style bit mix): many
@@ -260,35 +238,30 @@ retryJitter(vpeid_t vpe, uint32_t attempt, Cycles backoff)
 } // anonymous namespace
 
 GateIStream
-SendGate::callTimed(Marshaller &m, RecvGate &replyGate, Error &err)
+SendGate::call(Marshaller &m, RecvGate &replyGate, uint32_t attempts,
+               Cycles timeout, Error *err)
 {
-    // Without a policy this is exactly call() (zero-overhead default).
-    if (policy.maxAttempts <= 1 && policy.replyTimeout == 0) {
-        err = Error::None;
-        return call(m, replyGate);
-    }
-
+    // The untimed call is spanned, yields the PE while it waits and
+    // records its reply latency; only the timed one retries, paces and
+    // counts its stalls and retries.
+    const bool timed = attempts > 1 || timeout != 0;
+    std::optional<trace::ScopedSpan> span;
+    if (!timed)
+        span.emplace(env.peId, "gate:call");
     env.compute(env.cm.m3.marshal);
     const uint32_t size = static_cast<uint32_t>(m.size());
-    const uint32_t attempts = policy.maxAttempts ? policy.maxAttempts : 1;
-    const Cycles start = env.platform.simulator().curCycle();
-    Cycles backoff = policy.backoffBase ? policy.backoffBase : 1;
+    Simulator &sim = env.platform.simulator();
+    Cycles backoff = BACKOFF_BASE;
     uint32_t paces = 0;
     auto pace = [&] {
         env.fiber.sleep(backoff +
                         retryJitter(env.vpeId, paces++, backoff));
-        backoff = std::min(policy.backoffMax, backoff * 2);
+        backoff = std::min(BACKOFF_MAX, backoff * 2);
     };
-    for (uint32_t attempt = 0; attempt < attempts; ++attempt) {
-        if (attempt > 0 && policy.retryBudget != 0 &&
-            env.platform.simulator().curCycle() - start >=
-                policy.retryBudget) {
-            // Enough: this peer has eaten the whole retry budget.
-            err = Error::PeerGone;
-            return GateIStream(replyGate, -1);
-        }
+    for (uint32_t attempt = 0; attempt < std::max(attempts, 1u);
+         ++attempt) {
         Error se = sendRaw(size, &replyGate, 0);
-        if (se == Error::NoCredits) {
+        if (se == Error::NoCredits && timed) {
             // Out of budget: an earlier reply may still be in flight or
             // was lost along with its refund. Pace and retry.
             if (M3_METRICS_ON) {
@@ -296,35 +269,36 @@ SendGate::callTimed(Marshaller &m, RecvGate &replyGate, Error &err)
                     trace::Metrics::counter("dtu.credit_stall_cycles");
                 cs.add(backoff);
             }
-            Cycles s0 = env.platform.simulator().curCycle();
+            Cycles s0 = sim.curCycle();
             pace();
             if (M3_REQTRACE_ON) {
                 if (Fiber *f = Fiber::current(); f && f->reqCtx())
-                    trace::ReqTrace::noteCreditStall(
-                        f->reqCtx(),
-                        env.platform.simulator().curCycle() - s0);
+                    trace::ReqTrace::noteCreditStall(f->reqCtx(),
+                                                     sim.curCycle() - s0);
             }
             continue;
         }
         if (se != Error::None) {
-            err = se;
+            if (!timed)
+                panic("send for call failed: %s", errorName(se));
+            if (err)
+                *err = se;
             return GateIStream(replyGate, -1);
         }
-        Cycles t0 = env.platform.simulator().curCycle();
-        Error we;
-        for (;;) {
-            we = env.dtu().waitForMsg(replyGate.boundEp(),
-                                      policy.replyTimeout);
-            // Migrated mid-wait: the ring travels with this VPE and the
-            // peer replies towards wherever the kernel says it lives —
-            // keep waiting at the new home.
-            if (we != Error::VpeMoved)
-                break;
+        Cycles t0 = sim.curCycle();
+        Error we = timed ? env.waitMsg(replyGate.boundEp(), timeout)
+                         : env.waitMsgYielding(replyGate.boundEp());
+        Cycles elapsed = sim.curCycle() - t0;
+        env.acct().charge(elapsed);
+        if (!timed && M3_METRICS_ON) {
+            trace::Metrics::histogram("dtu.reply_latency.ep" +
+                                      std::to_string(replyGate.boundEp()))
+                .observe(elapsed);
         }
-        env.acct().charge(env.platform.simulator().curCycle() - t0);
         if (we == Error::None) {
             env.compute(env.cm.m3.fetchMsg + env.cm.m3.unmarshal);
-            err = Error::None;
+            if (err)
+                *err = Error::None;
             return replyGate.tryReceive();
         }
         // The request or its reply was lost; the credit the reply would
@@ -348,7 +322,8 @@ SendGate::callTimed(Marshaller &m, RecvGate &replyGate, Error &err)
         while (replyGate.tryReceive().valid()) {
         }
     }
-    err = Error::Timeout;
+    if (err)
+        *err = Error::Timeout;
     return GateIStream(replyGate, -1);
 }
 

@@ -110,6 +110,9 @@ class GateIStream
     void ack();
 
   private:
+    /** The one reply tail: send the @p size staged bytes, free the slot. */
+    Error replyStaged(uint32_t size);
+
     RecvGate *rg;
     int slot;
     MessageHeader hdr;
@@ -157,28 +160,6 @@ class SendGate : public Gate
 {
   public:
     /**
-     * Retry policy for callTimed(): bounds each reply wait and resends
-     * with exponential backoff when the NoC loses the request or the
-     * reply. The default (one attempt, no deadline) makes callTimed()
-     * behave exactly like call().
-     */
-    struct RetryPolicy
-    {
-        uint32_t maxAttempts = 1;  //!< total send attempts (1 = no retry)
-        Cycles replyTimeout = 0;   //!< per-attempt deadline (0 = forever)
-        Cycles backoffBase = 128;  //!< pause before the second attempt
-        Cycles backoffMax = 16384; //!< backoff cap (doubles per attempt)
-        /**
-         * Total retry budget in cycles (0 = unlimited): once this much
-         * time was spent on failed attempts, callTimed() gives up with
-         * Error::PeerGone — the distinct "stop retrying, the peer is
-         * dead" signal, as opposed to Error::Timeout ("all attempts
-         * expired, maybe try a bigger policy").
-         */
-        Cycles retryBudget = 0;
-    };
-
-    /**
      * Create a send gate towards @p target with a receiver-chosen
      * @p label and @p credits messages of budget (Sec. 4.4.3).
      */
@@ -210,21 +191,25 @@ class SendGate : public Gate
     /**
      * Synchronous call: send and wait for the reply on @p replyGate
      * (most libm3 abstractions combine both, Sec. 4.5.6).
+     *
+     * The untimed call (one attempt, no @p timeout) blocks until the
+     * reply arrives, yielding a shared PE meanwhile (waitMsgYielding);
+     * a refused send panics. It is spanned as "gate:call" and records
+     * its wait in dtu.reply_latency.ep<N>.
+     *
+     * A timed call (more @p attempts, or a @p timeout) bounds each
+     * reply wait by @p timeout cycles (0 = forever). On expiry the
+     * credit the lost reply carried is restored, stale replies are
+     * drained and the request is resent after an exponentially growing
+     * pause, counted in gate.retries; a send refused for lack of
+     * credits pauses too (dtu.credit_stall_cycles). @p err, if given,
+     * receives Error::None on success, Error::Timeout when all attempts
+     * expired, or the send error; the stream is invalid unless the call
+     * succeeded.
      */
-    GateIStream call(Marshaller &m, RecvGate &replyGate);
-
-    /**
-     * Like call(), but governed by the retry policy: each reply wait is
-     * bounded by replyTimeout; on expiry the credit the lost reply
-     * carried is restored, stale replies are drained and the request is
-     * resent after an exponentially growing pause. @p err receives
-     * Error::None on success, Error::Timeout when all attempts expired,
-     * or the send error; the stream is invalid unless err is None.
-     */
-    GateIStream callTimed(Marshaller &m, RecvGate &replyGate, Error &err);
-
-    void setRetry(const RetryPolicy &p) { policy = p; }
-    const RetryPolicy &retry() const { return policy; }
+    GateIStream call(Marshaller &m, RecvGate &replyGate,
+                     uint32_t attempts = 1, Cycles timeout = 0,
+                     Error *err = nullptr);
 
     uint8_t *stagePtr();
     uint32_t maxMsg() const { return maxMsgSize; }
@@ -232,7 +217,6 @@ class SendGate : public Gate
   private:
     uint32_t maxMsgSize;
     spmaddr_t stage;
-    RetryPolicy policy;
 };
 
 /** A memory gate: RDMA-style access to a region of remote memory. */

@@ -13,12 +13,46 @@ namespace
 /** Slot size of pipe control messages. */
 constexpr uint32_t PIPE_MSG_SIZE = 128;
 
+/**
+ * Base of the four pipe ends. An end moves data in one direction and
+ * overrides read() or write(); the other direction is refused with
+ * NoPerm, seeking with InvalidArgs, and stat reports an empty FileInfo.
+ */
+class PipeEnd : public File
+{
+  public:
+    ssize_t
+    read(void *, size_t) override
+    {
+        return -static_cast<ssize_t>(Error::NoPerm);
+    }
+
+    ssize_t
+    write(const void *, size_t) override
+    {
+        return -static_cast<ssize_t>(Error::NoPerm);
+    }
+
+    ssize_t
+    seek(ssize_t, SeekMode) override
+    {
+        return -static_cast<ssize_t>(Error::InvalidArgs);
+    }
+
+    Error
+    stat(FileInfo &info) override
+    {
+        info = FileInfo{};
+        return Error::None;
+    }
+};
+
 // ---------------------------------------------------------------------
 // Push mode: the peer writes, the creator reads.
 // ---------------------------------------------------------------------
 
 /** The creator's reading end. */
-class PipeHostReader : public File
+class PipeHostReader : public PipeEnd
 {
   public:
     explicit PipeHostReader(Pipe &pipe) : pipe(pipe) {}
@@ -64,25 +98,6 @@ class PipeHostReader : public File
         return static_cast<ssize_t>(total);
     }
 
-    ssize_t
-    write(const void *, size_t) override
-    {
-        return -static_cast<ssize_t>(Error::NoPerm);
-    }
-
-    ssize_t
-    seek(ssize_t, SeekMode) override
-    {
-        return -static_cast<ssize_t>(Error::InvalidArgs);
-    }
-
-    Error
-    stat(FileInfo &info) override
-    {
-        info = FileInfo{};
-        return Error::None;
-    }
-
   private:
     Pipe &pipe;
     std::optional<GateIStream> cur;
@@ -93,7 +108,7 @@ class PipeHostReader : public File
 };
 
 /** The peer's writing end. */
-class PipePeerWriter : public File
+class PipePeerWriter : public PipeEnd
 {
   public:
     PipePeerWriter(Env &env, capsel_t selStart, size_t ringBytes,
@@ -125,31 +140,13 @@ class PipePeerWriter : public File
             env.compute(env.cm.m3.pipeChunk);
             Marshaller m = sgate.ostream();
             m << PipeMsg::Chunk << off << static_cast<uint64_t>(chunk);
-            if (sendWithCredits(m) != Error::None)
+            drainAcks();
+            if (sgate.send(m, &replyGate) != Error::None)
                 return -static_cast<ssize_t>(Error::PipeClosed);
             ++seq;
             total += chunk;
         }
         return static_cast<ssize_t>(total);
-    }
-
-    ssize_t
-    read(void *, size_t) override
-    {
-        return -static_cast<ssize_t>(Error::NoPerm);
-    }
-
-    ssize_t
-    seek(ssize_t, SeekMode) override
-    {
-        return -static_cast<ssize_t>(Error::InvalidArgs);
-    }
-
-    Error
-    stat(FileInfo &info) override
-    {
-        info = FileInfo{};
-        return Error::None;
     }
 
   private:
@@ -162,35 +159,24 @@ class PipePeerWriter : public File
             drainAcks();
             if (env.dtu().credits(e) > 0)
                 break;
-            Cycles t0 = env.platform.simulator().curCycle();
-            env.dtu().waitForMsg(replyGate.boundEp());
-            env.acct().chargeTo(Category::Idle,
-                                env.platform.simulator().curCycle() -
-                                    t0);
+            waitAck();
             drainAcks();
         }
     }
 
-    /** Send, waiting for acknowledgements when out of credits. */
-    Error
-    sendWithCredits(Marshaller &m)
+    /**
+     * Wait for the reader's next acknowledgement (which also refunds a
+     * credit), at most @p timeout cycles (0 = forever). The wait is
+     * plain, not yielding, and idle time: the writer is throttled by
+     * the reader.
+     */
+    void
+    waitAck(Cycles timeout = 0)
     {
-        for (;;) {
-            drainAcks();
-            Error e = sgate.send(m, &replyGate);
-            if (e != Error::None && e != Error::NoCredits)
-                return e;
-            if (e == Error::None)
-                return Error::None;
-            // Out of credits: block until the reader acknowledged a
-            // chunk (the reply also refunds the credit). The wait is
-            // idle time: the writer is throttled by the reader.
-            Cycles t0 = env.platform.simulator().curCycle();
-            env.dtu().waitForMsg(replyGate.boundEp());
-            env.acct().chargeTo(Category::Idle,
-                                env.platform.simulator().curCycle() - t0);
-            drainAcks();
-        }
+        Cycles t0 = env.platform.simulator().curCycle();
+        env.waitMsg(replyGate.boundEp(), timeout);
+        env.acct().chargeTo(Category::Idle,
+                            env.platform.simulator().curCycle() - t0);
     }
 
     void
@@ -221,15 +207,9 @@ class PipePeerWriter : public File
             drainAcks();
             Marshaller m = sgate.ostream();
             m << PipeMsg::Eof;
-            Error e = sgate.send(m, &replyGate);
-            if (e != Error::NoCredits)
+            if (sgate.send(m, &replyGate) != Error::NoCredits)
                 return;  // sent, or a hard error teardown ignores
-            // Out of credits: wait a bounded time for an ack.
-            Cycles t0 = env.platform.simulator().curCycle();
-            env.dtu().waitForMsg(replyGate.boundEp(), EOF_WAIT);
-            env.acct().chargeTo(Category::Idle,
-                                env.platform.simulator().curCycle() -
-                                    t0);
+            waitAck(EOF_WAIT);
         }
         drainAcks();
     }
@@ -248,7 +228,7 @@ class PipePeerWriter : public File
 // ---------------------------------------------------------------------
 
 /** The creator's writing end. */
-class PipeHostWriter : public File
+class PipeHostWriter : public PipeEnd
 {
   public:
     explicit PipeHostWriter(Pipe &pipe)
@@ -282,25 +262,6 @@ class PipeHostWriter : public File
             handleRequest(false);
         }
         return static_cast<ssize_t>(total);
-    }
-
-    ssize_t
-    read(void *, size_t) override
-    {
-        return -static_cast<ssize_t>(Error::NoPerm);
-    }
-
-    ssize_t
-    seek(ssize_t, SeekMode) override
-    {
-        return -static_cast<ssize_t>(Error::InvalidArgs);
-    }
-
-    Error
-    stat(FileInfo &info) override
-    {
-        info = FileInfo{};
-        return Error::None;
     }
 
   private:
@@ -366,7 +327,7 @@ class PipeHostWriter : public File
 };
 
 /** The peer's reading end. */
-class PipePeerReader : public File
+class PipePeerReader : public PipeEnd
 {
   public:
     PipePeerReader(Env &env, capsel_t selStart, size_t ringBytes)
@@ -407,25 +368,6 @@ class PipePeerReader : public File
             total += chunk;
         }
         return static_cast<ssize_t>(total);
-    }
-
-    ssize_t
-    write(const void *, size_t) override
-    {
-        return -static_cast<ssize_t>(Error::NoPerm);
-    }
-
-    ssize_t
-    seek(ssize_t, SeekMode) override
-    {
-        return -static_cast<ssize_t>(Error::InvalidArgs);
-    }
-
-    Error
-    stat(FileInfo &info) override
-    {
-        info = FileInfo{};
-        return Error::None;
     }
 
   private:

@@ -97,58 +97,40 @@ M3fsSession::call(Marshaller &m)
     ScopedCategory os(env.acct(), Category::Os);
     env.compute(env.cm.m3.fsClientCall);
     lastCallError = Error::None;
-    if (callTimeout == 0)
-        return channel->call(m, reply());
-
-    // Save the request host-side: a session re-open replaces the channel
-    // and thereby the staging buffer the request lives in.
-    const uint32_t size = static_cast<uint32_t>(m.size());
-    std::vector<uint8_t> saved(channel->stagePtr(),
-                               channel->stagePtr() + size);
-
-    SendGate::RetryPolicy p;
-    p.maxAttempts = callRetries + 1;
-    p.replyTimeout = callTimeout;
-    channel->setRetry(p);
+    const uint32_t attempts = callTimeout ? callRetries + 1 : 1;
     Error err = Error::None;
     {
-        GateIStream is = channel->callTimed(m, reply(), err);
+        GateIStream is = channel->call(m, reply(), attempts, callTimeout,
+                                       &err);
         if (err == Error::None)
             return is;
     }
+    auto fail = [this](Error e, const char *what) {
+        if (!softFail)
+            panic("m3fs: %s: %s", what, errorName(e));
+        lastCallError = e;
+        return GateIStream(reply(), -1);
+    };
 
     // The channel is dead (requests or replies keep getting lost, or the
     // server's view of the session is gone): open a fresh session and
-    // replay the request once.
-    if (srvName.empty()) {
-        if (softFail) {
-            lastCallError = err;
-            return GateIStream(reply(), -1);
-        }
-        panic("m3fs: channel dead on a bound session (cannot re-open): %s",
-              errorName(err));
-    }
+    // replay the request once. Save it host-side first: the re-open
+    // replaces the channel and thereby the staging buffer it lives in.
+    if (srvName.empty())
+        return fail(err, "channel dead on a bound session (cannot re-open)");
+    const uint32_t size = static_cast<uint32_t>(m.size());
+    std::vector<uint8_t> saved(channel->stagePtr(),
+                               channel->stagePtr() + size);
     Error re = reopen();
-    if (re != Error::None) {
-        if (softFail) {
-            lastCallError = re;
-            return GateIStream(reply(), -1);
-        }
-        panic("m3fs: session re-open failed: %s", errorName(re));
-    }
+    if (re != Error::None)
+        return fail(re, "session re-open failed");
     std::memcpy(channel->stagePtr(), saved.data(), size);
     Marshaller replay(channel->stagePtr(), channel->maxMsg());
     replay.setSize(size);
-    channel->setRetry(p);
-    GateIStream is = channel->callTimed(replay, reply(), err);
-    if (err != Error::None) {
-        if (softFail) {
-            lastCallError = err;
-            return GateIStream(reply(), -1);
-        }
-        panic("m3fs: request replay after re-open failed: %s",
-              errorName(err));
-    }
+    GateIStream is = channel->call(replay, reply(), attempts, callTimeout,
+                                   &err);
+    if (err != Error::None)
+        return fail(err, "request replay after re-open failed");
     return is;
 }
 

@@ -91,13 +91,13 @@ class M3fsSession : public FileSystem,
      * Robustness knobs: with a non-zero callTimeout, each synchronous
      * meta-data call on this session (every one of a plain mount; on a
      * distfs stripe readdir, the degraded stat of replica files, the
-     * rebuild's walk and copies) waits at most that many cycles for the
-     * reply and is resent up to callRetries times (exponential
-     * backoff); if the channel stays dead, the client opens a fresh
-     * session with the server and replays the request once. Zero keeps
-     * the legacy block-forever behaviour (and its exact cycle counts).
-     * distfs's metadata fan-outs (opStream/sendOp) ignore it: they wait
-     * for their label-matched replies themselves, untimed on an
+     * rebuild's walk and copies) is a timed SendGate::call of
+     * callRetries + 1 attempts, each waiting at most callTimeout cycles
+     * for the reply; if the channel stays dead, the client opens a
+     * fresh session with the server and replays the request once. Zero
+     * makes it the untimed call, which blocks forever. distfs's
+     * metadata fan-outs (opStream/sendOp) ignore both: they wait for
+     * their label-matched replies themselves, untimed on an
      * unreplicated mount and for a fixed deadline on a replicated one.
      */
     Cycles callTimeout = 0;

@@ -212,15 +212,9 @@ DistfsSession::fanout(
         // Replies arrive in any order; the label names the stripe.
         while (outstanding) {
             Cycles t0 = env.platform.simulator().curCycle();
-            Error we = Error::None;
-            if (timed) {
-                do
-                    we = env.dtu().waitForMsg(sharedReply->boundEp(),
-                                              DEGRADED_WAIT);
-                while (we == Error::VpeMoved);
-            } else {
-                env.waitMsgYielding(sharedReply->boundEp());
-            }
+            Error we = timed ? env.waitMsg(sharedReply->boundEp(),
+                                           DEGRADED_WAIT)
+                             : env.waitMsgYielding(sharedReply->boundEp());
             env.acct().charge(env.platform.simulator().curCycle() - t0);
             if (we == Error::Timeout) {
                 // Nothing more will arrive: the silent stripes are

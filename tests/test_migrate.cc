@@ -382,6 +382,61 @@ TEST(Migration, DrainCoSchedulesOntoLeastLoadedPe)
     EXPECT_EQ(hash, 4207251221574146343ull);
 }
 
+TEST(Migration, SyscallReplyFollowsDrainedCaller)
+{
+    // A parent VPE blocks in VpeWait on a long-running child while the
+    // kernel drains the parent's PE. The deferred reply follows the
+    // parent to the spare PE, its syscall reply wait re-waits there,
+    // and VpeWait returns the child's exit code at the new home. Pins:
+    // root exit, wall cycles and the trace digest, recorded before
+    // libm3's round trip became one send, one reply wait and one call.
+    trace::Tracer::enable();
+    trace::Tracer::reset();
+    M3SystemCfg cfg;
+    // Root=1, parent on 2, child on 3, spare 4.
+    cfg.appPes = 4;
+    cfg.withFs = false;
+    cfg.migration = true;
+    cfg.drains = {{2, 150000}};
+    M3System sys(cfg);
+    peid_t homeAfter = INVALID_PE;
+    sys.runRoot("root", [&homeAfter] {
+        Env &env = Env::cur();
+        VPE p(env, "parent");
+        if (p.err() != Error::None)
+            return 1;
+        Error e = p.run([&homeAfter] {
+            Env &penv = Env::cur();
+            VPE c(penv, "child");
+            if (c.err() != Error::None)
+                return 1;
+            if (c.run([] {
+                    Env::cur().compute(400000);
+                    return 42;
+                }) != Error::None)
+                return 2;
+            const int rc = c.wait();
+            homeAfter = penv.peId;
+            return rc;
+        });
+        if (e != Error::None)
+            return 3;
+        return p.wait();
+    });
+    ASSERT_TRUE(sys.simulate());
+    const auto [size, hash] = traceDigest();
+    trace::Tracer::disable();
+    const kernel::KernelStats &ks = sys.kernelInstance().stats();
+    EXPECT_EQ(ks.drains, 1u);
+    EXPECT_EQ(ks.migrationsCompleted, 1u);
+    EXPECT_EQ(ks.migrationsAborted, 0u);
+    EXPECT_EQ(homeAfter, 4u);
+    EXPECT_EQ(sys.rootExitCode(), 42);
+    EXPECT_EQ(sys.now(), 410094u);
+    EXPECT_EQ(size, 29308u);
+    EXPECT_EQ(hash, 5528555305537274254ull);
+}
+
 // ---------------------------------------------------------------------
 // Conservation sweep: failover restarts racing NoC faults and PE kills
 // must preserve the machine-wide invariants of test_invariants.cc.

@@ -241,6 +241,62 @@ TEST(Pipe, PipeEndsRejectWrongOperations)
     EXPECT_EQ(sys.rootExitCode(), 0);
 }
 
+/**
+ * Whether @p end, which moves data one way (it writes if @p writes),
+ * refuses the other direction with NoPerm and seeking with InvalidArgs,
+ * and stats as an empty FileInfo.
+ */
+bool
+refusesOtherDirection(File &end, bool writes)
+{
+    uint8_t b = 0;
+    FileInfo info;
+    info.size = 1;
+    const ssize_t wrong = writes ? end.read(&b, 1) : end.write(&b, 1);
+    return wrong == -static_cast<ssize_t>(Error::NoPerm) &&
+           end.seek(0, SeekMode::Set) ==
+               -static_cast<ssize_t>(Error::InvalidArgs) &&
+           end.stat(info) == Error::None && info.size == 0;
+}
+
+TEST(Pipe, EveryEndRefusesTheOtherDirection)
+{
+    // All four ends: the creator's and the peer's end of a push pipe
+    // (the peer writes) and of a pull pipe (the creator writes). Each
+    // reader then drains to EOF so both ends shut down cleanly.
+    for (bool creatorWrites : {false, true}) {
+        M3System sys(bareCfg());
+        sys.runRoot("t", [creatorWrites] {
+            Env &env = Env::cur();
+            Pipe pipe(env, creatorWrites);
+            VPE child(env, "peer");
+            if (child.err() != Error::None ||
+                pipe.delegateTo(child) != Error::None)
+                return 1;
+            child.run([creatorWrites] {
+                auto end = pipePeer(Env::cur(), !creatorWrites);
+                if (!refusesOtherDirection(*end, !creatorWrites))
+                    return 1;
+                uint8_t b = 0;
+                while (creatorWrites && end->read(&b, 1) > 0) {
+                }
+                return 0;
+            });
+            {
+                auto end = pipe.host();
+                if (!refusesOtherDirection(*end, creatorWrites))
+                    return 2;
+                uint8_t b = 0;
+                while (!creatorWrites && end->read(&b, 1) > 0) {
+                }
+            }
+            return child.wait();
+        });
+        ASSERT_TRUE(sys.simulate());
+        EXPECT_EQ(sys.rootExitCode(), 0) << "creatorWrites " << creatorWrites;
+    }
+}
+
 TEST(Pipe, VfsTransparencyThroughPipeFs)
 {
     // The paper's pipe filesystem (Sec. 4.5.8): the consuming code uses

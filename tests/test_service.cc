@@ -37,6 +37,7 @@ enum class KvXchg : uint64_t
     TakeCaps,     //!< take the caps at fresh selectors
     TakeTooMany,  //!< name one selector more than the client offered
     TakeAtOwnSel, //!< name a selector the service already uses
+    TakeAtOneSel, //!< name one fresh selector for every cap
 };
 
 /** The selectors the service named in its last Delegate answer. */
@@ -50,14 +51,16 @@ constexpr uint32_t KV_MSG = 256;
 
 /**
  * The service program: run as a boot VPE next to the kernel. Its
- * receive gate has 16 slots of @p slotSize bytes. Delegate answers are
- * logged to @p taken, if given.
+ * receive gate has 16 slots of @p slotSize bytes. Its VPE id and its
+ * Delegate answers are logged to @p taken, if given.
  */
 int
 kvServiceMain(uint32_t slotSize = KV_MSG, KvTaken *taken = nullptr)
 {
     Env &env = Env::cur();
     env.acct().push(Category::Os);
+    if (taken)
+        taken->vpe = env.vpeId;
 
     RecvGate rgate(env, 16, slotSize);
     capsel_t srvSel = env.allocSels();
@@ -130,9 +133,10 @@ kvServiceMain(uint32_t slotSize = KV_MSG, KvTaken *taken = nullptr)
                 if (how == KvXchg::TakeTooMany)
                     count++;
                 for (uint64_t i = 0; i < count; ++i)
-                    log.sels.push_back(how == KvXchg::TakeAtOwnSel
-                                           ? srvSel
-                                           : env.allocSels());
+                    log.sels.push_back(
+                        how == KvXchg::TakeAtOwnSel ? srvSel
+                        : how == KvXchg::TakeAtOneSel && i ? log.sels[0]
+                                                           : env.allocSels());
                 Marshaller m = is.replyStream();
                 m << Error::None << count;
                 for (capsel_t sel : log.sels)
@@ -407,6 +411,56 @@ TEST(Service, DelegateInstallsCapsAtServiceSelectors)
     });
     ASSERT_TRUE(fx.sys->simulate());
     EXPECT_EQ(fx.sys->rootExitCode(), 0);
+}
+
+/**
+ * Delegate two caps to a fresh kvstore session, the second source
+ * selector left empty if @p secondEmpty, and the service answering
+ * @p how. Expects @p want and a service cap table of unchanged size.
+ */
+void
+expectDelegateInstallsNothing(KvXchg how, bool secondEmpty, Error want)
+{
+    KvTaken taken;
+    KvFixture fx([&taken] { return kvServiceMain(KV_MSG, &taken); });
+    const kernel::Kernel &k = fx.sys->kernelInstance();
+    Error got = Error::None;
+    size_t before = 0, after = 0;
+    fx.sys->runRoot("client", [&] {
+        Env &env = Env::cur();
+        capsel_t sess = env.allocSels();
+        if (openRetrying(env, sess, "kvstore") != Error::None)
+            return 1;
+        const capsel_t mem = env.allocSels(2);
+        if (env.reqMem(mem, KiB, MEM_RW) != Error::None ||
+            (!secondEmpty && env.reqMem(mem + 1, KiB, MEM_R) != Error::None))
+            return 2;
+        before = k.vpe(taken.vpe)->caps.size();
+        got = env.exchangeSess(sess, kif::ExchangeOp::Delegate, mem, 2,
+                               {static_cast<uint64_t>(how)});
+        after = k.vpe(taken.vpe)->caps.size();
+        return 0;
+    });
+    ASSERT_TRUE(fx.sys->simulate());
+    EXPECT_EQ(fx.sys->rootExitCode(), 0);
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(after, before);
+}
+
+TEST(Service, DelegateWithEmptySourceInstallsNothing)
+{
+    // The second of two offered source selectors is empty: the kernel
+    // refuses the answer as a whole, and the first cap, whose check
+    // passed, is not left behind at the service either.
+    expectDelegateInstallsNothing(KvXchg::TakeCaps, true, Error::NoSuchCap);
+}
+
+TEST(Service, DelegateTwiceToOneSelectorInstallsNothing)
+{
+    // The service names one selector for both caps: the second cap has
+    // nowhere to go, so neither is installed.
+    expectDelegateInstallsNothing(KvXchg::TakeAtOneSel, false,
+                                  Error::CapExists);
 }
 
 TEST(Service, OversizedRequestToSmallSlotServiceFails)

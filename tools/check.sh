@@ -176,12 +176,15 @@ grep -q '\[  PASSED  \] 1 test' "$obs/pipe_teardown.log"
 # rings' front door: a message too short to hold an opcode, on the
 # syscall ring and on an m3fs session, is answered instead of aborting
 # the machine. An Activate deferred on a receive gate completes or
-# fails with that gate, and configures nothing once its VPE is gone.
+# fails with that gate, and configures nothing once its VPE is gone. A
+# session Delegate installs its caps at the service's selectors, and a
+# refused answer (an empty source, one selector named twice) installs
+# none of them.
 echo "=== kernel channel queue and failure paths (sanitized)"
 ./build-asan/tests/test_service \
-    --gtest_filter='Service.ObtainWithBadCapListFailsCleanly:Service.OversizedRequestToSmallSlotServiceFails:Service.KernelChannelQueuesBeyondCredits:Service.IkChannelQueuesBeyondCredits:Service.DeadServiceFailsInFlightAndQueuedRequests:Service.ExitingServiceFailsItsRequests:Service.TwoServicesShareTheReplyRing' \
+    --gtest_filter='Service.ObtainWithBadCapListFailsCleanly:Service.OversizedRequestToSmallSlotServiceFails:Service.KernelChannelQueuesBeyondCredits:Service.IkChannelQueuesBeyondCredits:Service.DeadServiceFailsInFlightAndQueuedRequests:Service.ExitingServiceFailsItsRequests:Service.TwoServicesShareTheReplyRing:Service.DelegateInstallsCapsAtServiceSelectors:Service.DelegateWithEmptySourceInstallsNothing:Service.DelegateTwiceToOneSelectorInstallsNothing' \
     2>&1 | tee "$obs/kchannel.log"
-grep -q '\[  PASSED  \] 7 tests' "$obs/kchannel.log"
+grep -q '\[  PASSED  \] 10 tests' "$obs/kchannel.log"
 ./build-asan/tests/test_kernel \
     --gtest_filter='KernelSyscalls.ShortMessageIsRejected:KernelSyscalls.DeferredActivationCompletesWhenRecvGateActivates:KernelSyscalls.DeferredActivationFailsWhenRecvGateIsRevoked:KernelSyscalls.DeferredActivationOfExitedVpeConfiguresNothing' \
     2>&1 | tee "$obs/kchannel.log"
@@ -189,6 +192,19 @@ grep -q '\[  PASSED  \] 4 tests' "$obs/kchannel.log"
 ./build-asan/tests/test_m3fs --gtest_filter='M3fs.ShortRequestIsRejected' \
     2>&1 | tee "$obs/kchannel.log"
 grep -q '\[  PASSED  \] 1 test' "$obs/kchannel.log"
+
+# Migrated-wait gate, named explicitly so a test relabel cannot drop
+# it: a parent blocked in VpeWait while the kernel drains its PE must
+# get the child's exit code at its new home, with the pinned wall
+# cycles and trace digest, under ASan+UBSan. The syscall reply wait
+# bails out of the old home's DTU and re-waits at the new one while
+# the kernel retargets the deferred reply: exactly where lifetime bugs
+# hide.
+echo "=== syscall reply wait across a drain (sanitized)"
+./build-asan/tests/test_migrate \
+    --gtest_filter='Migration.SyscallReplyFollowsDrainedCaller' \
+    2>&1 | tee "$obs/migrated_wait.log"
+grep -q '\[  PASSED  \] 1 test' "$obs/migrated_wait.log"
 
 # Bytes gate, named explicitly so a test relabel cannot drop it: file
 # data moved as Bytes must read back exactly, against a plain byte
