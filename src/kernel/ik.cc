@@ -358,9 +358,11 @@ Kernel::ikDelegateCaps(Unmarshaller &um, uint32_t slot)
         ikReplyError(slot, Error::NoSuchVpe);
         return;
     }
-    Error e = Error::None;
-    for (uint64_t i = 0; e == Error::None && i < count; ++i)
-        e = installSerializedCap(um, *to, dstStart + i);
+    // All or nothing: a refused cap leaves the target's table as it was.
+    std::vector<std::shared_ptr<KObject>> objs;
+    Error e = decodeSerializedCaps(um, *to, dstStart, count, objs);
+    for (size_t i = 0; e == Error::None && i < objs.size(); ++i)
+        putDecodedCap(*to, dstStart + i, std::move(objs[i]));
     compute(count * costs.capOp);
     ikReplyError(slot, e);
 }
@@ -488,10 +490,8 @@ Kernel::serializeCap(Marshaller &m, Capability &cap)
 }
 
 Error
-Kernel::installSerializedCap(Unmarshaller &um, Vpe &target, capsel_t sel)
+Kernel::decodeSerializedCap(Unmarshaller &um, std::shared_ptr<KObject> &obj)
 {
-    if (target.caps.get(sel))
-        return Error::CapExists;
     auto type = static_cast<ObjType>(um.pull<uint64_t>());
     switch (type) {
       case ObjType::SGate: {
@@ -510,10 +510,8 @@ Kernel::installSerializedCap(Unmarshaller &um, Vpe &target, capsel_t sel)
         rg->node = static_cast<uint32_t>(node);
         rg->ep = static_cast<epid_t>(ep);
         rg->fixedGen = static_cast<uint32_t>(gen);
-        target.caps.put(sel, std::make_shared<SGateObj>(
-                                 rg, label,
-                                 static_cast<uint32_t>(credits)));
-        kstats.capsDelegated++;
+        obj = std::make_shared<SGateObj>(rg, label,
+                                         static_cast<uint32_t>(credits));
         return Error::None;
       }
       case ObjType::Mem: {
@@ -521,10 +519,8 @@ Kernel::installSerializedCap(Unmarshaller &um, Vpe &target, capsel_t sel)
         auto off = um.pull<goff_t>();
         auto size = um.pull<uint64_t>();
         auto perms = um.pull<uint64_t>();
-        target.caps.put(sel, std::make_shared<MemObj>(
-                                 static_cast<uint32_t>(node), off, size,
-                                 static_cast<uint8_t>(perms)));
-        kstats.capsDelegated++;
+        obj = std::make_shared<MemObj>(static_cast<uint32_t>(node), off,
+                                       size, static_cast<uint8_t>(perms));
         return Error::None;
       }
       case ObjType::Sess: {
@@ -536,26 +532,44 @@ Kernel::installSerializedCap(Unmarshaller &um, Vpe &target, capsel_t sel)
             auto it = services.find(nm);
             if (it == services.end())
                 return Error::NoSuchService;
-            target.caps.put(sel,
-                            std::make_shared<SessObj>(it->second, ident));
+            obj = std::make_shared<SessObj>(it->second, ident);
         } else {
-            target.caps.put(sel, std::make_shared<SessObj>(
-                                     nm, static_cast<uint32_t>(dom),
-                                     ident));
+            obj = std::make_shared<SessObj>(nm, static_cast<uint32_t>(dom),
+                                            ident);
         }
-        kstats.capsDelegated++;
         return Error::None;
       }
       case ObjType::Vpe: {
         auto id = um.pull<uint64_t>();
-        target.caps.put(sel, std::make_shared<VpeRefObj>(
-                                 static_cast<vpeid_t>(id)));
-        kstats.capsDelegated++;
+        obj = std::make_shared<VpeRefObj>(static_cast<vpeid_t>(id));
         return Error::None;
       }
       default:
         return Error::InvalidArgs;
     }
+}
+
+Error
+Kernel::decodeSerializedCaps(Unmarshaller &um, const Vpe &target,
+                             capsel_t dstStart, uint64_t count,
+                             std::vector<std::shared_ptr<KObject>> &objs)
+{
+    for (uint64_t i = 0; i < count; ++i) {
+        if (target.caps.get(dstStart + i))
+            return Error::CapExists;
+        std::shared_ptr<KObject> obj;
+        if (Error e = decodeSerializedCap(um, obj); e != Error::None)
+            return e;
+        objs.push_back(std::move(obj));
+    }
+    return Error::None;
+}
+
+void
+Kernel::putDecodedCap(Vpe &target, capsel_t sel, std::shared_ptr<KObject> obj)
+{
+    target.caps.put(sel, std::move(obj));
+    kstats.capsDelegated++;
 }
 
 } // namespace kernel

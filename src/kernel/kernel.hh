@@ -484,8 +484,20 @@ class Kernel
     uint32_t freeOwnedPes() const;
     /** Serialize one capability for cross-domain transport. */
     Error serializeCap(Marshaller &m, Capability &cap);
-    /** Install a serialized capability into @p target at @p sel. */
-    Error installSerializedCap(Unmarshaller &um, Vpe &target, capsel_t sel);
+    /** Decode one serialized capability into @p obj. */
+    Error decodeSerializedCap(Unmarshaller &um, std::shared_ptr<KObject> &obj);
+    /**
+     * Decode @p count serialized capabilities bound for @p target's
+     * selectors from @p dstStart into @p objs, and check that each
+     * selector is free. Installs nothing, so a refused list leaves the
+     * table as it was; the caller puts them with putDecodedCap().
+     */
+    Error decodeSerializedCaps(Unmarshaller &um, const Vpe &target,
+                               capsel_t dstStart, uint64_t count,
+                               std::vector<std::shared_ptr<KObject>> &objs);
+    /** Install a decoded capability into @p target at @p sel. */
+    void putDecodedCap(Vpe &target, capsel_t sel,
+                       std::shared_ptr<KObject> obj);
     /** Announce a newly registered service to all peer kernels. */
     void announceService(const std::string &name);
 

@@ -236,14 +236,19 @@ Kernel::sysExchangeSess(Vpe &caller, Unmarshaller &um, uint32_t slot)
                     reply(slot, buf, static_cast<uint32_t>(m.size()));
                     return;
                 }
+                // Like obtainReply: decode and check the whole list
+                // before installing any.
                 auto numCaps = um.pull<uint64_t>();
-                Error xe =
-                    numCaps > count ? Error::InvalidArgs : Error::None;
-                for (uint64_t i = 0; xe == Error::None && i < numCaps; ++i) {
-                    xe = installSerializedCap(um, *c, dstStart + i);
-                    compute(costs.capOp);
-                }
+                std::vector<std::shared_ptr<KObject>> objs;
+                Error xe = numCaps > count
+                               ? Error::InvalidArgs
+                               : decodeSerializedCaps(um, *c, dstStart,
+                                                      numCaps, objs);
                 if (xe == Error::None) {
+                    for (size_t i = 0; i < objs.size(); ++i) {
+                        putDecodedCap(*c, dstStart + i, std::move(objs[i]));
+                        compute(costs.capOp);
+                    }
                     auto numArgs = um.pull<uint64_t>();
                     m << Error::None << numArgs;
                     for (uint64_t i = 0; i < numArgs; ++i)

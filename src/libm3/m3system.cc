@@ -110,17 +110,19 @@ M3System::M3System(M3SystemCfg config) : cfg(std::move(config))
         plat->setFaultPlan(*faults);
     }
 
+    // Every instance gets the same image: build the first from the
+    // spec, and copy it for the others (stripe k's at offset 0 of DRAM
+    // module k, the plain ones one after another in module 0).
     goff_t dramAllocStart = 0;
     for (uint32_t k = 0; k < fsCount(); ++k) {
-        if (striped) {
-            // Stripe k's image at offset 0 of DRAM module k.
-            images.push_back(std::make_unique<m3fs::FsImage>(
-                plat->dram(k), 0, cfg.fsSpec));
-        } else {
-            images.push_back(std::make_unique<m3fs::FsImage>(
-                plat->dram(), dramAllocStart, cfg.fsSpec));
+        Dram &dram = plat->dram(striped ? k : 0);
+        const goff_t base = striped ? 0 : dramAllocStart;
+        images.push_back(
+            k == 0 ? std::make_unique<m3fs::FsImage>(dram, base, cfg.fsSpec)
+                   : std::make_unique<m3fs::FsImage>(dram, base,
+                                                     *images[0]));
+        if (!striped)
             dramAllocStart += images.back()->sizeBytes();
-        }
     }
     if (striped && !images.empty()) {
         // The kernels' dynamic region lives in module 0, above its

@@ -73,6 +73,15 @@ class BlockCache : public BlockAccess
         }
     }
 
+    /** The block's own buffer, after the one getBlock() that read()
+     *  makes for bytes within one block. */
+    const uint8_t *
+    peek(goff_t off, size_t, void *) override
+    {
+        Buf &b = getBlock(static_cast<blockno_t>(off / blockSize));
+        return b.data.data() + off % blockSize;
+    }
+
     void
     write(goff_t off, const void *src, size_t len) override
     {

@@ -1,6 +1,7 @@
 #include "m3fs/fs_core.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <set>
 
@@ -90,28 +91,52 @@ FsCore::blockOff(blockno_t b) const
 // Bitmaps.
 // ---------------------------------------------------------------------
 
+namespace
+{
+
+/**
+ * First bit in [@p from, @p to) of the bits at @p p (bit i is bit i % 8
+ * of byte i / 8, as in the bitmaps) that is @p value, or @p to. Reads
+ * whole 64-bit words, and none of the bytes past bit @p to - 1's.
+ */
+uint64_t
+findBit(const uint8_t *p, uint64_t from, uint64_t to, bool value)
+{
+    static_assert(std::endian::native == std::endian::little,
+                  "bit i of a word is bit i % 8 of its byte i / 8");
+    const uint64_t flip = value ? 0 : ~uint64_t{0};
+    const uint64_t bytes = (to + 7) / 8;
+    for (uint64_t i = from; i < to;) {
+        const uint64_t byte = i / 8;
+        const size_t n =
+            static_cast<size_t>(std::min<uint64_t>(8, bytes - byte));
+        uint64_t word = 0;
+        std::memcpy(&word, p + byte, n);
+        // Now looking for a one. Looking for zeros, the bytes past n
+        // read as ones too, but they lie past @p to.
+        word = (word ^ flip) >> (i % 8);
+        if (word)
+            return std::min(to, i + std::countr_zero(word));
+        i = (byte + n) * 8;
+    }
+    return to;
+}
+
+} // anonymous namespace
+
 uint32_t
 FsCore::bitFind(blockno_t bmStart, uint32_t from, uint32_t to, bool value)
 {
     const uint64_t bitsPerBlock = uint64_t{sb.blockSize} * 8;
-    // A byte without a bit of the wanted value is skipped whole.
-    const uint8_t skip = value ? 0x00 : 0xff;
     for (uint64_t pos = from; pos < to; ) {
         uint64_t end = std::min<uint64_t>(
             to, (pos / bitsPerBlock + 1) * bitsPerBlock);
         uint64_t lo = pos / 8;
-        ba.read(blockOff(bmStart) + lo, bitBuf.data(),
-                (end - 1) / 8 + 1 - lo);
-        for (uint64_t i = pos; i < end; ) {
-            uint8_t byte = bitBuf[i / 8 - lo];
-            if (i % 8 == 0 && byte == skip) {
-                i += 8;
-                continue;
-            }
-            if (((byte >> (i % 8)) & 1) == value)
-                return static_cast<uint32_t>(i);
-            ++i;
-        }
+        const uint8_t *bits = ba.peek(blockOff(bmStart) + lo,
+                                      (end - 1) / 8 + 1 - lo, bitBuf.data());
+        const uint64_t hit = findBit(bits, pos - lo * 8, end - lo * 8, value);
+        if (hit < end - lo * 8)
+            return static_cast<uint32_t>(lo * 8 + hit);
         pos = end;
     }
     return to;
@@ -132,13 +157,18 @@ FsCore::bitRange(blockno_t bmStart, uint32_t from, uint32_t len,
         // bits, and a range covering a whole block must not write it
         // unread (see the touch-order rule in fs_core.hh).
         ba.read(off, bitBuf.data(), bytes);
-        for (uint64_t i = pos; i < end; ++i) {
-            uint8_t bit = static_cast<uint8_t>(1u << (i % 8));
-            if (value)
-                bitBuf[i / 8 - lo] |= bit;
-            else
-                bitBuf[i / 8 - lo] &= static_cast<uint8_t>(~bit);
-        }
+        auto set = [&](uint64_t i) {
+            const uint8_t bit = static_cast<uint8_t>(1u << (i % 8));
+            uint8_t &byte = bitBuf[i / 8 - lo];
+            byte = value ? byte | bit : byte & static_cast<uint8_t>(~bit);
+        };
+        uint64_t i = pos;
+        for (; i < end && i % 8; ++i)
+            set(i);
+        const uint64_t whole = (end - i) / 8;
+        std::memset(bitBuf.data() + (i / 8 - lo), value ? 0xff : 0, whole);
+        for (i += whole * 8; i < end; ++i)
+            set(i);
         ba.write(off, bitBuf.data(), bytes);
         pos = end;
     }
@@ -424,12 +454,18 @@ splitPath(const std::string &path)
     return parts;
 }
 
-/** Whether @p de is a live entry called @p name. */
+/** Whether @p de is a live entry called @p name. Compared byte by
+ *  byte in place: most entries differ in their first bytes. */
 bool
 named(const DirEntry &de, const std::string &name)
 {
-    return de.ino != INVALID_INO && de.nameLen == name.size() &&
-           std::memcmp(de.name, name.data(), de.nameLen) == 0;
+    if (de.ino == INVALID_INO || de.nameLen != name.size())
+        return false;
+    for (size_t i = 0; i < name.size(); ++i) {
+        if (de.name[i] != name[i])
+            return false;
+    }
+    return true;
 }
 
 } // anonymous namespace
@@ -493,9 +529,10 @@ FsCore::walkDir(const Inode &dir, Visit visit)
         if (!off)
             break;
         uint64_t n = std::min(perBlock, entries - first);
-        ba.read(off, dirBuf.data(), n * DIRENTRY_SIZE);
+        const auto *block = reinterpret_cast<const DirEntry *>(
+            ba.peek(off, n * DIRENTRY_SIZE, dirBuf.data()));
         for (uint64_t j = 0; j < n; ++j) {
-            if (visit(off + j * DIRENTRY_SIZE, dirBuf[j]))
+            if (visit(off + j * DIRENTRY_SIZE, block[j]))
                 return true;
         }
     }

@@ -41,6 +41,20 @@ class BlockAccess
     virtual void write(goff_t off, const void *src, size_t len) = 0;
 
     /**
+     * The @p len bytes at image offset @p off, which lie in one block,
+     * for reading in place: valid until the next call on this access.
+     * It touches the block as read() would; accesses that hold the
+     * bytes return them where they are, and by default they are read()
+     * into @p scratch (at least @p len bytes), which is returned.
+     */
+    virtual const uint8_t *
+    peek(goff_t off, size_t len, void *scratch)
+    {
+        read(off, scratch, len);
+        return static_cast<const uint8_t *>(scratch);
+    }
+
+    /**
      * Place @p src[srcOff, srcOff+len) at image offset @p off. Accesses
      * whose memory can refer to shared bytes do so instead of copying
      * them; by default this is a write().
@@ -88,6 +102,23 @@ class FsCore
     bool load();
 
     const SuperBlock &superBlock() const { return sb; }
+
+    // --- bitmaps (see the touch-order rule below) ----------------------
+    /**
+     * First index in [@p from, @p to) of bitmap @p bmStart whose bit is
+     * @p value, or @p to. Issues one peek per bitmap block the range
+     * covers, of the bytes in range only, in ascending block order,
+     * and stops in the block holding the bit it finds. Skips whole
+     * 64-bit words without a bit of @p value.
+     */
+    uint32_t bitFind(blockno_t bmStart, uint32_t from, uint32_t to,
+                     bool value);
+
+    /** Set (@p value true) or clear @p len bits of bitmap @p bmStart
+     *  from @p from, with one read and one write per bitmap block; the
+     *  whole bytes in between are filled at once. */
+    void bitRange(blockno_t bmStart, uint32_t from, uint32_t len,
+                  bool value);
 
     // --- inodes -------------------------------------------------------
     Inode getInode(inodeno_t ino);
@@ -167,21 +198,12 @@ class FsCore
      * writing. A loop that interleaves touches of two blocks must stay
      * as it is (freeBlocks' double-indirect walk calls freeRun between
      * reads of its table).
+     *
+     * bitFind and walkDir read in place: a peek() per block touches it
+     * once, as a read() of the same bytes would, and they scan the
+     * block where the access holds it (the cache's buffer, the DRAM's
+     * store) instead of a copy.
      */
-
-    /**
-     * First index in [@p from, @p to) of bitmap @p bmStart whose bit is
-     * @p value, or @p to. Issues one read per bitmap block the range
-     * covers, of the bytes in range only, in ascending block order,
-     * and stops in the block holding the bit it finds.
-     */
-    uint32_t bitFind(blockno_t bmStart, uint32_t from, uint32_t to,
-                     bool value);
-
-    /** Set (@p value true) or clear @p len bits of bitmap @p bmStart
-     *  from @p from, with one read and one write per bitmap block. */
-    void bitRange(blockno_t bmStart, uint32_t from, uint32_t len,
-                  bool value);
 
     bool bitGet(blockno_t bmStart, uint32_t idx)
     {
@@ -190,8 +212,9 @@ class FsCore
 
     /**
      * Walk directory @p dir one block at a time: one dirEntryOff and
-     * one read of the block's live entries per block. @p visit(off,
-     * entry) sees each entry in order and returns true to stop.
+     * one peek of the block's live entries per block. @p visit(off,
+     * entry) sees each entry in order, in place, and returns true to
+     * stop; it may write the entry it stops at.
      * @return true if @p visit stopped the walk
      */
     template <typename Visit>
@@ -205,8 +228,9 @@ class FsCore
 
     BlockAccess &ba;
     SuperBlock sb{};
-    /** One block of bitmap bytes and of directory entries, sized by
-     *  load() so the walks allocate nothing. */
+    /** One block of bitmap bytes (bitRange's buffer) and of directory
+     *  entries: the walks' peek() scratch, sized by load() so they
+     *  allocate nothing. */
     std::vector<uint8_t> bitBuf;
     std::vector<DirEntry> dirBuf;
 };

@@ -36,6 +36,13 @@ class DramAccess : public BlockAccess
         dram.read(base + off, dst, len);
     }
 
+    /** The DRAM's own bytes where no shared range overlaps them. */
+    const uint8_t *
+    peek(goff_t off, size_t len, void *scratch) override
+    {
+        return dram.peek(base + off, len, scratch);
+    }
+
     void
     write(goff_t off, const void *src, size_t len) override
     {
@@ -53,6 +60,14 @@ class DramAccess : public BlockAccess
     zero(goff_t off, size_t len) override
     {
         dram.zero(base + off, len);
+    }
+
+    /** Copy @p len bytes of @p from's image to the same offset of this
+     *  one (see MemTarget::copy). */
+    void
+    copyFrom(const DramAccess &from, size_t len)
+    {
+        dram.copy(base, from.dram, from.base, len);
     }
 
   private:
@@ -131,6 +146,21 @@ class FsImage
                 fatal("creating image file '%s': %s", f.path.c_str(),
                       errorName(e));
         }
+    }
+
+    /**
+     * A copy of @p from at @p base of @p dram, which may be @p from's
+     * DRAM module or another one: the copy holds the same bytes and
+     * refers to the same shared file contents, and costs only the pages
+     * @p from has written.
+     */
+    FsImage(Dram &dram, goff_t base, const FsImage &from)
+        : accessor(dram, base), fsCore(accessor), bytes(from.bytes)
+    {
+        // The copy is bounds-checked, and the superblock it loads is one
+        // that loaded.
+        accessor.copyFrom(from.accessor, bytes);
+        fsCore.load();
     }
 
     FsCore &core() { return fsCore; }

@@ -21,6 +21,10 @@
  *   covers into the store. A directory of one word per 4 KiB page, also
  *   from calloc, names the first range on the page, so finding the
  *   ranges of an access looks at its own pages only.
+ *
+ * copy() keeps both: it copies only the pages its source has written
+ * and re-adds the source's ranges as ranges, so copying a built m3fs
+ * image costs its metadata, not its size.
  */
 
 #ifndef M3_MEM_MEM_TARGET_HH
@@ -32,6 +36,7 @@
 #include <cstring>
 #include <memory>
 #include <new>
+#include <utility>
 #include <vector>
 
 #include "base/bytes.hh"
@@ -57,11 +62,13 @@ class MemTarget
      */
     MemTarget(size_t bytes, Cycles latency, const char *kind)
         : bytes(bytes), latency(latency), kind(kind),
-          data(static_cast<uint8_t *>(std::calloc(bytes, 1))),
+          alloc(static_cast<uint8_t *>(std::calloc(bytes + PAGE, 1))),
+          data(alloc.get() + (PAGE - reinterpret_cast<uintptr_t>(alloc.get()) %
+                                         PAGE) % PAGE),
           pages((bytes + PAGE - 1) / PAGE),
           dir(static_cast<uint32_t *>(std::calloc(pages, sizeof(uint32_t))))
     {
-        if (!data || !dir)
+        if (!alloc || !dir)
             throw std::bad_alloc();
     }
 
@@ -70,13 +77,13 @@ class MemTarget
 
     /** Copy @p len bytes at @p off into @p dst. Bounds-checked. */
     void
-    read(goff_t off, void *dst, size_t len)
+    read(goff_t off, void *dst, size_t len) const
     {
         uint8_t *out = static_cast<uint8_t *>(dst);
         pieces(
             off, len,
             [&](goff_t at, size_t n) {
-                std::memcpy(out + (at - off), data.get() + at, n);
+                std::memcpy(out + (at - off), data + at, n);
             },
             [&](goff_t at, const Range &g, size_t n) {
                 std::memcpy(out + (at - off),
@@ -96,7 +103,7 @@ class MemTarget
         pieces(
             off, len,
             [&](goff_t at, size_t n) {
-                b += Bytes::copyOf(data.get() + at, n);
+                b += Bytes::copyOf(data + at, n);
             },
             [&](goff_t at, const Range &g, size_t n) {
                 b += Bytes(g.src, g.srcOff + (at - g.start), n);
@@ -131,7 +138,7 @@ class MemTarget
         cut(off, src.size());
         for (const Bytes::Slice &s : src.slices()) {
             if (s.copied) {
-                std::memcpy(data.get() + off, s.data(), s.len);
+                std::memcpy(data + off, s.data(), s.len);
                 markWritten(off, s.len);
             } else {
                 addRange(off, s.src, s.off, s.len);
@@ -151,20 +158,9 @@ class MemTarget
         if (len == 0)
             return;
         cut(off, len);
-        const goff_t end = off + len;
-        for (size_t p = off / PAGE; p <= (end - 1) / PAGE;) {
-            if (!(dir[p] & WRITTEN)) {
-                ++p;
-                continue;
-            }
-            size_t q = p + 1;
-            while (q <= (end - 1) / PAGE && (dir[q] & WRITTEN))
-                ++q;
-            const goff_t lo = std::max<goff_t>(off, p * PAGE);
-            const goff_t hi = std::min<goff_t>(end, q * PAGE);
-            std::memset(data.get() + lo, 0, hi - lo);
-            p = q;
-        }
+        writtenSpans(off, len, [&](goff_t lo, goff_t hi) {
+            std::memset(data + lo, 0, hi - lo);
+        });
     }
 
     /**
@@ -180,6 +176,58 @@ class MemTarget
             panic("%s share source out of bounds: %zu + %zu", kind, srcOff,
                   len);
         write(off, Bytes(std::move(src), srcOff, len));
+    }
+
+    /**
+     * The @p len bytes at @p off, read in place. Bounds-checked. Where no
+     * shared range overlaps them this is a pointer into the store, valid
+     * until the memory changes; otherwise they are copied into
+     * @p scratch, which is returned.
+     */
+    const uint8_t *
+    peek(goff_t off, size_t len, void *scratch) const
+    {
+        const uint8_t *p = at(off, len);
+        if (firstIn(off, len) == NONE)
+            return p;
+        read(off, scratch, len);
+        return static_cast<const uint8_t *>(scratch);
+    }
+
+    /**
+     * Let the @p len bytes at @p off read as the bytes @p src holds at
+     * @p srcOff now. Bounds-checked on both sides; @p src may be this
+     * memory, but the two spans must not overlap. Only the pages @p src
+     * has written are copied: its shared ranges become ranges here, and
+     * its never-written pages stay never-written.
+     */
+    void
+    copy(goff_t off, const MemTarget &src, goff_t srcOff, size_t len)
+    {
+        src.at(srcOff, len);
+        zero(off, len);
+        if (len == 0)
+            return;
+        // Marked once all are found: when src is this memory, the first
+        // page of the copy may be the source's last.
+        std::vector<std::pair<goff_t, goff_t>> spans;
+        src.writtenSpans(srcOff, len, [&](goff_t lo, goff_t hi) {
+            spans.emplace_back(lo, hi);
+        });
+        for (const auto &[lo, hi] : spans) {
+            std::memcpy(data + off + (lo - srcOff), src.data + lo, hi - lo);
+            markWritten(off + (lo - srcOff), hi - lo);
+        }
+        // Added as they are found. When src is this memory, a range
+        // added may grow the slab under @p g (its fields are read before
+        // the call), and may link from or extend the last range before
+        // it, which pieces() then sees end at or past its span's end.
+        src.pieces(
+            srcOff, len, skipStore,
+            [&](goff_t at, const Range &g, size_t n) {
+                addRange(off + (at - srcOff), g.src,
+                         g.srcOff + (at - g.start), n);
+            });
     }
 
     /** Fixed access latency per request, in cycles. */
@@ -211,9 +259,9 @@ class MemTarget
         if (len == 0)
             return p;
         pieces(
-            off, len, [](goff_t, size_t) {},
+            off, len, skipStore,
             [&](goff_t at, const Range &g, size_t n) {
-                std::memcpy(data.get() + at,
+                std::memcpy(data + at,
                             g.src->data() + g.srcOff + (at - g.start), n);
             });
         cut(off, len);
@@ -229,8 +277,11 @@ class MemTarget
         if (off > bytes || len > bytes - off)
             panic("%s access out of bounds: %llu + %zu > %zu", kind,
                   static_cast<unsigned long long>(off), len, bytes);
-        return data.get() + off;
+        return data + off;
     }
+
+    /** A pieces() visitor of the store's pieces that skips them. */
+    static void skipStore(goff_t, size_t) {}
 
     /** Granularity of the page directory. */
     static constexpr size_t PAGE = 4096;
@@ -283,6 +334,28 @@ class MemTarget
         for (size_t p = off / PAGE; p <= (off + len - 1) / PAGE; ++p) {
             if (!(dir[p] & WRITTEN))
                 dir[p] |= WRITTEN;
+        }
+    }
+
+    /** Call @p fn(lo, hi) for each maximal span [lo, hi) of
+     *  [off, off+len) on pages the store has written; @p len > 0. */
+    template <class Fn>
+    void
+    writtenSpans(goff_t off, size_t len, Fn &&fn) const
+    {
+        const goff_t end = off + len;
+        const size_t last = (end - 1) / PAGE;
+        for (size_t p = off / PAGE; p <= last;) {
+            if (!(dir[p] & WRITTEN)) {
+                ++p;
+                continue;
+            }
+            size_t q = p + 1;
+            while (q <= last && (dir[q] & WRITTEN))
+                ++q;
+            fn(std::max<goff_t>(off, p * PAGE),
+               std::min<goff_t>(end, q * PAGE));
+            p = q;
         }
     }
 
@@ -511,7 +584,11 @@ class MemTarget
     size_t bytes;
     Cycles latency;
     const char *kind;
-    std::unique_ptr<uint8_t[], Free> data;
+    /** The store: from calloc, with a page to spare so that it can
+     *  start on a host page. Each page of the directory is then one
+     *  host page, and writing one pages in no neighbour. */
+    std::unique_ptr<uint8_t[], Free> alloc;
+    uint8_t *data;
     size_t pages;
     /** Per page: the first range on it, and the WRITTEN bit. */
     std::unique_ptr<uint32_t[], Free> dir;

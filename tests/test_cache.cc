@@ -12,6 +12,7 @@
 #include "libm3/cached_mem.hh"
 #include "libm3/m3system.hh"
 #include "m3fs/block_cache.hh"
+#include "m3fs/fs_image.hh"
 
 namespace m3
 {
@@ -304,6 +305,100 @@ TEST(BlockCache, IndexedLruMatchesReferenceModel)
     EXPECT_GT(stats.hits, 0u);
     EXPECT_GT(stats.misses, 6u);
     EXPECT_GT(stats.writeBacks, 0u);
+}
+
+/**
+ * A block cache seen only through read() and write(): FsCore's peek()s
+ * fall back to a read() into its scratch buffer, the copy its walks
+ * made before they read in place.
+ */
+class CopyingAccess : public m3fs::BlockAccess
+{
+  public:
+    explicit CopyingAccess(m3fs::BlockCache &cache) : cache(cache) {}
+
+    void
+    read(goff_t off, void *dst, size_t len) override
+    {
+        cache.read(off, dst, len);
+    }
+
+    void
+    write(goff_t off, const void *src, size_t len) override
+    {
+        cache.write(off, src, len);
+    }
+
+  private:
+    m3fs::BlockCache &cache;
+};
+
+TEST(BlockCache, InPlaceWalksTouchLikeCopies)
+{
+    // FsCore's walks on a cache of 4 blocks, with a directory that
+    // grows to 7: once reading in place (the cache's peek) and once
+    // through copies. Every step must leave both caches with the same
+    // hits, misses, skipped fills and write-backs, and the images must
+    // end up identical.
+    M3System sys(bareCfg());
+    std::vector<std::string> diverged;
+    sys.runRoot("t", [&] {
+        Env &env = Env::cur();
+        constexpr uint32_t BS = 1024, BLOCKS = 2048;
+        MemGate gateA = MemGate::create(env, BLOCKS * BS, MEM_RW);
+        MemGate gateB = MemGate::create(env, BLOCKS * BS, MEM_RW);
+        m3fs::BlockCache inPlace(gateA, BS, 4), copying(gateB, BS, 4);
+        CopyingAccess through(copying);
+        m3fs::FsCore::format(inPlace, BLOCKS, 256, BS);
+        m3fs::FsCore::format(through, BLOCKS, 256, BS);
+        m3fs::FsCore a(inPlace), b(through);
+        if (!a.load() || !b.load())
+            return 1;
+        auto same = [&](const char *what) {
+            const m3fs::BlockCacheStats &x = inPlace.stats();
+            const m3fs::BlockCacheStats &y = copying.stats();
+            if (x.hits != y.hits || x.misses != y.misses ||
+                x.fillsSkipped != y.fillsSkipped ||
+                x.writeBacks != y.writeBacks)
+                diverged.push_back(what);
+        };
+        auto data = std::make_shared<const std::vector<uint8_t>>(
+            m3fs::FsImage::patternData(1500, 3));
+        for (m3fs::FsCore *fs : {&a, &b})
+            fs->createDir("/d");
+        same("createDir");
+        for (int i = 0; i < 200; ++i) {
+            const std::string path =
+                std::string("/d/file").append(std::to_string(i));
+            for (m3fs::FsCore *fs : {&a, &b})
+                fs->createFile(path, data, 0xffffffff);
+            same("createFile");
+        }
+        for (m3fs::FsCore *fs : {&a, &b}) {
+            m3fs::inodeno_t d = fs->resolve("/d").ino, found = 0;
+            fs->dirLookup(d, "file199", found);
+            fs->dirRemove(d, "file7");
+            fs->dirInsert(d, "again", found);
+            std::vector<std::pair<m3fs::inodeno_t, std::string>> list;
+            fs->dirList(d, list);
+            m3fs::Inode inode{};
+            fs->allocInode(0x8000, inode);
+            fs->freeInode(inode.ino);
+        }
+        same("walks");
+        inPlace.flushAll();
+        copying.flushAll();
+        same("flush");
+        if (inPlace.stats().misses < 200 || inPlace.stats().writeBacks == 0)
+            return 2;
+        std::vector<uint8_t> x(BLOCKS * BS), y(BLOCKS * BS);
+        gateA.read(x.data(), x.size(), 0);
+        gateB.read(y.data(), y.size(), 0);
+        return x == y ? 0 : 3;
+    });
+    ASSERT_TRUE(sys.simulate());
+    EXPECT_EQ(sys.rootExitCode(), 0);
+    EXPECT_TRUE(diverged.empty()) << diverged.front();
 }
 
 TEST(BlockCache, EvictsTheLeastRecentlyUsedBlock)

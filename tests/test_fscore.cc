@@ -6,6 +6,7 @@
  */
 
 #include <algorithm>
+#include <random>
 
 #include <gtest/gtest.h>
 
@@ -253,6 +254,107 @@ TEST(FsImage, BuildsSpecAndPassesCheck)
     std::vector<uint8_t> out;
     ASSERT_EQ(image.core().readFile("/data/a", out), Error::None);
     EXPECT_EQ(out, FsImage::patternData(70000, 2));
+}
+
+TEST(FsImage, CopiesMatchSeparateBuilds)
+{
+    // Boot builds the first m3fs image from the spec and copies it for
+    // the others. Four images built both ways must be byte-identical
+    // with the same written pages and shared ranges, and pass the
+    // check; so must a copy into another DRAM module.
+    FsImageSpec spec;
+    spec.totalBlocks = 4096;
+    spec.totalInodes = 256;
+    spec.dirs = {"/bin", "/data", "/data/sub"};
+    for (uint32_t i = 0; i < 40; ++i) {
+        spec.files.emplace_back(
+            std::string(i % 2 ? "/data/f" : "/data/sub/g")
+                .append(std::to_string(i)),
+            spec.pattern(100 + 997 * i, i % 3), i % 4 ? 0xffffffff : 2);
+    }
+    const uint64_t bytes = uint64_t{spec.totalBlocks} * spec.blockSize;
+    Dram built(4 * bytes, 20), copied(4 * bytes, 20), other(bytes, 20);
+    std::vector<std::unique_ptr<FsImage>> separate, copies;
+    for (uint32_t k = 0; k < 4; ++k) {
+        separate.push_back(std::make_unique<FsImage>(built, k * bytes, spec));
+        copies.push_back(
+            k == 0 ? std::make_unique<FsImage>(copied, 0, spec)
+                   : std::make_unique<FsImage>(copied, k * bytes, *copies[0]));
+    }
+    FsImage moved(other, 0, *copies[0]);
+
+    std::vector<uint8_t> want(4 * bytes), got(4 * bytes);
+    built.read(0, want.data(), want.size());
+    copied.read(0, got.data(), got.size());
+    EXPECT_TRUE(want == got);
+    got.resize(bytes);
+    other.read(0, got.data(), bytes);
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin()));
+    EXPECT_GT(built.writtenPages(), 0u);
+    EXPECT_EQ(copied.writtenPages(), built.writtenPages());
+    EXPECT_EQ(copied.sharedRanges(), built.sharedRanges());
+    EXPECT_EQ(4 * other.writtenPages(), built.writtenPages());
+    EXPECT_EQ(4 * other.sharedRanges(), built.sharedRanges());
+    std::string report;
+    for (auto &image : copies)
+        EXPECT_TRUE(image->core().check(report)) << report;
+    EXPECT_TRUE(moved.core().check(report)) << report;
+    std::vector<uint8_t> out;
+    ASSERT_EQ(moved.core().readFile("/data/f39", out), Error::None);
+    EXPECT_TRUE(out == *spec.pattern(100 + 997 * 39, 0));
+}
+
+TEST(FsCore, BitmapWalksMatchABitByBitReference)
+{
+    // bitFind and bitRange against one bit at a time, on the block
+    // bitmap's three blocks: ranges that start and end mid-byte and
+    // mid-word, cross a bitmap block, and look for either value.
+    Dram mem(32 * MiB, 20);
+    DramAccess direct(mem, 0);
+    const uint32_t bits = 3 * 8192;
+    FsCore::format(direct, bits, 64);
+    FsCore fs(direct);
+    ASSERT_TRUE(fs.load());
+    const blockno_t bbm = fs.superBlock().bbmStart;
+    auto bitAt = [&](uint32_t i) {
+        uint8_t byte = 0;
+        direct.read(fs.blockOff(bbm) + i / 8, &byte, 1);
+        return ((byte >> (i % 8)) & 1) != 0;
+    };
+    std::vector<bool> ref(bits);
+    for (uint32_t i = 0; i < bits; ++i)
+        ref[i] = bitAt(i);
+    std::mt19937_64 rng(7);
+    auto below = [&](uint32_t n) { return static_cast<uint32_t>(rng() % n); };
+    // Near byte, word and block edges, or anywhere.
+    auto pick = [&] {
+        const uint32_t edges[] = {8, 64, 8192};
+        uint32_t at = below(bits);
+        if (below(2)) {
+            const uint32_t e = edges[below(3)];
+            at = std::min(bits - 1, at / e * e + below(3) - std::min(at, 1u));
+        }
+        return at;
+    };
+    for (int step = 0; step < 4000; ++step) {
+        const uint32_t from = pick();
+        const uint32_t to = std::max(from, std::min(bits, pick() + below(2) *
+                                                             below(200)));
+        const bool value = below(2);
+        if (below(3) == 0) {
+            fs.bitRange(bbm, from, to - from, value);
+            std::fill(ref.begin() + from, ref.begin() + to, value);
+        } else {
+            uint32_t want = from;
+            while (want < to && ref[want] != value)
+                ++want;
+            ASSERT_EQ(fs.bitFind(bbm, from, to, value), want)
+                << "step " << step << ": [" << from << ", " << to << ") for "
+                << value;
+        }
+    }
+    for (uint32_t i = 0; i < bits; ++i)
+        ASSERT_EQ(bitAt(i), ref[i]) << "bit " << i;
 }
 
 /** Property sweep: files of many sizes round-trip at any fragmentation. */

@@ -298,6 +298,32 @@ class ReferenceRanges
         write(off, len);
     }
 
+    /**
+     * MemTarget::copy() from @p src (maybe this one) at @p srcOff: the
+     * span's ranges go, the pages of src's written pages are written,
+     * and src's ranges become ranges here.
+     */
+    void
+    copy(goff_t off, ReferenceRanges &src, goff_t srcOff, size_t len)
+    {
+        if (len == 0)
+            return;
+        cut(off, len);
+        const goff_t end = srcOff + len;
+        std::vector<size_t> pages(src.written.lower_bound(srcOff / PAGE),
+                                  src.written.upper_bound((end - 1) / PAGE));
+        for (size_t p : pages) {
+            const goff_t lo = std::max<goff_t>(srcOff, p * PAGE);
+            const goff_t hi = std::min<goff_t>(end, (p + 1) * PAGE);
+            markWritten(off + (lo - srcOff), hi - lo);
+        }
+        for (const Piece &p : src.read(srcOff, len)) {
+            if (p.src)
+                addRange(off, p.src, p.srcOff, p.len);
+            off += p.len;
+        }
+    }
+
     size_t ranges() const { return shared.size(); }
     size_t writtenPages() const { return written.size(); }
 
@@ -506,6 +532,18 @@ class MemModel
         b.bytes.copyTo(buf.data());
         buf[len / 2] ^= 0x5a;
         write(to, buf, len);
+    }
+
+    /** MemTarget::copy() of [srcOff, srcOff+len) of @p src's memory
+     *  (maybe this one) to @p off. */
+    void
+    copyFrom(goff_t off, MemModel &src, goff_t srcOff, size_t len)
+    {
+        mem.copy(off, src.mem, srcOff, len);
+        ref.copy(off, src.ref, srcOff, len);
+        const std::vector<uint8_t> bytes(src.model.begin() + srcOff,
+                                         src.model.begin() + srcOff + len);
+        std::copy(bytes.begin(), bytes.end(), model.begin() + off);
     }
 
     /** Whole-memory comparison. */
@@ -757,6 +795,108 @@ TEST(Mem, MatchesAPlainByteVector)
             return spm.ptr(static_cast<spmaddr_t>(off), len);
         });
     }
+}
+
+/**
+ * Fill @p m with seeded random writes, zeros and shares of @p srcs: some
+ * whole pages, some sub-page pieces, so pages end up written, shared,
+ * both, or never touched.
+ */
+void
+scribble(MemModel &m, std::mt19937_64 &rng, const SharedBytes &src)
+{
+    constexpr size_t PAGE = 4096;
+    auto below = [&](size_t n) { return static_cast<size_t>(rng() % n); };
+    std::vector<uint8_t> fresh(2 * PAGE);
+    for (int step = 0; step < 40; ++step) {
+        const goff_t off = below(m.mem.size() - fresh.size());
+        const size_t len = below(2) ? 1 + below(64) : 1 + below(fresh.size());
+        switch (below(3)) {
+          case 0:
+            for (size_t i = 0; i < len; ++i)
+                fresh[i] = static_cast<uint8_t>(rng());
+            m.write(off, fresh, len);
+            break;
+          case 1:
+            m.zero(off, len);
+            break;
+          default: {
+            const size_t srcOff = below(src->size() - len);
+            m.share(off, src, srcOff, len);
+            break;
+          }
+        }
+    }
+}
+
+TEST(Mem, RangeCopyMatchesTheReference)
+{
+    // MemTarget::copy() into the same memory (on either side of the
+    // source, sharing an edge page or not) and into another one with
+    // content of its own: the bytes, ranges and written pages must
+    // match the reference after each copy.
+    for (uint64_t seed = 1; seed <= 24; ++seed) {
+        SCOPED_TRACE(seed);
+        std::mt19937_64 rng(seed);
+        auto below = [&](size_t n) { return static_cast<size_t>(rng() % n); };
+        const SharedBytes src = randomBytes(24 * KiB, rng);
+        Dram a(96 * KiB, 20), b(96 * KiB, 20);
+        MemModel ma(a), mb(b);
+        scribble(ma, rng, src);
+        scribble(mb, rng, src);
+        mb.copyFrom(b.size(), ma, a.size(), 0);
+        for (int step = 0; step < 12; ++step) {
+            const size_t len = 1 + below(24 * KiB);
+            const goff_t from = below(a.size() - len + 1);
+            if (below(2)) {
+                goff_t to = below(b.size() - len + 1);
+                mb.copyFrom(to, ma, from, len);
+            } else {
+                // A span of the same memory before or after the source,
+                // sometimes right next to it.
+                const bool after = below(2);
+                const goff_t lo = after ? from + len : 0;
+                const goff_t hi = after ? a.size() : from;
+                if (hi - lo < len)
+                    continue;
+                const goff_t to = below(2) ? (after ? lo : hi - len)
+                                           : lo + below(hi - lo - len + 1);
+                ma.copyFrom(to, ma, from, len);
+            }
+            ASSERT_TRUE(ma.matches()) << "step " << step;
+            ASSERT_TRUE(mb.matches()) << "step " << step;
+            ASSERT_TRUE(ma.countsMatch())
+                << "step " << step << ": " << a.sharedRanges() << " ranges, "
+                << ma.ref.ranges() << " expected; " << a.writtenPages()
+                << " pages, " << ma.ref.writtenPages() << " expected";
+            ASSERT_TRUE(mb.countsMatch())
+                << "step " << step << ": " << b.sharedRanges() << " ranges, "
+                << mb.ref.ranges() << " expected; " << b.writtenPages()
+                << " pages, " << mb.ref.writtenPages() << " expected";
+        }
+    }
+}
+
+TEST(Mem, PeekReadsInPlaceOutsideSharedRanges)
+{
+    // Bytes the store holds are handed out where they are; bytes with a
+    // shared range among them come copied into the scratch buffer.
+    std::mt19937_64 rng(5);
+    const SharedBytes file = randomBytes(4 * KiB, rng);
+    Dram dram(64 * KiB, 20);
+    const uint32_t word = 0x01020304;
+    dram.write(100, &word, sizeof(word));
+    dram.share(8 * KiB, file, 0, 1000);
+    std::vector<uint8_t> scratch(2 * KiB);
+    const uint8_t *p = dram.peek(100, sizeof(word), scratch.data());
+    EXPECT_NE(p, scratch.data());
+    EXPECT_EQ(p, dram.inspect(100, sizeof(word)));
+    EXPECT_EQ(std::memcmp(p, &word, sizeof(word)), 0);
+    p = dram.peek(8 * KiB - 10, 20, scratch.data());
+    EXPECT_EQ(p, scratch.data());
+    EXPECT_TRUE(std::all_of(p, p + 10, [](uint8_t v) { return v == 0; }));
+    EXPECT_TRUE(std::equal(p + 10, p + 20, file->begin()));
+    EXPECT_EQ(dram.writtenPages(), 1u);
 }
 
 TEST(Mem, CopiedFileStaysNonResident)

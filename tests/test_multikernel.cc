@@ -164,6 +164,53 @@ TEST(MultiKernel, CrossDomainDelegatedSendGateWorks)
     EXPECT_EQ(remoteChildren, 1u);
 }
 
+TEST(MultiKernel, CrossDomainDelegateToOccupiedSelectorInstallsNothing)
+{
+    // Two caps delegated to a child in the peer domain, whose kernel
+    // installs them. With the child's second destination selector in
+    // use, the list is refused as a whole: the child's table is
+    // unchanged.
+    M3SystemCfg cfg = twoKernelCfg();
+    cfg.withFs = false;
+    M3System sys(std::move(cfg));
+    Error got = Error::None;
+    size_t before = 0, after = 0;
+    bool firstFree = false;
+    sys.runRoot("t", [&] {
+        Env &env = Env::cur();
+        VPE a(env, "a"), b(env, "b");
+        if (a.err() != Error::None || b.err() != Error::None)
+            return 1;
+        VPE &remote =
+            kif::domainOfVpe(a.id()) == kif::domainOfVpe(env.vpeId) ? b : a;
+        const uint32_t domain = kif::domainOfVpe(remote.id());
+        if (domain == kif::domainOfVpe(env.vpeId))
+            return 2;
+        const capsel_t mem = env.allocSels(2);
+        if (env.reqMem(mem, KiB, MEM_RW) != Error::None ||
+            env.reqMem(mem + 1, KiB, MEM_R) != Error::None)
+            return 3;
+        if (remote.delegate(mem + 1, 1, 41) != Error::None)
+            return 4;
+        const kernel::Vpe *child =
+            sys.kernelInstance(domain).vpe(remote.id());
+        if (!child || !child->caps.get(41))
+            return 5;
+        before = child->caps.size();
+        got = remote.delegate(mem, 2, 40);
+        after = child->caps.size();
+        firstFree = !child->caps.get(40);
+        a.run([] { return 0; });
+        b.run([] { return 0; });
+        return a.wait() == 0 && b.wait() == 0 ? 0 : 6;
+    });
+    ASSERT_TRUE(sys.simulate());
+    EXPECT_EQ(sys.rootExitCode(), 0);
+    EXPECT_EQ(got, Error::CapExists);
+    EXPECT_EQ(after, before);
+    EXPECT_TRUE(firstFree);
+}
+
 TEST(MultiKernel, FourKernelsManyChildren)
 {
     // A larger machine: 4 kernels, 8 app PEs, children spread across

@@ -33,6 +33,7 @@ enum class KvXchg : uint64_t
     GetChannel,  //!< obtain the session's send gate
     GetStore,    //!< obtain a memory capability to the raw store
     BadCapList,  //!< a malformed answer: two caps the service never had
+    GetStores,   //!< obtain two read-only memory caps to the store
     // args[0] of a session delegate:
     TakeCaps,     //!< take the caps at fresh selectors
     TakeTooMany,  //!< name one selector more than the client offered
@@ -107,6 +108,18 @@ kvServiceMain(uint32_t slotSize = KV_MSG, KvTaken *taken = nullptr)
                     Marshaller m = is.replyStream();
                     m << e << uint64_t{1} << sel << uint64_t{1}
                       << uint64_t{64 * KiB};
+                    is.replyStreamSend(m);
+                } else if (static_cast<KvXchg>(arg0) ==
+                           KvXchg::GetStores) {
+                    capsel_t sel = env.allocSels(2);
+                    Error e = env.deriveMem(store.capSel(), sel, 0,
+                                            64 * KiB, MEM_R);
+                    if (e == Error::None)
+                        e = env.deriveMem(store.capSel(), sel + 1, 0,
+                                          64 * KiB, MEM_R);
+                    Marshaller m = is.replyStream();
+                    m << e << uint64_t{2} << sel << capsel_t(sel + 1)
+                      << uint64_t{0};
                     is.replyStreamSend(m);
                 } else if (static_cast<KvXchg>(arg0) ==
                            KvXchg::BadCapList) {
@@ -354,6 +367,49 @@ TEST(Service, ObtainWithBadCapListFailsCleanly)
     });
     ASSERT_TRUE(fx.sys->simulate());
     EXPECT_EQ(fx.sys->rootExitCode(), 0);
+}
+
+TEST(Service, RemoteObtainToOccupiedSelectorInstallsNothing)
+{
+    // Two kernels: the client (domain 0) obtains two caps from a
+    // domain-1 service, and its own kernel installs the copies the
+    // peer kernel sends. With the second destination selector in use,
+    // the list is refused as a whole: the client's table is unchanged.
+    KvFixture fx([] { return kvServiceMain(); }, 3, 2);
+    ASSERT_NE(fx.sys->domainOfPe(fx.sys->rootPe()),
+              fx.sys->domainOfPe(fx.sys->rootPe() + 1));
+    const kernel::Kernel &k =
+        fx.sys->kernelInstance(fx.sys->domainOfPe(fx.sys->rootPe()));
+    Error got = Error::None;
+    size_t before = 0, after = 0;
+    bool firstFree = false;
+    fx.sys->runRoot("client", [&] {
+        Env &env = Env::cur();
+        capsel_t sess = env.allocSels();
+        if (openRetrying(env, sess, "kvstore") != Error::None)
+            return 1;
+        const std::vector<uint64_t> stores{
+            static_cast<uint64_t>(KvXchg::GetStores)};
+        // Both caps arrive at free selectors.
+        const capsel_t ok = env.allocSels(2);
+        if (env.exchangeSess(sess, kif::ExchangeOp::Obtain, ok, 2, stores) !=
+                Error::None ||
+            !k.vpe(env.vpeId)->caps.get(ok + 1))
+            return 2;
+        const capsel_t dst = env.allocSels(2);
+        if (env.reqMem(dst + 1, KiB, MEM_RW) != Error::None)
+            return 3;
+        before = k.vpe(env.vpeId)->caps.size();
+        got = env.exchangeSess(sess, kif::ExchangeOp::Obtain, dst, 2, stores);
+        after = k.vpe(env.vpeId)->caps.size();
+        firstFree = !k.vpe(env.vpeId)->caps.get(dst);
+        return 0;
+    });
+    ASSERT_TRUE(fx.sys->simulate());
+    EXPECT_EQ(fx.sys->rootExitCode(), 0);
+    EXPECT_EQ(got, Error::CapExists);
+    EXPECT_EQ(after, before);
+    EXPECT_TRUE(firstFree);
 }
 
 TEST(Service, DelegateInstallsCapsAtServiceSelectors)

@@ -232,6 +232,23 @@ TEST(Scalability, TarHostFootprintIsPinned)
     EXPECT_EQ(r.dramWrittenPages, 49u);
 }
 
+TEST(Scalability, MultiImageHostFootprintIsPinned)
+{
+    // The same, on machines with 4 m3fs images: boot builds the first
+    // and copies it for the others (MemTarget::copy), which pages in
+    // only what the first wrote. A copy that pages in more moves these.
+    M3RunOpts opts;
+    opts.fsInstances = 4;
+    opts.numKernels = 4;
+    ScalabilityResult r = runM3Scalability("tar", 16, opts);
+    ASSERT_EQ(r.rc, 0);
+    EXPECT_EQ(r.dramWrittenPages, 133u);
+    // The fs_scale machine: 240 instances' files in each image.
+    ScalabilityResult big = runM3Scalability("tar", 240, opts);
+    ASSERT_EQ(big.rc, 0);
+    EXPECT_EQ(big.dramWrittenPages, 1978u);
+}
+
 TEST(Scalability, TarArchiveHoldsItsMembers)
 {
     // The tar trace on a small spin-path machine (Sec. 5.7), whose

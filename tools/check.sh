@@ -179,12 +179,13 @@ grep -q '\[  PASSED  \] 1 test' "$obs/pipe_teardown.log"
 # fails with that gate, and configures nothing once its VPE is gone. A
 # session Delegate installs its caps at the service's selectors, and a
 # refused answer (an empty source, one selector named twice) installs
-# none of them.
+# none of them; so does a cross-kernel Obtain whose second destination
+# selector is in use.
 echo "=== kernel channel queue and failure paths (sanitized)"
 ./build-asan/tests/test_service \
-    --gtest_filter='Service.ObtainWithBadCapListFailsCleanly:Service.OversizedRequestToSmallSlotServiceFails:Service.KernelChannelQueuesBeyondCredits:Service.IkChannelQueuesBeyondCredits:Service.DeadServiceFailsInFlightAndQueuedRequests:Service.ExitingServiceFailsItsRequests:Service.TwoServicesShareTheReplyRing:Service.DelegateInstallsCapsAtServiceSelectors:Service.DelegateWithEmptySourceInstallsNothing:Service.DelegateTwiceToOneSelectorInstallsNothing' \
+    --gtest_filter='Service.ObtainWithBadCapListFailsCleanly:Service.OversizedRequestToSmallSlotServiceFails:Service.KernelChannelQueuesBeyondCredits:Service.IkChannelQueuesBeyondCredits:Service.DeadServiceFailsInFlightAndQueuedRequests:Service.ExitingServiceFailsItsRequests:Service.TwoServicesShareTheReplyRing:Service.DelegateInstallsCapsAtServiceSelectors:Service.DelegateWithEmptySourceInstallsNothing:Service.DelegateTwiceToOneSelectorInstallsNothing:Service.RemoteObtainToOccupiedSelectorInstallsNothing' \
     2>&1 | tee "$obs/kchannel.log"
-grep -q '\[  PASSED  \] 10 tests' "$obs/kchannel.log"
+grep -q '\[  PASSED  \] 11 tests' "$obs/kchannel.log"
 ./build-asan/tests/test_kernel \
     --gtest_filter='KernelSyscalls.ShortMessageIsRejected:KernelSyscalls.DeferredActivationCompletesWhenRecvGateActivates:KernelSyscalls.DeferredActivationFailsWhenRecvGateIsRevoked:KernelSyscalls.DeferredActivationOfExitedVpeConfiguresNothing' \
     2>&1 | tee "$obs/kchannel.log"
@@ -214,7 +215,7 @@ grep -q '\[  PASSED  \] 1 test' "$obs/migrated_wait.log"
 # hide.
 echo "=== file bytes by reference (sanitized)"
 ./build-asan/tests/test_mem --gtest_filter='Mem.*' 2>&1 | tee "$obs/bytes.log"
-grep -q '\[  PASSED  \] 7 tests' "$obs/bytes.log"
+grep -q '\[  PASSED  \] 9 tests' "$obs/bytes.log"
 ./build-asan/tests/test_workloads \
     --gtest_filter='Scalability.TarArchive*:Scalability.TarHostFootprintIsPinned' \
     2>&1 | tee "$obs/bytes.log"
